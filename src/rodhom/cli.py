@@ -13,7 +13,7 @@ import numpy as np
 from . import fem, fiber, pipeline as pl
 from .geometry import ProductMesh, build_rectangle, compute_moments, is_centrally_symmetric
 from .homogenize import rod_tensor
-from .material import MaterialProfile, make_isotropic, profile_from_json
+from .material import profile_from_json
 
 DEFAULT_CONFIG = {
     "material": {"layers": [
@@ -115,6 +115,9 @@ def cmd_spectrum(cfg, forms, outdir):
             row["lambda%d" % (i + 1)] = v
         row["ratio_bend1"], row["ratio_bend2"] = r["ratio_bend"]
         row["ratio_stretch1"], row["ratio_stretch2"] = r["ratio_stretch"]
+        rb = fiber.rayleigh_bounds(forms, r["chi"])
+        row["bend_quotient"] = rb["bend_quotient"]
+        row["stretch_quotient"] = rb["stretch_quotient"]
         rows.append(row)
     _write_csv(os.path.join(outdir, "spectrum.csv"), rows)
 

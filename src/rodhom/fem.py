@@ -1,18 +1,38 @@
 """FE machinery on the periodic product mesh.
 
 Vector Q1 elements on quad-times-segment product cells, 2x2x2 Gauss
-quadrature, periodic identification of the y = 1/2 plane with y = -1/2. The
-fiber stiffness splits as K(chi) = K_ss + chi*K_sx + chi^2*K_xx, so sweeps in
-chi reuse one assembly.
+quadrature, periodic identification of the y = 1/2 plane with y = -1/2. Each
+element is integrated with its own bilinear Jacobian, so graded and
+non-rectangular cross-section meshes are handled; an element whose Jacobian
+determinant is not positive everywhere is rejected with ValueError.
 
-Strains are engineering Voigt vectors (e11, e22, e33, 2e23, 2e13, 2e12); the
-shifted part of the strain is i*chi*B_x u with B_x carrying (u3, u2, u1) into
-slots (e33, 2e23, 2e13).
+Strains are engineering Voigt vectors (e11, e22, e33, 2e23, 2e13, 2e12). The
+strain of a fiber field is B_s u + i*chi*B_x u, with B_x carrying (u3, u2, u1)
+into slots (e33, 2e23, 2e13). Assembly builds every fiber operator once:
+
+- K_ss = sum w B_s^T D B_s and K_xx = sum w B_x^T D B_x;
+- P = sum w B_s^T D B_x, which is real. K_sx = i (P - P^T) needs no assembly
+  of its own, and K(chi) = K_ss + chi*K_sx + chi^2*K_xx, so sweeps in chi
+  reuse one assembly;
+- the consistent mass M and its scalar block M1 (M = M1 kron I3);
+- Ls = sum w B_s^T D J_k and Lx = sum w B_x^T D J_k, the n_dof x 4 loads of
+  the four canonical J-data (see homogenize), and their 4x4 Gram matrix
+  J_gram = sum w J_d^T D J_k;
+- the scalar blocks of the H1 norm: S_hat (cross-section gradients), S_y
+  (d/dy) and C_y = i (Y - Y^T) with Y = int d_y N_a N_b, so that
+  int |d_y u + i chi u|^2 = u^H (S_y + chi C_y + chi^2 M1) u per component.
+
+Every term of the corrector chains, the cell problems, the rod tensor and the
+error norms is one of these matrices applied to a nodal vector. No Gauss-point
+fields are kept: they would be a second representation of the same
+operators, to be kept consistent with the first.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .homogenize import j_voigt
 
 
 class SingularSystem(Exception):
@@ -32,152 +52,124 @@ class PairingMismatch(Exception):
 
 
 _GAUSS_1D = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+_QUAD = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)  # ccw corners
+# (Voigt slot, displacement component, derivative direction) of B_s and
+# (Voigt slot, displacement component) of B_x
+_BS = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+       (4, 0, 2), (4, 2, 0), (5, 0, 1), (5, 1, 0)]
+_BX = [(2, 2), (3, 1), (4, 0)]
 
 
-def _reference_data(hx, hy, hz):
-    """Shape values, physical gradients, B-matrices and weights at the 8 Gauss
-    points of a brick with edge lengths (hx, hy, hz)."""
-    pts = []
-    for gz in _GAUSS_1D:
-        for gy in _GAUSS_1D:
-            for gx in _GAUSS_1D:
-                pts.append((gx, gy, gz))
-    pts = np.array(pts)  # (8, 3)
+def _integrate(w, left, rights, D=None):
+    """Element blocks sum_g (w_g left_g^T) D_g right_g, one array per right
+    factor; left and each right are (..., 8, slots, k) arrays, D is
+    (..., 8, 6, 6) or None for the identity.
 
-    # local nodes: bottom quad ccw then top quad, reference coords in {-1,1}^3
-    loc = np.array([[-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
-                    [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1]], dtype=float)
+    The Gauss points are added one at a time, in this association, so that
+    rectangular meshes get the same rounding in K as an assembly with one
+    shared element geometry: the line resolvent amplifies a last-bit change
+    in K_ss about a thousandfold, which shows in the per-eps error tables.
+    """
+    outs = [0.0] * len(rights)
+    for g in range(8):
+        lt = w[:, g, None, None] * np.swapaxes(left[..., g, :, :], -1, -2)
+        if D is not None:
+            lt = lt @ D[..., g, :, :]
+        outs = [out + lt @ right[..., g, :, :] for out, right in zip(outs, rights)]
+    return outs
 
-    n_g = len(pts)
-    N = np.zeros((n_g, 8))
-    G = np.zeros((n_g, 3, 8))  # physical gradients d/dx1, d/dx2, d/dy
-    scale = np.array([2.0 / hx, 2.0 / hy, 2.0 / hz])
-    for g, (x, y, z) in enumerate(pts):
-        for a in range(8):
-            sx, sy, sz = loc[a]
-            N[g, a] = (1 + sx * x) * (1 + sy * y) * (1 + sz * z) / 8.0
-            G[g, 0, a] = sx * (1 + sy * y) * (1 + sz * z) / 8.0 * scale[0]
-            G[g, 1, a] = (1 + sx * x) * sy * (1 + sz * z) / 8.0 * scale[1]
-            G[g, 2, a] = (1 + sx * x) * (1 + sy * y) * sz / 8.0 * scale[2]
 
-    Bs = np.zeros((n_g, 6, 24))
-    Bx = np.zeros((n_g, 6, 24))
-    for g in range(n_g):
-        for a in range(8):
-            d1, d2, dy = G[g, :, a]
-            na = N[g, a]
-            c0, c1, c2 = 3 * a, 3 * a + 1, 3 * a + 2
-            Bs[g, 0, c0] = d1
-            Bs[g, 1, c1] = d2
-            Bs[g, 2, c2] = dy
-            Bs[g, 3, c1] = dy
-            Bs[g, 3, c2] = d2
-            Bs[g, 4, c0] = dy
-            Bs[g, 4, c2] = d1
-            Bs[g, 5, c0] = d2
-            Bs[g, 5, c1] = d1
-            Bx[g, 2, c2] = na
-            Bx[g, 3, c1] = na
-            Bx[g, 4, c0] = na
-    w = hx * hy * hz / 8.0
-    return pts, N, G, Bs, Bx, w
+def _sparse(blocks, index, n):
+    """Sum the element blocks blocks[..., a, b] into an n x n CSR matrix at
+    rows index[..., a] and columns index[..., b]."""
+    shape = index.shape + index.shape[-1:]
+    rows = np.broadcast_to(index[..., :, None], shape).ravel()
+    cols = np.broadcast_to(index[..., None, :], shape).ravel()
+    return sp.csr_matrix((np.broadcast_to(blocks, shape).ravel(), (rows, cols)),
+                         shape=(n, n))
 
 
 class AssembledForms:
-    """Assembled fiber forms plus the Gauss-point machinery the corrector
-    chains are built from."""
+    """The assembled fiber operators of a profile on a product mesh."""
 
     def __init__(self, profile, mesh):
         self.profile = profile
         self.mesh = mesh
         cross = mesh.cross
-        n_y = mesh.n_y
+        n_y, n_c, n_ec = mesh.n_y, cross.n_nodes, len(cross.elements)
         hz = 1.0 / n_y
 
-        # uniform rectangle cross mesh: all elements share one geometry
-        e0 = cross.nodes[cross.elements[0]]
-        hx = float(np.max(e0[:, 0]) - np.min(e0[:, 0]))
-        hy = float(np.max(e0[:, 1]) - np.min(e0[:, 1]))
-        self.pts_ref, self.N, self.G, self.Bs, self.Bx, self.w = _reference_data(hx, hy, hz)
+        # det of the bilinear map is affine in each reference coordinate, so
+        # it is positive on an element iff it is positive at the 4 corners
+        X = cross.nodes[cross.elements]                            # (n_ec, 4, 2)
+        a, b = np.roll(X, -1, axis=1) - X, np.roll(X, 1, axis=1) - X
+        bad = np.flatnonzero(np.min(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0], axis=1) <= 0)
+        if len(bad):
+            raise ValueError("cross-section element %d has a non-positive Jacobian "
+                             "determinant (inverted, clockwise or non-convex)" % bad[0])
 
-        n_ec = len(cross.elements)
-        self.n_elem = n_ec * n_y
+        # Gauss points (xi, eta, zeta), z-major; brick node a is quad corner
+        # a % 4 on the lower (a < 4) or upper y-level
+        pts = np.array([(x, y, z) for z in _GAUSS_1D for y in _GAUSS_1D for x in _GAUSS_1D])
+        x, y, z = pts[:, :1], pts[:, 1:2], pts[:, 2:]
+        sx, sy = np.tile(_QUAD, (2, 1)).T
+        sz = np.repeat([-1.0, 1.0], 4)
+        N = (1 + sx * x) * (1 + sy * y) * (1 + sz * z) / 8.0                # (8 g, 8 a)
+        dN = np.stack([sx * (1 + sy * y) * (1 + sz * z) / 8.0,
+                       (1 + sx * x) * sy * (1 + sz * z) / 8.0,
+                       (1 + sx * x) * (1 + sy * y) * sz / 8.0], axis=1)   # (8 g, 3, 8 a)
 
-        # element connectivity: element (q, e) has bottom quad at y-level q
-        nodes = np.zeros((self.n_elem, 8), dtype=int)
-        for q in range(n_y):
-            top = (q + 1) % n_y
-            base = q * n_ec
-            nodes[base:base + n_ec, :4] = cross.elements + q * cross.n_nodes
-            nodes[base:base + n_ec, 4:] = cross.elements + top * cross.n_nodes
-        self.elem_nodes = nodes
-        self.elem_dofs = (3 * nodes[:, :, None] + np.arange(3)).reshape(self.n_elem, 24)
-        self.elem_ylayer = np.repeat(np.arange(n_y), n_ec)
+        # d(x1, x2)/d(xi, eta) of the bilinear map is c_xi + twist * eta and
+        # c_eta + twist * xi; in edge differences, it is exact on rectangles
+        c_xi = ((X[:, 1] - X[:, 0]) + (X[:, 2] - X[:, 3])) / 4
+        c_eta = ((X[:, 3] - X[:, 0]) + (X[:, 2] - X[:, 1])) / 4
+        twist = ((X[:, 0] - X[:, 1]) - (X[:, 3] - X[:, 2]))[:, None] / 4
+        jac = np.stack([c_xi[:, None] + twist * y, c_eta[:, None] + twist * x], axis=2)
+        w = (jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]) * hz / 2.0
+        G = np.concatenate([np.linalg.inv(jac) @ dN[:, :2],
+                            np.broadcast_to(dN[:, 2:] * (2.0 / hz), (n_ec, 8, 1, 8))], axis=2)
 
-        # physical Gauss coordinates (x1, x2, y) per element
-        coords = np.zeros((self.n_elem, 8, 3))
-        cx = cross.nodes[nodes[:, :4] % cross.n_nodes]  # using bottom quad cross nodes
-        # cross coords per gauss point from bilinear shapes in (x1, x2)
-        N2 = self.N[:, :4] + self.N[:, 4:]  # collapse the y direction
-        coords[:, :, :2] = np.einsum("ga,eai->egi", N2, cx)
-        ybot = mesh.y_nodes[self.elem_ylayer]
-        coords[:, :, 2] = ybot[:, None] + (self.pts_ref[:, 2] + 1) / 2.0 * hz
-        self.gauss_coords = coords
+        Bs = np.zeros((n_ec, 8, 6, 8, 3))
+        for slot, comp, d in _BS:
+            Bs[:, :, slot, :, comp] = G[:, :, d]
+        Bx = np.zeros((8, 6, 8, 3))
+        for slot, comp in _BX:
+            Bx[:, slot, :, comp] = N
+        Bs, Bx = Bs.reshape(n_ec, 8, 6, 24), Bx.reshape(8, 6, 24)
+        xhat = (N[:, :4] + N[:, 4:]) @ X                                  # (n_ec, 8, 2)
+        J = np.stack([j_voigt(m, xhat) for m in np.eye(4)], axis=-1)      # (n_ec, 8, 6, 4)
+        D = np.array([[profile.evaluate(y0 + (zg + 1) / 2.0 * hz).voigt for zg in z[:, 0]]
+                      for y0 in mesh.y_nodes])[:, None]                    # (n_y, 1, 8, 6, 6)
 
-        # stiffness matrix at Gauss points, per y-layer (no x-hat dependence)
-        D = np.zeros((n_y, 8, 6, 6))
-        for q in range(n_y):
-            for g in range(8):
-                yq = mesh.y_nodes[q] + (self.pts_ref[g, 2] + 1) / 2.0 * hz
-                D[q, g] = profile.evaluate(yq).voigt
-        self.D = D
+        layers = np.arange(n_y)[:, None, None] * n_c
+        nodes = np.concatenate([cross.elements + layers,
+                                cross.elements + np.roll(layers, -1, axis=0)], axis=2)
+        dofs = (3 * nodes[..., None] + np.arange(3)).reshape(n_y, n_ec, 24)
+        n_dof, n_nodes = mesh.n_dof, mesh.n_nodes
+        K_ss, P, Ls = _integrate(w, Bs, [Bs, Bx, J], D)
+        K_xx, Lx = _integrate(w, Bx, [Bx, J], D)
+        self.K_ss = _sparse(K_ss, dofs, n_dof)
+        self.K_xx = _sparse(K_xx, dofs, n_dof)
+        self.P = _sparse(P, dofs, n_dof)
+        self.K_sx = (1j * (self.P - self.P.T)).tocsr()
+        self.Ls = np.zeros((n_dof, 4))
+        np.add.at(self.Ls, dofs, Ls)
+        self.Lx = np.zeros((n_dof, 4))
+        np.add.at(self.Lx, dofs, Lx)
+        self.J_gram = _integrate(w, J, [J], D)[0].sum(axis=(0, 1))
 
-        self._assemble_matrices()
+        Nv, G12, Gy = N[:, None, :], G[:, :, :2], G[:, :, 2:]
+        M1, = _integrate(w, Nv, [Nv])
+        S_hat, = _integrate(w, G12, [G12])
+        S_y, Y = _integrate(w, Gy, [Gy, Nv])
+        self.M1 = _sparse(M1, nodes, n_nodes)
+        self.S_hat = _sparse(S_hat, nodes, n_nodes)
+        self.S_y = _sparse(S_y, nodes, n_nodes)
+        self.C_y = _sparse(1j * (Y - np.swapaxes(Y, -1, -2)), nodes, n_nodes)
+        self.M = sp.kron(self.M1, sp.identity(3), format="csr")
+
         self._build_constraints()
         self._saddle = None
-
-    # -- assembly ---------------------------------------------------------
-
-    def _assemble_matrices(self):
-        mesh = self.mesh
-        n_y = mesh.n_y
-        n_ec = len(mesh.cross.elements)
-        n_dof = mesh.n_dof
-        w = self.w
-
-        Me = np.zeros((24, 24))
-        for g in range(8):
-            for c in range(3):
-                Me[c::3, c::3] += w * np.outer(self.N[g], self.N[g])
-
-        rows_all, cols_all = [], []
-        dss, dsx, dxx, dm = [], [], [], []
-        for q in range(n_y):
-            Kss = np.zeros((24, 24))
-            Kxx = np.zeros((24, 24))
-            Ksx = np.zeros((24, 24), dtype=complex)
-            for g in range(8):
-                Dg = self.D[q, g]
-                Bsg, Bxg = self.Bs[g], self.Bx[g]
-                Kss += w * Bsg.T @ Dg @ Bsg
-                Kxx += w * Bxg.T @ Dg @ Bxg
-                Ksx += 1j * w * (Bsg.T @ Dg @ Bxg - Bxg.T @ Dg @ Bsg)
-            dofs = self.elem_dofs[q * n_ec:(q + 1) * n_ec]
-            r = np.repeat(dofs, 24, axis=1).ravel()
-            c = np.tile(dofs, (1, 24)).ravel()
-            rows_all.append(r)
-            cols_all.append(c)
-            dss.append(np.tile(Kss.ravel(), n_ec))
-            dsx.append(np.tile(Ksx.ravel(), n_ec))
-            dxx.append(np.tile(Kxx.ravel(), n_ec))
-            dm.append(np.tile(Me.ravel(), n_ec))
-        rows = np.concatenate(rows_all)
-        cols = np.concatenate(cols_all)
-        shape = (n_dof, n_dof)
-        self.K_ss = sp.coo_matrix((np.concatenate(dss), (rows, cols)), shape).tocsr()
-        self.K_sx = sp.coo_matrix((np.concatenate(dsx), (rows, cols)), shape).tocsr()
-        self.K_xx = sp.coo_matrix((np.concatenate(dxx), (rows, cols)), shape).tocsr()
-        self.M = sp.coo_matrix((np.concatenate(dm), (rows, cols)), shape).tocsr()
 
     def K(self, chi):
         if chi == 0:
@@ -196,57 +188,6 @@ class AssembledForms:
         self.kernel_fields = basis        # rigid motions of the cross-section motion space
         self.R = np.array([self.M @ b for b in basis])  # constraint rows (M-weighted)
 
-    # -- Gauss-point field algebra ---------------------------------------
-
-    def gather(self, u):
-        return u[self.elem_dofs]
-
-    def strain(self, u):
-        """sym-grad of u as engineering Voigt vectors at Gauss points,
-        shape (n_elem, 8, 6)."""
-        return np.einsum("gcd,ed->egc", self.Bs, self.gather(u))
-
-    def xstrain(self, u):
-        """B_x u at Gauss points; multiply by i*chi to get the shifted strain."""
-        return np.einsum("gcd,ed->egc", self.Bx, self.gather(u))
-
-    def values(self, u):
-        """Field values at Gauss points, shape (n_elem, 8, 3)."""
-        ue = self.gather(u).reshape(self.n_elem, 8, 3)
-        return np.einsum("ga,eac->egc", self.N, ue)
-
-    def gradients(self, u):
-        """Full gradients at Gauss points, shape (n_elem, 8, 3 comps, 3 dirs)."""
-        ue = self.gather(u).reshape(self.n_elem, 8, 3)
-        return np.einsum("gda,eac->egcd", self.G, ue)
-
-    def stress(self, field):
-        """Apply the stiffness to a Voigt strain field at Gauss points."""
-        return np.einsum("egcd,egd->egc", self.D[self.elem_ylayer], field)
-
-    def dual_S(self, field):
-        """Dual vector of v -> int field : conj(sym-grad v)."""
-        contrib = self.w * np.einsum("gcd,egc->ed", self.Bs, field)
-        b = np.zeros(self.mesh.n_dof, dtype=complex)
-        np.add.at(b, self.elem_dofs, contrib)
-        return b
-
-    def dual_X(self, field, chi):
-        """Dual vector of v -> int field : conj(i chi X v)."""
-        contrib = (-1j * chi) * self.w * np.einsum("gcd,egc->ed", self.Bx, field)
-        b = np.zeros(self.mesh.n_dof, dtype=complex)
-        np.add.at(b, self.elem_dofs, contrib)
-        return b
-
-    def integrate(self, field, test):
-        """int field : conj(test) over the product domain, both given as
-        Gauss-point Voigt arrays."""
-        return self.w * np.einsum("egc,egc->", field, np.conj(test))
-
-    def integrate_values(self, vals):
-        """Componentwise integral of a Gauss-point value field (n_elem, 8, 3)."""
-        return self.w * np.einsum("egc->c", vals)
-
     def interpolate(self, fn):
         """Nodal interpolation of fn(x1, x2, y) -> 3-vector (vectorised over
         an (n, 3) coordinate array)."""
@@ -255,30 +196,21 @@ class AssembledForms:
     # -- norms ------------------------------------------------------------
 
     def norm_sq_l2(self, u, component=None):
-        vals = self.values(u)
-        if component is not None:
-            vals = vals[:, :, component:component + 1]
-        return float(self.w * np.sum(np.abs(vals) ** 2))
+        return _form(self.M1, _components(u, component))
 
     def norm_sq_h1(self, u, component=None, chi=None, eps=None):
-        """Squared H1 norm by Gauss quadrature.
+        """Squared H1 norm.
 
         With chi/eps given, the longitudinal derivative is measured in the
         eps-scaled fiber metric eps^-2 |d_y u + i chi u|^2; otherwise the plain
         gradient on the product domain is used.
         """
-        vals = self.values(u)
-        grads = self.gradients(u)
-        if component is not None:
-            vals = vals[:, :, component:component + 1]
-            grads = grads[:, :, component:component + 1, :]
-        out = np.sum(np.abs(vals) ** 2) + np.sum(np.abs(grads[..., 0]) ** 2) \
-            + np.sum(np.abs(grads[..., 1]) ** 2)
+        U = _components(u, component)
+        l2 = _form(self.M1, U)
+        out = l2 + _form(self.S_hat, U)
         if chi is None:
-            out += np.sum(np.abs(grads[..., 2]) ** 2)
-        else:
-            out += np.sum(np.abs(grads[..., 2] + 1j * chi * vals) ** 2) / eps ** 2
-        return float(self.w * out)
+            return out + _form(self.S_y, U)
+        return out + (_form(self.S_y, U) + chi * _form(self.C_y, U) + chi ** 2 * l2) / eps ** 2
 
     # -- solvers ----------------------------------------------------------
 
@@ -292,36 +224,44 @@ class AssembledForms:
         return self._saddle
 
 
+def _components(u, component):
+    """Nodal values of u as an (n_nodes, 3) array, or one column of it."""
+    U = np.asarray(u).reshape(-1, 3)
+    return U if component is None else U[:, component]
+
+
+def _form(A, U):
+    """sum over components of U^H A U for a Hermitian scalar block A."""
+    return float(np.vdot(U, A @ U).real)
+
+
 class SaddleSolver:
     """One sparse LU of [[K_ss, R^H], [R, 0]]; solves every constrained cell
     and corrector problem (the left-hand side is chi-independent).
 
     For t*K_ss the solution is u(1)/t, so a single factorisation serves all
-    scalings.
+    scalings. Only the LU and the rigid-motion rows are kept, so the solver
+    cached on the forms does not refer back to them.
     """
 
     def __init__(self, forms, tol=1e-8):
-        self.forms = forms
         self.tol = tol
+        self.kernel = forms.kernel_fields
         R = sp.csr_matrix(forms.R.astype(complex))
-        n = forms.mesh.n_dof
         A = sp.bmat([[forms.K_ss.astype(complex), R.conj().T],
                      [R, None]], format="csc")
         try:
             self.lu = spla.splu(A)
         except RuntimeError as exc:
             raise SingularSystem(str(exc))
-        self.n = n
-        self.last_residual = 0.0
+        self.n = forms.mesh.n_dof
 
     def solve(self, load, t=1.0, check=True):
         load = np.asarray(load, dtype=complex)
-        res = self.forms.kernel_residuals(load)
+        res = np.max(np.abs(self.kernel @ load))
         scale = np.linalg.norm(load)
-        self.last_residual = float(np.max(res) / scale) if scale > 0 else 0.0
-        if check and scale > 0 and np.max(res) > self.tol * scale:
-            raise IncompatibleLoad(
-                "load has kernel residual %.3e relative" % (np.max(res) / scale))
+        if check and scale > 0 and res > self.tol * scale:
+            raise IncompatibleLoad("load has kernel residual %.3e relative" % (res / scale))
         rhs = np.concatenate([load, np.zeros(4, dtype=complex)])
         sol = self.lu.solve(rhs)
         return sol[:self.n] / t
@@ -332,24 +272,17 @@ def assemble(profile, mesh):
     return AssembledForms(profile, mesh)
 
 
-def solve_resolvent(forms, chi, t, load_field):
-    """Solve (t K(chi) + M) u = M f. Strictly positive definite, no
-    constraints needed."""
-    A = (t * forms.K(chi) + forms.M.astype(complex)).tocsc()
-    b = forms.M @ np.asarray(load_field, dtype=complex)
-    try:
-        return spla.splu(A).solve(b)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc))
-
-
 class ResolventSolver:
-    """Cached factorisation of (t K(chi) + M) for repeated loads."""
+    """Cached factorisation of (t K(chi) + M) for repeated loads; solves
+    (t K(chi) + M) u = M f, strictly positive definite, no constraints."""
 
     def __init__(self, forms, chi, t):
         self.forms = forms
         A = (t * forms.K(chi) + forms.M.astype(complex)).tocsc()
-        self.lu = spla.splu(A)
+        try:
+            self.lu = spla.splu(A)
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc))
 
     def solve(self, load_field):
         return self.lu.solve(self.forms.M @ np.asarray(load_field, dtype=complex))

@@ -81,13 +81,6 @@ class FiberOps:
         return hz.chi_tensor(self.forms, self.chi, regime=key, direct=False)
 
 
-def scale_abs_chi(f, chi, n_nodes):
-    """S_|chi|: divide the third component by |chi|."""
-    v = np.asarray(f, dtype=complex).reshape(n_nodes, 3).copy()
-    v[:, 2] /= abs(chi)
-    return v.reshape(-1)
-
-
 _DEFAULT_SCALING = {"stretch": "none", "general_chi2": "none",
                     "bend": "s_abs_chi", "general_chi4": "s_abs_chi"}
 
@@ -110,7 +103,7 @@ def apply_load_scaling(f, tag, chi, n_nodes, eps=None, delta=None):
 
 def reference_solve(forms, chi, t, f):
     """(t K(chi) + M) u = M f."""
-    return fem.solve_resolvent(forms, chi, t, f)
+    return fem.ResolventSolver(forms, chi, t).solve(f)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +205,22 @@ class _ChainBuilder:
             self.C = ops0.gram(regime)
         else:
             raise ValueError(gram_mode)
-        self.B1 = hz.corrector_map_B1(
-            forms, {"stretch": "stretch", "bend": "bend"}.get(regime, "rod"), chi)
-        slots = {"stretch": [2, 3], "bend": [0, 1]}.get(regime, [0, 1, 2, 3])
-        self.lam_tests = [hz.lambda_voigt(chi, np.eye(4)[k], forms.gauss_coords)
-                          for k in slots]
+        key = {"stretch": "stretch", "bend": "bend"}.get(regime, "rod")
+        self.B1 = hz.corrector_map_B1(forms, key, chi)
+        slots = hz._REGIME_SLOTS[key]
+        g = hz.g_scaling(chi)[slots]
+        # the load of the Lambda data, one column per regime slot (see lam)
+        self.lam_cols = -1j * chi * forms.Lx[:, slots] * g
+        # the test fields of the coefficient projection: i X_chi (d1, d2, 0),
+        # i.e. i chi B_x of the in-plane translations, for bend, and the
+        # Lambda data of the regime's slots otherwise
+        if regime == "bend":
+            kern = forms.kernel_fields[:2].T
+            self.test_s, self.test_x = forms.P @ kern, forms.K_xx @ kern
+            self.test_c = np.full(2, -1j * chi)
+        else:
+            self.test_s, self.test_x = forms.Ls[:, slots], forms.Lx[:, slots]
+            self.test_c = np.conj(g)
         coords = forms.mesh.node_coords()
         self.x1, self.x2 = coords[:, 0], coords[:, 1]
         zeros = np.zeros(forms.mesh.n_nodes)
@@ -224,21 +228,20 @@ class _ChainBuilder:
         self.depth = "full"
         self.chain = Chain(regime=regime, chi=chi, t=t)
 
-    # field helpers
-    def sigma_grad(self, u):
-        return self.forms.stress(self.forms.strain(u))
+    # elastic terms of the right-hand sides, as dual vectors (v -> ...)
+    def shift(self, u):
+        """int A sym-grad u : conj(i chi X v) + int A i chi X u : conj(sym-grad v),
+        which is chi K_sx u."""
+        return self.chi * (self.forms.K_sx @ u)
 
-    def sigma_ix(self, u):
-        return self.forms.stress(1j * self.chi * self.forms.xstrain(u))
+    def shift2(self, u):
+        """int A i chi X u : conj(i chi X v), which is chi^2 K_xx u."""
+        return self.chi ** 2 * (self.forms.K_xx @ u)
 
-    def lam_data(self, m4):
-        return hz.lambda_voigt(self.chi, m4, self.forms.gauss_coords)
-
-    def dX(self, fld):
-        return self.forms.dual_X(fld, self.chi)
-
-    def dS(self, fld):
-        return self.forms.dual_S(fld)
+    def lam(self, m):
+        """int A Lambda_{chi,m} : conj(i chi X v) for the regime's coefficient
+        vector m, which is -i chi Lx G(chi) m."""
+        return self.lam_cols @ np.asarray(m, dtype=complex)
 
     def solve(self, name, b):
         # with the exact Gram matrix every right-hand side is kernel-orthogonal
@@ -252,18 +255,13 @@ class _ChainBuilder:
     def msolve(self, rhs):
         return np.linalg.solve(self.t * self.A + self.C, rhs)
 
-    def project_m(self, sigma_total, tests=None):
-        tests = tests if tests is not None else self.lam_tests
-        return np.array([-self.t * self.forms.integrate(sigma_total, L) for L in tests])
+    def moments(self, u, v):
+        """int A(sym-grad u + i chi X v) : conj(T) for each test field T of
+        the coefficient projection."""
+        return self.test_c * (self.test_s.T @ u + 1j * self.chi * (self.test_x.T @ v))
 
-    def bend_tests(self):
-        """Gauss fields of i X_chi (d1, d2, 0) for the two bend directions."""
-        out = []
-        for d in range(2):
-            fld = np.zeros(self.forms.gauss_coords.shape[:-1] + (6,), dtype=complex)
-            fld[..., 4 - d] = 1j * self.chi
-            out.append(fld)
-        return out
+    def project_m(self, u, v):
+        return -self.t * self.moments(u, v)
 
     def w_bend(self, m):
         """Nodal (0, 0, -i chi (m1 x1 + m2 x2))."""
@@ -308,22 +306,18 @@ def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None,
 
 
 def _chain_stretch(cb, f):
-    forms, t, M = cb.forms, cb.t, cb.forms.M
+    t, M = cb.t, cb.forms.M
     m = cb.msolve(cb.ops.momentum(f, "stretch"))
     cb.chain.m["m"] = m
     u0 = cb.E @ m
     cb.chain.terms["u0"] = u0
     u1 = cb.B1(m)
     cb.chain.terms["u1"] = u1
-    lam_m = cb.lam_data(hz.regime_coeffs("stretch", m))
 
-    b2 = (-t * (cb.dX(cb.sigma_grad(u1)) + cb.dS(cb.sigma_ix(u1))
-                + cb.dX(forms.stress(lam_m)))
-          - M @ u0 + M @ f)
+    b2 = -t * (cb.shift(u1) + cb.lam(m)) - M @ u0 + M @ f
     u2 = cb.solve("u2", b2)
 
-    m1 = cb.msolve(cb.project_m(forms.stress(
-        forms.strain(u2) + 1j * cb.chi * forms.xstrain(u1))))
+    m1 = cb.msolve(cb.project_m(u2, u1))
     cb.chain.m["m1"] = m1
     u0_1 = cb.E @ m1
     cb.chain.terms["u0_1"] = u0_1
@@ -331,142 +325,112 @@ def _chain_stretch(cb, f):
     cb.chain.terms["u1_1"] = u1_1
     if cb.depth == "correctors":
         return
-    lam_m1 = cb.lam_data(hz.regime_coeffs("stretch", m1))
 
-    b2_1 = (-t * (cb.dX(cb.sigma_grad(u2 + u1_1)) + cb.dX(forms.stress(lam_m1))
-                  + cb.dX(cb.sigma_ix(u1)) + cb.dS(cb.sigma_ix(u2 + u1_1)))
+    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam(m1) + cb.shift2(u1))
             - M @ u0_1 - M @ u1)
     cb.solve("u2_1", b2_1)
 
 
 def _chain_bend(cb, g):
-    forms, t, M, chi = cb.forms, cb.t, cb.forms.M, cb.chi
+    forms, t, M = cb.forms, cb.t, cb.forms.M
     n = forms.mesh.n_nodes
     gv = g.reshape(n, 3)
-    tests = cb.bend_tests()
 
     m = cb.msolve(cb.ops.momentum(g, "bend"))
     cb.chain.m["m"] = m
     cb.chain.terms["u0"] = cb.E @ m
     u1 = cb.B1(m)
     cb.chain.terms["u1"] = u1
-    lam_m = cb.lam_data(hz.regime_coeffs("bend", m))
 
-    b2 = (-t * (cb.dX(cb.sigma_grad(u1)) + cb.dS(cb.sigma_ix(u1))
-                + cb.dX(forms.stress(lam_m)))
+    b2 = (-t * (cb.shift(u1) + cb.lam(m))
           - M @ cb.w_bend(m)
           + M @ _interp(forms, (cb.zeros, cb.zeros, gv[:, 2])))
     u2 = cb.solve("u2", b2)
 
-    b3 = (-t * (cb.dX(cb.sigma_grad(u2)) + cb.dS(cb.sigma_ix(u2))
-                + cb.dX(cb.sigma_ix(u1)))
+    b3 = (-t * (cb.shift(u2) + cb.shift2(u1))
           - M @ cb.const_hat(m[0], m[1])
           + M @ _interp(forms, (gv[:, 0], gv[:, 1], cb.zeros)))
     u3 = cb.solve("u3", b3)
 
-    m1 = cb.msolve(cb.project_m(forms.stress(
-        forms.strain(u3) + 1j * chi * forms.xstrain(u2)), tests))
+    m1 = cb.msolve(cb.project_m(u3, u2))
     cb.chain.m["m1"] = m1
     cb.chain.terms["u0_1"] = cb.E @ m1
     u1_1 = cb.B1(m1)
     cb.chain.terms["u1_1"] = u1_1
     if cb.depth == "correctors":
         return
-    lam_m1 = cb.lam_data(hz.regime_coeffs("bend", m1))
 
-    b2_1 = (-t * (cb.dX(cb.sigma_grad(u1_1)) + cb.dS(cb.sigma_ix(u1_1))
-                  + cb.dX(forms.stress(lam_m1)))
-            - M @ cb.w_bend(m1))
+    b2_1 = -t * (cb.shift(u1_1) + cb.lam(m1)) - M @ cb.w_bend(m1)
     u2_1 = cb.solve("u2_1", b2_1)
 
-    b3_1 = (-t * (cb.dX(cb.sigma_grad(u2_1 + u3)) + cb.dS(cb.sigma_ix(u2_1 + u3))
-                  + cb.dX(cb.sigma_ix(u1_1 + u2)))
+    b3_1 = (-t * (cb.shift(u2_1 + u3) + cb.shift2(u1_1 + u2))
             - M @ cb.const_hat(m1[0], m1[1]))
     u3_1 = cb.solve("u3_1", b3_1)
 
-    m2 = cb.msolve(cb.project_m(forms.stress(
-        forms.strain(u3_1) + 1j * chi * forms.xstrain(u2_1 + u3)), tests))
+    m2 = cb.msolve(cb.project_m(u3_1, u2_1 + u3))
     cb.chain.m["m2"] = m2
     cb.chain.terms["u0_2"] = cb.E @ m2
     u1_2 = cb.B1(m2)
     cb.chain.terms["u1_2"] = u1_2
-    lam_m2 = cb.lam_data(hz.regime_coeffs("bend", m2))
 
-    b2_2 = (-t * (cb.dX(cb.sigma_grad(u1_2)) + cb.dS(cb.sigma_ix(u1_2))
-                  + cb.dX(forms.stress(lam_m2)))
-            - M @ cb.w_bend(m2))
+    b2_2 = -t * (cb.shift(u1_2) + cb.lam(m2)) - M @ cb.w_bend(m2)
     u2_2 = cb.solve("u2_2", b2_2)
 
-    b3_2 = (-t * (cb.dX(cb.sigma_grad(u2_2 + u3_1)) + cb.dS(cb.sigma_ix(u2_2 + u3_1))
-                  + cb.dX(cb.sigma_ix(u1_2 + u2_1 + u3)))
+    b3_2 = (-t * (cb.shift(u2_2 + u3_1) + cb.shift2(u1_2 + u2_1 + u3))
             - M @ cb.const_hat(m2[0], m2[1]) - M @ cb.chain.terms["u1"])
     cb.solve("u3_2", b3_2)
 
 
 def _chain_general(cb, g):
-    forms, t, M, chi = cb.forms, cb.t, cb.forms.M, cb.chi
+    forms, t, M = cb.forms, cb.t, cb.forms.M
     n = forms.mesh.n_nodes
     gv = g.reshape(n, 3)
-    fbar = forms.integrate_values(forms.values(
-        _interp(forms, (gv[:, 0], gv[:, 1], cb.zeros))))[:2]
+    fbar = forms.kernel_fields[:2] @ (M @ g)   # int g1, int g2
 
     m = cb.msolve(cb.ops.momentum(g, cb.regime))
     cb.chain.m["m"] = m
     cb.chain.terms["u0"] = cb.E @ m
     u1 = cb.B1(m)
     cb.chain.terms["u1"] = u1
-    lam_m = cb.lam_data(m)
 
     fload = _interp(forms, (gv[:, 0] - fbar[0], gv[:, 1] - fbar[1], gv[:, 2]))
-    b2 = (-t * (cb.dX(cb.sigma_grad(u1)) + cb.dS(cb.sigma_ix(u1))
-                + cb.dX(forms.stress(lam_m)))
-          - M @ cb.s_rod(m) + M @ fload)
+    b2 = -t * (cb.shift(u1) + cb.lam(m)) - M @ cb.s_rod(m) + M @ fload
     u2 = cb.solve("u2", b2)
 
-    m1 = cb.msolve(cb.project_m(forms.stress(
-        forms.strain(u2) + 1j * chi * forms.xstrain(u1))))
+    m1 = cb.msolve(cb.project_m(u2, u1))
     cb.chain.m["m1"] = m1
     cb.chain.terms["u0_1"] = cb.E @ m1
     u1_1 = cb.B1(m1)
     cb.chain.terms["u1_1"] = u1_1
     if cb.depth == "correctors":
         return
-    lam_m1 = cb.lam_data(m1)
 
     if cb.regime == "general_chi2":
-        b2_1 = (-t * (cb.dX(cb.sigma_grad(u2 + u1_1)) + cb.dS(cb.sigma_ix(u2 + u1_1))
-                      + cb.dX(forms.stress(lam_m1)) + cb.dX(cb.sigma_ix(u1)))
+        b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam(m1) + cb.shift2(u1))
                 - M @ cb.s_rod(m1) - M @ cb.const_hat(m[0], m[1])
                 + M @ cb.const_hat(fbar[0], fbar[1]) - M @ u1)
         cb.solve("u2_1", b2_1)
         return
 
-    b2_1 = (-t * (cb.dX(cb.sigma_grad(u2 + u1_1)) + cb.dS(cb.sigma_ix(u2 + u1_1))
-                  + cb.dX(forms.stress(lam_m1)) + cb.dX(cb.sigma_ix(u1)))
+    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam(m1) + cb.shift2(u1))
             - M @ cb.s_rod(m1) + M @ cb.const_hat(fbar[0], fbar[1])
             - M @ cb.const_hat(m[0], m[1]))
     u2_1 = cb.solve("u2_1", b2_1)
 
-    m2 = cb.msolve(cb.project_m(forms.stress(
-        forms.strain(u2_1) + 1j * chi * forms.xstrain(u1_1 + u2))))
+    m2 = cb.msolve(cb.project_m(u2_1, u1_1 + u2))
     cb.chain.m["m2"] = m2
     cb.chain.terms["u0_2"] = cb.E @ m2
     u1_2 = cb.B1(m2)
     cb.chain.terms["u1_2"] = u1_2
-    lam_m2 = cb.lam_data(m2)
 
-    b2_2 = (-t * (cb.dX(cb.sigma_grad(u1_2 + u2_1)) + cb.dS(cb.sigma_ix(u1_2 + u2_1))
-                  + cb.dX(forms.stress(lam_m2)) + cb.dX(cb.sigma_ix(u2 + u1_1)))
+    b2_2 = (-t * (cb.shift(u1_2 + u2_1) + cb.lam(m2) + cb.shift2(u2 + u1_1))
             - M @ cb.const_hat(m1[0], m1[1]) - M @ cb.s_rod(m2))
     u2_2 = cb.solve("u2_2", b2_2)
 
     # third refinement: the closing coefficient vector is fixed by requiring
     # the next right-hand side to annihilate the rigid motions (affine solve)
     def b2_3(m3):
-        u1_3 = cb.B1(m3)
-        lam_m3 = cb.lam_data(np.asarray(m3, dtype=complex))
-        return (-t * (cb.dX(cb.sigma_grad(u1_3 + u2_2)) + cb.dS(cb.sigma_ix(u1_3 + u2_2))
-                      + cb.dX(forms.stress(lam_m3)) + cb.dX(cb.sigma_ix(u2_1 + u1_2)))
+        return (-t * (cb.shift(cb.B1(m3) + u2_2) + cb.lam(m3) + cb.shift2(u2_1 + u1_2))
                 - M @ cb.const_hat(m2[0], m2[1]) - M @ cb.s_rod(m3) - M @ u1)
 
     kern = forms.kernel_fields.astype(complex)
@@ -554,8 +518,7 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     ops = FiberOps(forms, chi)
     A = ops.a_chi(regime)
     C = ops.gram(regime)
-    f = np.asarray(f, dtype=complex)
-    g = f if regime in ("stretch", "general_chi2") else scale_abs_chi(f, chi, forms.mesh.n_nodes)
+    g = apply_load_scaling(f, "none" if power == 2 else "s_abs_chi", chi, forms.mesh.n_nodes)
     mom = ops.momentum(g, regime)
 
     Asc = A / sc  # O(1) pencil
@@ -599,27 +562,17 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     saddle = forms.saddle_solver()
     E = cb.E
     nb = E.shape[1]
-
-    def LA(mvec):
-        u1 = cb.B1(mvec)
-        lam = cb.lam_data(hz.regime_coeffs("stretch", mvec))
-        return (cb.dX(cb.sigma_grad(u1)) + cb.dS(cb.sigma_ix(u1))
-                + cb.dX(forms.stress(lam)))
-
-    def V(sigma):
-        return np.array([forms.integrate(sigma, L) for L in cb.lam_tests])
-
-    Phat = np.zeros((nb, nb), dtype=complex)
-    Shat_cols = {}
+    zero = np.zeros(forms.mesh.n_dof)
 
     def Shat(h):
-        w = saddle.solve(forms.M @ h, check=False)
-        return -V(cb.sigma_grad(w))
+        return -cb.moments(saddle.solve(forms.M @ h, check=False), zero)
 
+    Phat = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):
         er = np.eye(nb)[r]
-        w = saddle.solve(LA(er), check=False)
-        Phat[:, r] = V(cb.sigma_grad(w)) - V(cb.sigma_ix(cb.B1(er)))
+        u1 = cb.B1(er)
+        w = saddle.solve(cb.shift(u1) + cb.lam(er), check=False)
+        Phat[:, r] = cb.moments(w, -u1)
     Q = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):
         Q[:, r] = -Shat(E[:, r])

@@ -24,7 +24,8 @@ def j_matrix(m, xhat):
 
 
 def j_voigt(m, coords):
-    """J as engineering Voigt vectors over an (..., 3) coordinate array."""
+    """J as engineering Voigt vectors over a coordinate array whose last axis
+    holds (x1, x2) or (x1, x2, y)."""
     coords = np.asarray(coords)
     x1, x2 = coords[..., 0], coords[..., 1]
     out = np.zeros(coords.shape[:-1] + (6,), dtype=np.result_type(np.asarray(m).dtype, float))
@@ -44,26 +45,15 @@ def lambda_matrix(chi, m, xhat):
     return j_matrix(g_scaling(chi) * np.asarray(m, dtype=complex), xhat)
 
 
-def lambda_voigt(chi, m, coords):
-    return j_voigt(g_scaling(chi) * np.asarray(m, dtype=complex), coords)
-
-
 # regimes select which coefficient slots are active
 _REGIME_SLOTS = {"bend": [0, 1], "stretch": [2, 3], "rod": [0, 1, 2, 3]}
 
 
-def regime_coeffs(regime, m):
-    """Lift a regime coefficient vector into the 4-slot layout."""
-    full = np.zeros(4, dtype=complex)
-    full[_REGIME_SLOTS[regime]] = m
-    return full
-
-
-def solve_cell(forms, data_field, check=True):
-    """Corrector u with int A(sym-grad u + data) : conj(sym-grad v) = 0 for
-    all periodic v, posed on the rigid-motion quotient."""
-    load = -forms.dual_S(forms.stress(data_field))
-    return forms.saddle_solver().solve(load, check=check)
+def solve_cell(forms, m, check=True):
+    """Corrector u with int A(sym-grad u + J_m) : conj(sym-grad v) = 0 for
+    all periodic v, posed on the rigid-motion quotient; m holds the
+    (possibly complex) coefficients of the data J_m."""
+    return forms.saddle_solver().solve(-forms.Ls @ np.asarray(m), check=check)
 
 
 def cell_basis(forms):
@@ -73,13 +63,7 @@ def cell_basis(forms):
     depend on chi only through G(chi)).
     """
     if not hasattr(forms, "_cell_basis"):
-        sols = []
-        for k in range(4):
-            m = np.zeros(4)
-            m[k] = 1.0
-            data = j_voigt(m, forms.gauss_coords)
-            sols.append(solve_cell(forms, data))
-        forms._cell_basis = np.array(sols)
+        forms._cell_basis = np.array([solve_cell(forms, m) for m in np.eye(4)])
     return forms._cell_basis
 
 
@@ -106,18 +90,15 @@ class RodTensor:
 
 
 def rod_tensor(forms):
-    """Effective 4x4 rod stiffness from the four cell problems."""
-    basis = cell_basis(forms)
-    data = [j_voigt(np.eye(4)[k], forms.gauss_coords) for k in range(4)]
-    A = np.zeros((4, 4))
-    for k in range(4):
-        sigma = forms.stress(data[k] + forms.strain(basis[k]))
-        for d in range(4):
-            A[d, k] = forms.integrate(sigma, data[d]).real
-    A = 0.5 * (A + A.T)
-    eta = float(np.linalg.eigvalsh(A)[0])
-    return RodTensor(A_rod=A, A_bend=A[:2, :2].copy(),
-                     A_stretch=A[2:, 2:].copy(), eta=eta)
+    """Effective 4x4 rod stiffness from the four cell problems, cached on the
+    forms; entry (d, k) is int A(J_k + sym-grad u_k) : J_d."""
+    if not hasattr(forms, "_rod_tensor"):
+        A = (forms.J_gram + forms.Ls.T @ cell_basis(forms).T).real
+        A = 0.5 * (A + A.T)
+        eta = float(np.linalg.eigvalsh(A)[0])
+        forms._rod_tensor = RodTensor(A_rod=A, A_bend=A[:2, :2].copy(),
+                                      A_stretch=A[2:, 2:].copy(), eta=eta)
+    return forms._rod_tensor
 
 
 def chi_tensor(forms, chi, regime="rod", direct=True):
@@ -128,22 +109,11 @@ def chi_tensor(forms, chi, regime="rod", direct=True):
     (the two agree to solver precision, which tests assert).
     """
     slots = _REGIME_SLOTS[regime]
-    n = len(slots)
+    G = np.diag(g_scaling(chi)[slots])
     if not direct:
-        G = np.diag(g_scaling(chi)[slots])
-        Afull = rod_tensor(forms).A_rod[np.ix_(slots, slots)]
-        return G.conj().T @ Afull @ G
-    A = np.zeros((n, n), dtype=complex)
-    datas = []
-    sols = []
-    for k in slots:
-        m = np.zeros(4)
-        m[k] = 1.0
-        data = lambda_voigt(chi, m, forms.gauss_coords)
-        datas.append(data)
-        sols.append(solve_cell(forms, data))
-    for kk in range(n):
-        sigma = forms.stress(datas[kk] + forms.strain(sols[kk]))
-        for dd in range(n):
-            A[dd, kk] = forms.integrate(sigma, datas[dd])
+        return G.conj().T @ rod_tensor(forms).A_rod[np.ix_(slots, slots)] @ G
+    # column k of data holds the J-coefficients of Lambda_k
+    data = np.eye(4)[:, slots] @ G
+    sols = np.array([solve_cell(forms, m) for m in data.T])
+    A = G.conj().T @ (forms.J_gram[np.ix_(slots, slots)] @ G + forms.Ls[:, slots].T @ sols.T)
     return 0.5 * (A + A.conj().T)

@@ -52,11 +52,6 @@ class LineField:
     def L(self):
         return self.N * self.eps
 
-    def x3(self):
-        p = np.arange(self.S) // self.n_y
-        q = np.arange(self.S) % self.n_y
-        return self.eps * (p + (-0.5 + q / self.n_y))
-
     def like(self, values):
         return LineField(values, self.eps, self.n_y)
 
@@ -90,9 +85,6 @@ class FiberBundle:
     def fiber(self, k):
         """Product-mesh dof vector of fiber k (y-major, matching ProductMesh)."""
         return self.values[k].reshape(-1)
-
-    def set_fiber(self, k, u):
-        self.values[k] = np.asarray(u, dtype=complex).reshape(self.values.shape[1:])
 
     def like(self, values):
         return FiberBundle(values, self.chis, self.eps, self.picture)

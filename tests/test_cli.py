@@ -36,8 +36,12 @@ def test_homogenize(tmp_path, small_cfg):
 def test_spectrum(tmp_path, small_cfg):
     out = tmp_path / "s"
     assert cli.main(["spectrum", "--config", small_cfg, "--out", str(out)]) == 0
-    header = (out / "spectrum.csv").read_text().splitlines()[0]
-    assert header.startswith("chi,lambda1")
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert lines[0].startswith("chi,lambda1")
+    for name in ("bend_quotient", "stretch_quotient"):
+        col = header.index(name)
+        assert all(float(line.split(",")[col]) > 0 for line in lines[1:])
 
 
 def test_fiber_rates(tmp_path, small_cfg):

@@ -1,9 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from rodhom import fem
-from rodhom.geometry import ProductMesh, build_rectangle, is_centrally_symmetric
+from rodhom import fem, homogenize as hz
+from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle,
+                             is_centrally_symmetric)
 from rodhom.material import MaterialProfile, make_isotropic
+
+from support_quadrature import gauss_points, graded_square, strain_matrices
 
 
 def layered_profile(contrast=5.0):
@@ -45,15 +51,66 @@ def test_rigid_motions_in_kernel_at_chi0(forms):
         assert np.linalg.norm(K @ r) <= 1e-10 * scale * np.linalg.norm(r)
 
 
-def test_energy_identity(forms):
-    # u^H K(chi) u recomputed from Gauss-point strains
+def test_energy_identity():
+    # the assembled operators against an element-by-element Gauss loop, on a
+    # graded cross mesh with curved grid lines: every element is a different,
+    # non-parallelogram quad
+    sq = graded_square(4)
+    x1, x2 = sq.nodes.T
+    cross = CrossSectionMesh(np.column_stack([x1 + 0.05 * np.sin(2 * np.pi * x2),
+                                              x2 + 0.05 * np.sin(2 * np.pi * x1)]), sq.elements)
+    forms = fem.assemble(layered_profile(), ProductMesh(cross, 4))
     rng = np.random.default_rng(1)
     u = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    chi = 0.7
-    strain = forms.strain(u) + 1j * chi * forms.xstrain(u)
-    energy = forms.integrate(forms.stress(strain), strain)
+    chi, eps = 0.7, 0.3
+    energy = mass = h1 = 0.0
+    Ls = np.zeros((forms.mesh.n_dof, 4))
+    Lx = np.zeros((forms.mesh.n_dof, 4))
+    J_gram = np.zeros((4, 4))
+    for dofs, w, N, G, D, xhat in gauss_points(forms):
+        Bs, Bx = strain_matrices(N, G)
+        ue = u[dofs]
+        strain = Bs @ ue + 1j * chi * (Bx @ ue)
+        energy += w * np.vdot(strain, D @ strain)
+        vals = N @ ue.reshape(8, 3)
+        grads = G @ ue.reshape(8, 3)
+        mass += w * np.sum(np.abs(vals) ** 2)
+        h1 += w * (np.sum(np.abs(vals) ** 2) + np.sum(np.abs(grads[:2]) ** 2)
+                   + np.sum(np.abs(grads[2] + 1j * chi * vals) ** 2) / eps ** 2)
+        J = np.array([hz.j_voigt(m, xhat) for m in np.eye(4)]).T
+        Ls[dofs] += w * Bs.T @ D @ J
+        Lx[dofs] += w * Bx.T @ D @ J
+        J_gram += w * J.T @ D @ J
     quad = np.vdot(u, forms.K(chi) @ u)
     assert abs(energy - quad) < 1e-10 * abs(quad)
+    assert abs(mass - np.vdot(u, forms.M @ u)) < 1e-10 * mass
+    assert abs(mass - forms.norm_sq_l2(u)) < 1e-10 * mass
+    assert abs(h1 - forms.norm_sq_h1(u, chi=chi, eps=eps)) < 1e-10 * h1
+    for got, want in ((forms.Ls, Ls), (forms.Lx, Lx), (forms.J_gram, J_gram)):
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_rejects_inverted_element():
+    cross = build_rectangle(1.0, 2, 2)
+    elements = cross.elements.copy()
+    elements[1] = elements[1][::-1]       # clockwise: negative Jacobian
+    with pytest.raises(ValueError, match="element 1"):
+        fem.assemble(layered_profile(), ProductMesh(CrossSectionMesh(cross.nodes, elements), 2))
+
+
+def test_forms_freed_without_cycle_collector():
+    # the cached saddle solver must not refer back to the forms, or a dropped
+    # set-up stays resident until the cyclic collector runs
+    gc.disable()
+    try:
+        forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 2))
+        forms.saddle_solver()
+        hz.cell_basis(forms)
+        ref = weakref.ref(forms)
+        del forms
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_positive_semidefinite(forms):
@@ -149,7 +206,7 @@ def test_invariant_block_structure(forms):
 def test_resolvent_energy_bound(forms):
     rng = np.random.default_rng(7)
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    u = fem.solve_resolvent(forms, 0.3, 10.0, f)
+    u = fem.ResolventSolver(forms, 0.3, 10.0).solve(f)
     Mf = forms.M @ f
     Mu = forms.M @ u
     assert np.vdot(u, Mu).real <= np.vdot(f, Mf).real * (1 + 1e-10)

@@ -147,7 +147,7 @@ def test_chain_norm_ladders(setup):
 
 def test_lemma_momentum_pinning(setup):
     forms, _, _, fn = setup
-    fhat = forms.integrate_values(forms.values(fn))[:2]
+    fhat = forms.kernel_fields[:2] @ (forms.M @ fn)   # int f1, int f2
     ratios = []
     for chi in CHI_SWEEP:
         ch = fiber.build_chain(forms, chi, chi ** -2, "general_chi2", fn)

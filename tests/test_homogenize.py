@@ -5,6 +5,7 @@ from rodhom import fem, homogenize as hz
 from rodhom.geometry import ProductMesh, build_rectangle
 from rodhom.material import MaterialProfile, make_isotropic
 
+from support_quadrature import gauss_points, graded_square
 from support_torsion import torsion_constant
 
 
@@ -49,16 +50,16 @@ def test_lambda_matrix():
 
 def test_lambda_bend_l2_norm(forms_hom):
     chi = 0.3
-    field = hz.lambda_voigt(chi, [1, 0, 0, 0], forms_hom.gauss_coords)
+    m = hz.g_scaling(chi) * [1, 0, 0, 0]
     # engineering Voigt: plain sum of squares only for the normal slot used here
-    nrm = np.sqrt(forms_hom.w * np.sum(np.abs(field) ** 2))
+    nrm = np.sqrt(sum(w * np.sum(np.abs(hz.j_voigt(m, xhat)) ** 2)
+                      for _, w, _, _, _, xhat in gauss_points(forms_hom)))
     assert abs(nrm - chi ** 2 * np.sqrt(1 / 12)) < 1e-3
 
 
 def test_poisson_contraction_corrector(forms_hom):
     # m = e4 on a homogeneous isotropic cell: analytic transverse contraction
-    data = hz.j_voigt([0, 0, 0, 1], forms_hom.gauss_coords)
-    u = hz.solve_cell(forms_hom, data)
+    u = hz.solve_cell(forms_hom, [0, 0, 0, 1])
     lam = mu = 1.0
     nu_p = lam / (2 * (lam + mu))
     expect = forms_hom.interpolate(lambda c: np.column_stack(
@@ -85,6 +86,19 @@ def test_rod_tensor_classical_limits(forms_hom):
     assert abs(rt.A_bend[1, 1] - E / 12) < 0.02 * E / 12
     J = torsion_constant(n=80)  # 0.140577 for the unit square
     assert abs(rt.A_stretch[0, 0] - mu * J) < 0.05 * mu * J
+
+
+def test_graded_cross_section_classical_limit():
+    # every element of a graded mesh has its own geometry: the volume, the
+    # exact stretch modulus and the bending stiffness all see that
+    forms = fem.assemble(MaterialProfile.constant(make_isotropic(1.0, 1.0)),
+                         ProductMesh(graded_square(4), 2))
+    one = forms.kernel_fields[0]
+    assert abs(one @ (forms.M @ one) - 1.0) < 1e-12
+    rt = hz.rod_tensor(forms)
+    E = 2.5
+    assert abs(rt.A_stretch[1, 1] - E) < 1e-10
+    assert np.all(np.abs(np.diag(rt.A_bend) - E / 12) < 0.02 * E / 12)
 
 
 def test_rod_tensor_layered_properties(forms_lay):
@@ -146,6 +160,5 @@ def test_corrector_map_matches_direct_solve(forms_lay):
     B1 = hz.corrector_map_B1(forms_lay, "rod", chi)
     m = np.array([0.3, -0.1, 0.8, 0.5])
     u_fast = B1(m)
-    data = hz.lambda_voigt(chi, m, forms_lay.gauss_coords)
-    u_direct = hz.solve_cell(forms_lay, data)
+    u_direct = hz.solve_cell(forms_lay, hz.g_scaling(chi) * m)
     assert np.linalg.norm(u_fast - u_direct) < 1e-9 * max(np.linalg.norm(u_direct), 1)
