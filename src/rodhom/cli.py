@@ -2,7 +2,6 @@
 studies, driven by a JSON config and writing CSV/JSON reports."""
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -41,13 +40,28 @@ TOLERANCES = {
 }
 
 
+def _merge(base, user, where=""):
+    """Overlay user onto base in place: objects merge key by key, any other
+    value (the material layer list included) replaces the default whole."""
+    for key, val in user.items():
+        name = where + key
+        if key not in base:
+            raise ValueError("unknown config key: %s" % name)
+        if isinstance(base[key], dict):
+            if not isinstance(val, dict):
+                raise ValueError("config key %s must be an object" % name)
+            _merge(base[key], val, name + ".")
+        else:
+            base[key] = val
+
+
 def load_config(path):
+    """DEFAULT_CONFIG deep-merged with the JSON file at path; a key the
+    defaults do not have raises ValueError."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         with open(path) as fh:
-            user = json.load(fh)
-        for key, val in user.items():
-            cfg[key] = val
+            _merge(cfg, json.load(fh))
     return cfg
 
 
@@ -86,13 +100,6 @@ def write_report(outdir, command, cfg, forms, payload, all_pass):
         json.dump(report, fh, indent=2)
 
 
-def _write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        w.writerows(rows)
-
-
 def cmd_homogenize(cfg, forms, outdir):
     rt = rod_tensor(forms)
     md = compute_moments(forms.mesh.cross)
@@ -119,7 +126,7 @@ def cmd_spectrum(cfg, forms, outdir):
         row["bend_quotient"] = rb["bend_quotient"]
         row["stretch_quotient"] = rb["stretch_quotient"]
         rows.append(row)
-    _write_csv(os.path.join(outdir, "spectrum.csv"), rows)
+    pl.write_csv(os.path.join(outdir, "spectrum.csv"), rows)
 
     def spread(vals):
         return float(np.max(vals) / np.min(vals))
@@ -158,7 +165,7 @@ def cmd_fiber_rates(cfg, forms, outdir):
         rows.append({"regime": s["regime"], "chi": "slope",
                      "component": s["component"], "order": s["order"],
                      "err_l2": "", "err_h1": s["slope_fit"]})
-    _write_csv(os.path.join(outdir, "fiber_rates.csv"), rows)
+    pl.write_csv(os.path.join(outdir, "fiber_rates.csv"), rows)
     ok = all(s["passed"] for s in study["slopes"])
     write_report(outdir, "fiber-rates", cfg, forms, {"slopes": study["slopes"]}, ok)
     return ok

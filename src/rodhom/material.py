@@ -94,7 +94,8 @@ class MaterialProfile:
     """A y-periodic piecewise-constant stiffness profile on Y = [-1/2, 1/2).
 
     layers: list of (a, b, ElasticityTensor) with half-open intervals [a, b)
-    that partition [-1/2, 1/2) exactly.
+    that partition [-1/2, 1/2) exactly. Every tensor must be coercive: the
+    fiber forms are positive definite only then.
     """
 
     def __init__(self, layers):
@@ -106,6 +107,11 @@ class MaterialProfile:
         for (a0, b0, _), (a1, _, _) in zip(layers, layers[1:]):
             if abs(b0 - a1) > 1e-14:
                 raise ValueError("layers must be contiguous and disjoint")
+        for a, b, t in layers:
+            nu = check_coercivity(t)
+            if nu <= 0:
+                raise ValueError("layer [%g, %g) is not coercive: smallest "
+                                 "eigenvalue %.3g" % (a, b, nu))
         self.layers = [(float(a), float(b), t) for a, b, t in layers]
 
     def evaluate(self, y):

@@ -71,3 +71,34 @@ def test_default_config_used_when_missing(tmp_path):
 def test_bad_command_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate", "--out", "/tmp/x"])
+
+
+def _write(tmp_path, obj):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def test_config_merges_nested_keys(tmp_path):
+    cfg = cli.load_config(_write(tmp_path, {
+        "geometry": {"n_y": 4, "cross_section": {"rectangle": {"nx": 2}}}}))
+    assert cfg["geometry"]["n_y"] == 4
+    assert cfg["geometry"]["cross_section"]["rectangle"] == {
+        "aspect": 1.0, "nx": 2, "ny": 4}
+    assert cli.build_problem(cfg).mesh.n_y == 4
+
+
+def test_config_replaces_material_layers_whole(tmp_path):
+    layer = {"from": -0.5, "to": 0.5, "model": {"isotropic": {"lambda": 1.0, "mu": 1.0}}}
+    cfg = cli.load_config(_write(tmp_path, {"material": {"layers": [layer]}}))
+    assert cfg["material"]["layers"] == [layer]
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ValueError, match="n_grids"):
+        cli.load_config(_write(tmp_path, {"n_grids": [8, 12]}))
+    with pytest.raises(ValueError, match="geometry.cross_section.rectangle.nz"):
+        cli.load_config(_write(tmp_path, {
+            "geometry": {"cross_section": {"rectangle": {"nz": 2}}}}))
+    with pytest.raises(ValueError, match="geometry"):
+        cli.load_config(_write(tmp_path, {"geometry": 4}))

@@ -115,3 +115,12 @@ def test_profile_from_json():
     p = profile_from_json(obj)
     assert np.allclose(p.evaluate(-0.25).voigt, make_isotropic(1.0, 1.0).voigt)
     assert np.allclose(p.evaluate(0.25).voigt, C)
+
+
+def test_profile_rejects_non_coercive_layer():
+    assert check_coercivity(ElasticityTensor(-np.eye(6))) < 0
+    with pytest.raises(ValueError, match="not coercive"):
+        MaterialProfile.constant(ElasticityTensor(-np.eye(6)))
+    with pytest.raises(ValueError, match="not coercive"):
+        MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)),
+                         (0.0, 0.5, ElasticityTensor(np.zeros((6, 6))))])

@@ -5,7 +5,7 @@ import pytest
 
 from rodhom import fem, pipeline as pl, transform as tr
 from rodhom.geometry import (ProductMesh, build_rectangle, compute_moments,
-                             cross_mass)
+                             cross_mass, is_centrally_symmetric)
 from rodhom.homogenize import rod_tensor
 from rodhom.material import MaterialProfile, make_isotropic
 
@@ -212,3 +212,65 @@ def test_report_json_roundtrip(forms, tmp_path):
     obj = json.loads(q.read_text())
     assert obj["all_pass"] == rep.all_pass()
     assert obj["config"]["seed"] == 0
+
+
+@pytest.fixture()
+def factorisations(forms, monkeypatch):
+    """Matrix sizes of every sparse LU made while the test runs, after the
+    cell basis and the saddle LU (cached on the forms) are built."""
+    rod_tensor(forms)
+    forms.saddle_solver()
+    sizes = []
+    splu = fem.spla.splu
+
+    def counted(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    return sizes
+
+
+def test_line_resolvent_shares_conjugate_fibers(forms, factorisations):
+    # fiber -chi is the conjugated solve of fiber |chi|: bitwise the
+    # per-fiber factorisations, including the unpaired Nyquist fiber -pi
+    N, eps = 8, 6.0 / 8
+    f = pl.make_loads(forms.mesh.cross, NY, N, eps, "rod", n_loads=1, seed=3)[0]
+    R = pl.LineResolvent(forms, eps, 0.0)
+    got = R.apply(f)
+    R.apply(f)
+    assert len(factorisations) == N // 2 + 1
+    b = tr.gelfand(f)
+    assert b.chis.min() == -np.pi
+    out = np.zeros_like(b.values)
+    for k, chi in enumerate(b.chis):
+        solver = fem.ResolventSolver(forms, float(chi), R.t)
+        out[k] = solver.solve(b.fiber(k)).reshape(b.n_y, -1)
+    assert np.array_equal(got.values, tr.gelfand_inverse(b.like(out)).values)
+
+
+def test_rate_experiment_factorises_once_per_eps(forms, factorisations):
+    cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), regimes=("stretch", "bend"),
+                              n_loads=1)
+    rep = pl.rate_experiment(cfg, forms)
+    assert len(factorisations) == sum(N // 2 + 1 for N in cfg.n_grid)
+    single = [pl.rate_experiment(dataclasses.replace(cfg, regimes=(r,)), forms)
+              for r in cfg.regimes]
+    assert rep.rows == single[0].rows + single[1].rows
+
+
+def test_fiber_rate_study_shares_couplings(forms, factorisations):
+    # bend shares chi^-4 with general_chi4, stretch chi^-2 with general_chi2;
+    # rows stay regime-major, as the single-regime studies concatenated
+    _, pairing = is_centrally_symmetric(forms.mesh.cross)
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
+    loads = {"stretch": fem.project_symmetry(f, "stretch", forms.mesh, pairing),
+             "bend": fem.project_symmetry(f, "bend", forms.mesh, pairing),
+             "general_chi2": f, "general_chi4": f}
+    chi_grid = (0.4, 0.2)
+    study = pl.fiber_rate_study(forms, loads, chi_grid)
+    assert len(factorisations) == 2 * len(chi_grid)
+    single = [pl.fiber_rate_study(forms, {r: g}, chi_grid) for r, g in loads.items()]
+    assert study["rows"] == [row for s in single for row in s["rows"]]
+    assert study["slopes"] == [row for s in single for row in s["slopes"]]
