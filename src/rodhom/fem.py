@@ -305,33 +305,22 @@ def smallest_eigs(forms, chi, k, tol=0):
     return vals[order], vecs[:, order]
 
 
-def symmetry_permutation(mesh, pairing):
-    """Lift a cross-section node pairing to a product-mesh dof permutation."""
-    cross = mesh.cross
-    if np.max(np.abs(cross.nodes[pairing] + cross.nodes)) > 1e-8:
-        raise PairingMismatch("pairing does not map nodes to their negatives")
-    n_c = cross.n_nodes
-    perm_nodes = np.zeros(mesh.n_nodes, dtype=int)
-    for q in range(mesh.n_y):
-        perm_nodes[q * n_c:(q + 1) * n_c] = q * n_c + pairing
-    return perm_nodes
+def parity_project(v, which, pairing):
+    """Bend (u-hat even, u3 odd) or stretch (the complement) parity part,
+    under x-hat -> -x-hat, of an array laid out as (..., n_cross, 3);
+    pairing[i] is the cross-section node at -x_i."""
+    even = {"bend": [True, True, False], "stretch": [False, False, True]}
+    if which not in even:
+        raise ValueError("which must be 'bend' or 'stretch'")
+    vr = v[..., pairing, :]  # field values at the mirrored node
+    return np.where(even[which], 0.5 * (v + vr), 0.5 * (v - vr))
 
 
 def project_symmetry(u, which, mesh, pairing):
-    """Project onto the bend (u-hat even, u3 odd) or stretch (complement)
-    parity class under x-hat -> -x-hat."""
-    perm_nodes = symmetry_permutation(mesh, pairing)
-    v = np.asarray(u).reshape(mesh.n_nodes, 3)
-    vr = v[perm_nodes]  # field values at the mirrored node
-    even = 0.5 * (v + vr)
-    odd = 0.5 * (v - vr)
-    out = np.zeros_like(v)
-    if which == "bend":
-        out[:, :2] = even[:, :2]
-        out[:, 2] = odd[:, 2]
-    elif which == "stretch":
-        out[:, :2] = odd[:, :2]
-        out[:, 2] = even[:, 2]
-    else:
-        raise ValueError("which must be 'bend' or 'stretch'")
-    return out.reshape(-1)
+    """Parity projection (see parity_project) of a field on whole
+    cross-section slabs: a product-mesh vector, or one slab of it."""
+    cross = mesh.cross
+    if np.max(np.abs(cross.nodes[pairing] + cross.nodes)) > 1e-8:
+        raise PairingMismatch("pairing does not map nodes to their negatives")
+    v = np.asarray(u).reshape(-1, cross.n_nodes, 3)
+    return parity_project(v, which, pairing).reshape(-1)

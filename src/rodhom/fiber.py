@@ -37,30 +37,13 @@ class FiberOps:
     # -- embeddings -------------------------------------------------------
 
     def embed_matrix(self, regime):
-        if regime in self._embed:
-            return self._embed[regime]
-        coords = self.forms.mesh.node_coords()
-        x1, x2 = coords[:, 0], coords[:, 1]
-        n = len(coords)
-        chi = self.chi
-
-        def fld(a, b, c):
-            out = np.zeros((n, 3), dtype=complex)
-            out[:, 0], out[:, 1], out[:, 2] = a, b, c
-            return out.reshape(-1)
-
-        cols = []
-        if regime in ("bend", "rod", "general_chi2", "general_chi4"):
-            cols.append(fld(1.0, 0.0, -1j * chi * x1))
-            cols.append(fld(0.0, 1.0, -1j * chi * x2))
-        if regime in ("stretch", "rod", "general_chi2", "general_chi4"):
-            cols.append(fld(x2, -x1, 0.0))
-            cols.append(fld(0.0, 0.0, 1.0))
-        if regime == "bend":
-            cols = cols[:2]
-        E = np.array(cols).T
-        self._embed[regime] = E
-        return E
+        if regime not in self._embed:
+            mesh = self.forms.mesh
+            E = cross_embedding(mesh.cross, self.chi, _slot_key(regime))
+            # tiled as rows of E.T: the columns stay column-major, the layout
+            # the chains' products are rounded with
+            self._embed[regime] = np.tile(E.T, mesh.n_y).T
+        return self._embed[regime]
 
     def embed(self, m, regime):
         return self.embed_matrix(regime) @ np.asarray(m, dtype=complex)
@@ -77,28 +60,52 @@ class FiberOps:
     def a_chi(self, regime):
         """Discrete Galerkin effective matrix at this chi (via the exact
         chi-scaling of the J-basis cell solutions)."""
-        key = "rod" if regime in ("rod", "general_chi2", "general_chi4") else regime
-        return hz.chi_tensor(self.forms, self.chi, regime=key, direct=False)
+        return hz.chi_tensor(self.forms, self.chi, regime=_slot_key(regime), direct=False)
+
+
+def _slot_key(regime):
+    """The coefficient slots of a chain regime: the general regimes use all
+    four (the rod slots)."""
+    return regime if regime in ("stretch", "bend") else "rod"
+
+
+def cross_embedding(cross, chi, key, momentum_variant="eps"):
+    """Embedding columns on the cross-section nodes, one per coefficient
+    slot of key (bend, stretch or rod): the in-plane translations with
+    out-of-line part -i chi x-hat (dropped when momentum_variant is "zero"),
+    then the torsion and the extension. Against the cross mass its conjugate
+    transpose is the momentum map.
+    """
+    x1, x2 = cross.nodes[:, 0], cross.nodes[:, 1]
+    zero, one = np.zeros(cross.n_nodes), np.ones(cross.n_nodes)
+    cols = []
+    if key in ("bend", "rod"):
+        tilt = (zero, zero) if momentum_variant == "zero" else (-1j * chi * x1, -1j * chi * x2)
+        cols += [(one, zero, tilt[0]), (zero, one, tilt[1])]
+    if key in ("stretch", "rod"):
+        cols += [(x2, -x1, zero), (zero, zero, one)]
+    return np.array([np.column_stack(c).reshape(-1) for c in cols], dtype=complex).T
 
 
 _DEFAULT_SCALING = {"stretch": "none", "general_chi2": "none",
                     "bend": "s_abs_chi", "general_chi4": "s_abs_chi"}
 
 
-def apply_load_scaling(f, tag, chi, n_nodes, eps=None, delta=None):
-    """Third-component load scalings: none, S_|chi|, S_{eps^delta}, S_inf."""
-    v = np.asarray(f, dtype=complex).reshape(n_nodes, 3).copy()
-    if tag == "none":
-        pass
-    elif tag == "s_abs_chi":
-        v[:, 2] /= abs(chi)
+def apply_load_scaling(values, tag, chi=None, eps=None, delta=None):
+    """Out-of-line load scalings: none, S_|chi|, S_{eps^delta}, S_inf. They
+    act on the third component of any (..., 3 n_nodes) array, so on product
+    vectors and on LineField values alike; returns a complex copy."""
+    v = np.array(values, dtype=complex)
+    w = v.reshape(v.shape[:-1] + (-1, 3))
+    if tag == "s_abs_chi":
+        w[..., 2] /= abs(chi)
     elif tag == "s_eps_delta":
-        v[:, 2] *= eps ** (-delta)
+        w[..., 2] *= eps ** (-delta)
     elif tag == "s_inf":
-        v[:, 2] = 0.0
-    else:
+        w[..., 2] = 0.0
+    elif tag != "none":
         raise ValueError(tag)
-    return v.reshape(-1)
+    return w.reshape(v.shape)
 
 
 def reference_solve(forms, chi, t, f):
@@ -199,13 +206,9 @@ class _ChainBuilder:
             self.C = self.ops.gram(regime)
         elif gram_mode == "identity":
             self.C = np.eye(self.E.shape[1])
-        elif gram_mode == "rod0":
-            # chi-independent Gram (bend block replaced by the identity)
-            ops0 = FiberOps(forms, 0.0)
-            self.C = ops0.gram(regime)
         else:
             raise ValueError(gram_mode)
-        key = {"stretch": "stretch", "bend": "bend"}.get(regime, "rod")
+        key = _slot_key(regime)
         self.B1 = hz.corrector_map_B1(forms, key, chi)
         slots = hz._REGIME_SLOTS[key]
         g = hz.g_scaling(chi)[slots]
@@ -278,8 +281,7 @@ class _ChainBuilder:
                                     np.full_like(self.x1, b, dtype=complex), self.zeros))
 
 
-def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None,
-                eps=None, delta=None, depth="full"):
+def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None, depth="full"):
     """Run the corrector recursion of the given regime.
 
     f is the unscaled load; scaling defaults to the regime's natural tag
@@ -293,7 +295,7 @@ def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None,
     cb = _ChainBuilder(forms, chi, t, regime, gram_mode)
     cb.depth = depth
     tag = scaling if scaling is not None else _DEFAULT_SCALING[regime]
-    g = apply_load_scaling(f, tag, chi, forms.mesh.n_nodes, eps=eps, delta=delta)
+    g = apply_load_scaling(f, tag, chi)
     if regime == "stretch":
         _chain_stretch(cb, g)
     elif regime == "bend":
@@ -446,12 +448,11 @@ def _chain_general(cb, g):
     cb.solve("u2_3", b2_3(m3))
 
 
-def chain_reference(forms, chi, t, regime, f, scaling=None, eps=None, delta=None):
+def chain_reference(forms, chi, t, regime, f, scaling=None):
     """The resolvent field the chain approximates (with the regime's load
     scaling applied)."""
     tag = scaling if scaling is not None else _DEFAULT_SCALING[regime]
-    g = apply_load_scaling(f, tag, chi, forms.mesh.n_nodes, eps=eps, delta=delta)
-    return reference_solve(forms, chi, t, g)
+    return reference_solve(forms, chi, t, apply_load_scaling(f, tag, chi))
 
 
 def error_report(forms, chain, reference, componentwise=False):
@@ -518,7 +519,7 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     ops = FiberOps(forms, chi)
     A = ops.a_chi(regime)
     C = ops.gram(regime)
-    g = apply_load_scaling(f, "none" if power == 2 else "s_abs_chi", chi, forms.mesh.n_nodes)
+    g = apply_load_scaling(f, "none" if power == 2 else "s_abs_chi", chi)
     mom = ops.momentum(g, regime)
 
     Asc = A / sc  # O(1) pencil
@@ -545,8 +546,7 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
         np.linalg.norm(m_contour - m_oracle) / np.linalg.norm(m_direct))
 
     # first-order corrector is B1 applied to the same coefficients
-    B1 = hz.corrector_map_B1(
-        forms, {"stretch": "stretch", "bend": "bend"}.get(regime, "rod"), chi)
+    B1 = hz.corrector_map_B1(forms, _slot_key(regime), chi)
     u1_direct = B1(m_direct)
     u1_contour = B1(m_contour)
     nrm = np.linalg.norm(u1_direct)

@@ -123,13 +123,15 @@ class ProductMesh:
 
 
 def cross_mass(mesh):
-    """Scalar Q1 mass matrix of the cross-section mesh (dense; the
-    cross-sections in play are small)."""
+    """Scalar Q1 mass matrix of the cross-section mesh by 2x2 Gauss
+    quadrature (dense; the cross-sections in play are small). This is the
+    one cross-section quadrature: the moments are quadratic forms of it."""
     g = 1.0 / np.sqrt(3.0)
     pts = np.array([[-g, -g], [g, -g], [g, g], [-g, g]])
     n = mesh.n_nodes
     M = np.zeros((n, n))
     p = mesh.nodes[mesh.elements]
+    rows, cols = mesh.elements[:, :, None], mesh.elements[:, None, :]
     for (xi, eta) in pts:
         N = 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
                              (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
@@ -140,9 +142,8 @@ def cross_mass(mesh):
         J21 = np.einsum("a,ea->e", dNdeta, p[:, :, 0])
         J22 = np.einsum("a,ea->e", dNdeta, p[:, :, 1])
         detJ = J11 * J22 - J12 * J21
-        Me = np.einsum("e,a,b->eab", detJ, N, N)
-        for e, elem in enumerate(mesh.elements):
-            M[np.ix_(elem, elem)] += Me[e]
+        # one Gauss point at a time, elements in order (add.at is unbuffered)
+        np.add.at(M, (rows, cols), np.einsum("e,a,b->eab", detJ, N, N))
     return M
 
 
@@ -169,26 +170,18 @@ class MomentData:
 
 
 def compute_moments(mesh):
-    """Element-exact second moments c1 = int x1^2, c2 = int x2^2.
+    """Second moments c1 = int x1^2 = x1^T Mw x1 and c2 = x2^T Mw x2 in the
+    cross quadrature Mw (x is its own bilinear interpolant).
 
-    Uses 2x2 Gauss quadrature on the bilinear geometry, which is exact for
-    quadratic monomials on parallelogram elements.
+    MomentData and the embeddings assume a normalised section: area 1, zero
+    first moments and zero int x1 x2, each to 1e-12; a mesh that is not
+    raises ValueError.
     """
-    g = 1.0 / np.sqrt(3.0)
-    pts = np.array([[-g, -g], [g, -g], [g, g], [-g, g]])
-    c1 = c2 = 0.0
-    p = mesh.nodes[mesh.elements]  # (n_elem, 4, 2)
-    for (xi, eta) in pts:
-        N = 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                             (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
-        dNdxi = 0.25 * np.array([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
-        dNdeta = 0.25 * np.array([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
-        xq = np.einsum("a,eai->ei", N, p)
-        J11 = np.einsum("a,ea->e", dNdxi, p[:, :, 0])
-        J12 = np.einsum("a,ea->e", dNdxi, p[:, :, 1])
-        J21 = np.einsum("a,ea->e", dNdeta, p[:, :, 0])
-        J22 = np.einsum("a,ea->e", dNdeta, p[:, :, 1])
-        detJ = J11 * J22 - J12 * J21
-        c1 += np.sum(detJ * xq[:, 0] ** 2)
-        c2 += np.sum(detJ * xq[:, 1] ** 2)
-    return MomentData(c1=float(c1), c2=float(c2))
+    Mw = cross_mass(mesh)
+    one, x1, x2 = np.ones(mesh.n_nodes), mesh.nodes[:, 0], mesh.nodes[:, 1]
+    area, mx1, mx2, mixed = one @ Mw @ one, one @ Mw @ x1, one @ Mw @ x2, x1 @ Mw @ x2
+    if max(abs(area - 1.0), abs(mx1), abs(mx2), abs(mixed)) > 1e-12:
+        raise ValueError("cross-section is not normalised: area %.3g, first moments "
+                         "(%.3g, %.3g), int x1 x2 %.3g; need 1, 0, 0 and 0"
+                         % (area, mx1, mx2, mixed))
+    return MomentData(c1=float(x1 @ Mw @ x1), c2=float(x2 @ Mw @ x2))

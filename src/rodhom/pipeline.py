@@ -18,6 +18,7 @@ import numpy as np
 
 from . import fem, fiber, homogenize as hz, transform as tr
 from .geometry import compute_moments, cross_mass, is_centrally_symmetric
+from .material import check_rod_material_symmetry
 
 _CHAIN_REGIME = {"rod": "general_chi2", "stretch": "stretch", "bend": "bend"}
 _COMPONENTS = {"rod": ("12", "3"), "stretch": ("all",), "bend": ("12", "3")}
@@ -68,37 +69,8 @@ class ExperimentConfig:
 def _cache(forms):
     if not hasattr(forms, "_line_cache"):
         cross = forms.mesh.cross
-        forms._line_cache = {
-            "md": compute_moments(cross),
-            "Mw": cross_mass(cross),
-            "A4": hz.rod_tensor(forms).A_rod,
-        }
+        forms._line_cache = {"md": compute_moments(cross), "Mw": cross_mass(cross)}
     return forms._line_cache
-
-
-def _cross_embed(cross, chi, regime, momentum_variant="eps"):
-    """Per-frequency embedding matrix on cross-section nodes; its conjugate
-    transpose against the cross mass is the momentum map."""
-    x1, x2 = cross.nodes[:, 0], cross.nodes[:, 1]
-    n = cross.n_nodes
-    zero = np.zeros(n)
-    one = np.ones(n)
-
-    def fld(a, b, c):
-        out = np.zeros((n, 3), dtype=complex)
-        out[:, 0], out[:, 1], out[:, 2] = a, b, c
-        return out.reshape(-1)
-
-    cols = []
-    if regime in ("bend", "rod"):
-        third = (zero, zero) if momentum_variant == "zero" \
-            else (-1j * chi * x1, -1j * chi * x2)
-        cols.append(fld(one, zero, third[0]))
-        cols.append(fld(zero, one, third[1]))
-    if regime in ("stretch", "rod"):
-        cols.append(fld(x2, -x1, zero))
-        cols.append(fld(zero, zero, one))
-    return np.array(cols).T
 
 
 def _limit_matrix(A4, md, chi, t, regime):
@@ -124,6 +96,7 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     """Leading-order line approximant: momentum map, per-frequency symbol
     solve, adjoint embedding."""
     cache = _cache(forms)
+    A4 = hz.rod_tensor(forms).A_rod
     cross = forms.mesh.cross
     t = f.eps ** (-(gamma + 2.0))
     g = tr.xi_smoothing(f) if use_xi else f
@@ -132,9 +105,9 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     out = np.zeros_like(ghat)
     for s in range(f.S):
         chi = f.eps * thetas[s]
-        E = _cross_embed(cross, chi, regime, momentum_variant)
+        E = fiber.cross_embedding(cross, chi, regime, momentum_variant)
         mom = E.conj().T @ _mass_apply(cache["Mw"], ghat[s])
-        mhat = np.linalg.solve(_limit_matrix(cache["A4"], cache["md"], chi, t, regime), mom)
+        mhat = np.linalg.solve(_limit_matrix(A4, cache["md"], chi, t, regime), mom)
         out[s] = E @ mhat
     return f.like(np.fft.ifft(out, axis=0))
 
@@ -143,7 +116,7 @@ def fiber_pullback_resolvent(forms, f, gamma, regime):
     """The same leading-order operator built fiberwise (momentum, symbol
     solve, embedding per Gelfand fiber); must agree with limit_resolvent to
     solver precision."""
-    cache = _cache(forms)
+    md, A4 = _cache(forms)["md"], hz.rod_tensor(forms).A_rod
     t = f.eps ** (-(gamma + 2.0))
     b = tr.gelfand(f)
     out = np.zeros_like(b.values)
@@ -151,7 +124,7 @@ def fiber_pullback_resolvent(forms, f, gamma, regime):
         chi = float(b.chis[k])
         ops = fiber.FiberOps(forms, chi)
         mom = ops.momentum(b.fiber(k), regime)
-        mhat = np.linalg.solve(_limit_matrix(cache["A4"], cache["md"], chi, t, regime), mom)
+        mhat = np.linalg.solve(_limit_matrix(A4, md, chi, t, regime), mom)
         u = ops.embed(mhat, regime)
         out[k] = u.reshape(b.n_y, -1)
     return tr.gelfand_inverse(b.like(out))
@@ -268,16 +241,7 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0, micro_weight=0.5):
             c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vals += micro_weight * np.outer(np.exp(2j * np.pi * sign * y), c)
         if regime in ("stretch", "bend"):
-            v = vals.reshape(S, -1, 3)
-            vr = v[:, pairing, :]
-            out = np.zeros_like(v)
-            if regime == "bend":
-                out[:, :, :2] = 0.5 * (v + vr)[:, :, :2]
-                out[:, :, 2] = 0.5 * (v - vr)[:, :, 2]
-            else:
-                out[:, :, :2] = 0.5 * (v - vr)[:, :, :2]
-                out[:, :, 2] = 0.5 * (v + vr)[:, :, 2]
-            vals = out.reshape(S, d)
+            vals = fem.parity_project(vals.reshape(S, -1, 3), regime, pairing).reshape(S, d)
         lf = tr.LineField(vals, eps, n_y)
         nrm = np.sqrt(tr.line_norm_sq(lf, Mw))
         loads.append(lf.like(lf.values / nrm))
@@ -366,11 +330,17 @@ def _fit(eps_list, errs):
 
 
 def _scaled_load(cfg, g):
-    if cfg.s_inf:
-        return tr.apply_scaling(g, "s_inf")
-    if cfg.delta != 0.0:
-        return tr.apply_scaling(g, "s_eps_delta", eps=g.eps, delta=cfg.delta)
-    return g
+    tag = "s_inf" if cfg.s_inf else "s_eps_delta" if cfg.delta != 0.0 else "none"
+    return g.like(fiber.apply_load_scaling(g.values, tag, eps=g.eps, delta=cfg.delta))
+
+
+def _require_rod_symmetry(forms, regimes):
+    """The stretch and bend regimes rest on the parity split, which holds
+    only for materials with rod symmetry in every layer."""
+    if ({"stretch", "bend"} & set(regimes)
+            and not all(check_rod_material_symmetry(t) for _, _, t in forms.profile.layers)):
+        raise ValueError("the stretch and bend regimes need rod material symmetry "
+                         "in every layer (see check_rod_material_symmetry)")
 
 
 def rate_experiment(cfg, forms):
@@ -384,6 +354,7 @@ def rate_experiment(cfg, forms):
     outer loop: one LineResolvent per eps serves the loads of every regime,
     and only one eps holds live factorisations at a time.
     """
+    _require_rod_symmetry(forms, cfg.regimes)
     n_y = forms.mesh.n_y
     cross = forms.mesh.cross
     eps_list = [cfg.length / N for N in cfg.n_grid]
@@ -457,6 +428,7 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     coupling, shared by the regimes with the same power. Rows come out
     regime by regime, in the order of loads.
     """
+    _require_rod_symmetry(forms, loads)
     rows = {regime: [] for regime in loads}
     errs = {k: [] for k in FIBER_THRESHOLDS}
     for chi in chi_grid:
@@ -468,7 +440,7 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
                 solvers[t] = fem.ResolventSolver(forms, chi, t)
             ch = fiber.build_chain(forms, chi, t, regime, f)
             ref = solvers[t].solve(fiber.apply_load_scaling(
-                f, fiber._DEFAULT_SCALING[regime], chi, forms.mesh.n_nodes))
+                f, fiber._DEFAULT_SCALING[regime], chi))
             for order, approx in ((0, ch.order0()), (1, ch.order1())):
                 e = ref - approx
                 if split:

@@ -222,17 +222,3 @@ def momentum_real(lf, which, cross):
         return np.hstack([bend, stretch])
     raise ValueError(which)
 
-
-def apply_scaling(lf, tag, chi=None, eps=None, delta=None):
-    """Third-component load scalings on the line (S_{eps^delta}, S_inf,
-    S_|chi|)."""
-    v = lf.values.reshape(lf.S, -1, 3).copy()
-    if tag == "s_eps_delta":
-        v[:, :, 2] *= eps ** (-delta)
-    elif tag == "s_inf":
-        v[:, :, 2] = 0.0
-    elif tag == "s_abs_chi":
-        v[:, :, 2] /= abs(chi)
-    elif tag != "none":
-        raise ValueError(tag)
-    return lf.like(v.reshape(lf.S, -1))

@@ -22,6 +22,22 @@ def graded_square(n):
     return CrossSectionMesh(np.column_stack([X.ravel(), Y.ravel()]), elements)
 
 
+def cross_mass_loop(cross):
+    """Scalar Q1 mass matrix of a cross-section mesh, element by element
+    and Gauss point by Gauss point."""
+    M = np.zeros((cross.n_nodes, cross.n_nodes))
+    for elem in cross.elements:
+        X = cross.nodes[elem]
+        for eta in _GAUSS:
+            for xi in _GAUSS:
+                n2 = np.array([(1 + s * xi) * (1 + t * eta) / 4 for s, t in _CORNERS])
+                dxi = [s * (1 + t * eta) / 4 for s, t in _CORNERS]
+                deta = [t * (1 + s * xi) / 4 for s, t in _CORNERS]
+                jac = np.array([np.dot(dxi, X), np.dot(deta, X)])
+                M[np.ix_(elem, elem)] += np.linalg.det(jac) * np.outer(n2, n2)
+    return M
+
+
 def gauss_points(forms):
     """Yield (dofs, w, N, G, D, xhat) at every Gauss point of every product
     element: the 24 element dofs, the weight, the 8 shape values, their

@@ -228,7 +228,7 @@ def test_10_kernel_residuals(forms, fiber_loads):
         for chi in (0.4, 0.2, 0.1):
             ch = fiber.build_chain(forms, chi, chi ** power, regime, f)
             nf = np.linalg.norm(fiber.apply_load_scaling(
-                f, fiber._DEFAULT_SCALING[regime], chi, forms.mesh.n_nodes))
+                f, fiber._DEFAULT_SCALING[regime], chi))
             for _, res in ch.residuals:
                 worst = max(worst, res / nf)
     _report(10, "kernel residuals", worst <= 1e-8)

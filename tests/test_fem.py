@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from rodhom import fem, homogenize as hz
-from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle,
+from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, cross_mass,
                              is_centrally_symmetric)
 from rodhom.material import MaterialProfile, make_isotropic
 
-from support_quadrature import gauss_points, graded_square, strain_matrices
+from support_quadrature import cross_mass_loop, gauss_points, graded_square, strain_matrices
 
 
 def layered_profile(contrast=5.0):
@@ -51,15 +51,29 @@ def test_rigid_motions_in_kernel_at_chi0(forms):
         assert np.linalg.norm(K @ r) <= 1e-10 * scale * np.linalg.norm(r)
 
 
-def test_energy_identity():
-    # the assembled operators against an element-by-element Gauss loop, on a
-    # graded cross mesh with curved grid lines: every element is a different,
-    # non-parallelogram quad
+def curved_graded_cross():
+    """A graded cross mesh with curved grid lines: every element is a
+    different, non-parallelogram quad."""
     sq = graded_square(4)
     x1, x2 = sq.nodes.T
-    cross = CrossSectionMesh(np.column_stack([x1 + 0.05 * np.sin(2 * np.pi * x2),
-                                              x2 + 0.05 * np.sin(2 * np.pi * x1)]), sq.elements)
-    forms = fem.assemble(layered_profile(), ProductMesh(cross, 4))
+    return CrossSectionMesh(np.column_stack([x1 + 0.05 * np.sin(2 * np.pi * x2),
+                                             x2 + 0.05 * np.sin(2 * np.pi * x1)]), sq.elements)
+
+
+def test_cross_mass_on_curved_mesh():
+    # against a per-element loop of the same 2x2 Gauss rule, and the total
+    # against the polygon area (the rule is exact for det J)
+    cross = curved_graded_cross()
+    want = cross_mass_loop(cross)
+    got = cross_mass(cross)
+    assert np.max(np.abs(got - want)) < 1e-15 * np.max(want)
+    one = np.ones(cross.n_nodes)
+    assert abs(one @ got @ one - cross.total_area()) < 1e-14
+
+
+def test_energy_identity():
+    # the assembled operators against an element-by-element Gauss loop
+    forms = fem.assemble(layered_profile(), ProductMesh(curved_graded_cross(), 4))
     rng = np.random.default_rng(1)
     u = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
     chi, eps = 0.7, 0.3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rodhom import fem, fiber, homogenize as hz
+from rodhom import fem, fiber, homogenize as hz, transform as tr
 from rodhom.geometry import ProductMesh, build_rectangle, compute_moments, is_centrally_symmetric
 from rodhom.material import MaterialProfile, make_isotropic
 
@@ -267,12 +267,34 @@ def test_contour_too_close():
 
 
 def test_load_scaling_tags():
+    # every tag on a 2-node product vector and on the values of a LineField
+    # (4 slabs of it); only the third components change, and the input is
+    # left as it was
     f = np.arange(6, dtype=float)
-    out = fiber.apply_load_scaling(f, "s_abs_chi", 0.5, 2)
-    assert np.allclose(out.reshape(2, 3)[:, 2], [4.0, 10.0])
-    out = fiber.apply_load_scaling(f, "s_inf", 0.5, 2)
-    assert np.allclose(out.reshape(2, 3)[:, 2], 0.0)
-    out = fiber.apply_load_scaling(f, "s_eps_delta", 0.5, 2, eps=0.1, delta=1.0)
-    assert np.allclose(out.reshape(2, 3)[:, 2], [20.0, 50.0])
-    with pytest.raises(ValueError):
-        fiber.apply_load_scaling(f, "bogus", 0.5, 2)
+    lf = tr.LineField(np.tile(f, (4, 1)), 0.5, 2)
+    third = {"none": [2.0, 5.0], "s_abs_chi": [4.0, 10.0],
+             "s_eps_delta": [8.0, 20.0], "s_inf": [0.0, 0.0]}
+    for values in (f, lf.values):
+        before = values.copy()
+        for tag, want in third.items():
+            out = fiber.apply_load_scaling(values, tag, chi=0.5, eps=lf.eps, delta=2.0)
+            assert out.shape == values.shape and out.dtype == complex
+            v = out.reshape(-1, 2, 3)
+            assert np.array_equal(v[..., :2], before.reshape(-1, 2, 3)[..., :2])
+            assert np.array_equal(v[..., 2], np.broadcast_to(want, v.shape[:-1]))
+        out = fiber.apply_load_scaling(values, "s_eps_delta", eps=lf.eps, delta=0.0)
+        assert np.array_equal(out, before)
+        assert np.array_equal(values, before)
+        with pytest.raises(ValueError):
+            fiber.apply_load_scaling(values, "bogus", chi=0.5)
+
+
+def test_embed_matrix_tiles_cross_embedding(setup):
+    forms = setup[0]
+    keys = {"bend": "bend", "stretch": "stretch", "rod": "rod",
+            "general_chi2": "rod", "general_chi4": "rod"}
+    for chi in (0.0, 0.3, -2.1):
+        ops = fiber.FiberOps(forms, chi)
+        for regime, key in keys.items():
+            E = fiber.cross_embedding(forms.mesh.cross, chi, key)
+            assert np.array_equal(ops.embed_matrix(regime), np.tile(E, (forms.mesh.n_y, 1)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rodhom.geometry import (ProductMesh, build_rectangle, compute_moments,
+from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, compute_moments,
                              is_centrally_symmetric)
 
 
@@ -47,6 +47,15 @@ def test_moments_aspect_analytic():
         md = compute_moments(m)
         assert abs(md.c1 - aspect / 12) < 1e-12
         assert abs(md.c2 - 1 / (12 * aspect)) < 1e-12
+
+
+@pytest.mark.parametrize("move", [lambda x: x + [0.1, -0.05], lambda x: 1.1 * x],
+                         ids=["shifted", "scaled"])
+def test_moments_reject_unnormalised_section(move):
+    # MomentData and the embeddings assume area 1 and centred first moments
+    m = build_rectangle(1.0, 4, 4)
+    with pytest.raises(ValueError, match="not normalised"):
+        compute_moments(CrossSectionMesh(move(m.nodes), m.elements))
 
 
 def test_moment_matrices():

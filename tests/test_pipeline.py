@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rodhom import fem, pipeline as pl, transform as tr
+from rodhom import fem, fiber, pipeline as pl, transform as tr
 from rodhom.geometry import (ProductMesh, build_rectangle, compute_moments,
                              cross_mass, is_centrally_symmetric)
 from rodhom.homogenize import rod_tensor
-from rodhom.material import MaterialProfile, make_isotropic
+from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
 NY = 8
 
@@ -94,7 +94,7 @@ def test_zero_frequency_mode(forms):
     f = tr.LineField(vals, 0.25, NY)
     out = pl.limit_resolvent(forms, f, 0.0, "rod")
     Mw = cross_mass(forms.mesh.cross)
-    E0 = pl._cross_embed(forms.mesh.cross, 0.0, "rod")
+    E0 = fiber.cross_embedding(forms.mesh.cross, 0.0, "rod")
     mom = E0.conj().T @ (Mw @ c.reshape(n_c, 3)).reshape(-1)
     expected = E0 @ np.linalg.solve(md.C_rod, mom)
     assert np.max(np.abs(out.values - expected[None, :])) < 1e-12 * np.max(np.abs(expected))
@@ -119,7 +119,7 @@ def test_stretch_single_frequency_oracle(forms):
     mh = np.linalg.solve(eps ** (-gamma) * theta ** 2 * rt.A_stretch + md.C_stretch,
                          md.C_stretch @ c)
     expected = np.outer(np.exp(1j * theta * x3),
-                        (pl._cross_embed(cross, 0.0, "stretch") @ mh))
+                        (fiber.cross_embedding(cross, 0.0, "stretch") @ mh))
     out = pl.limit_resolvent(forms, f, gamma, "stretch")
     assert np.max(np.abs(out.values - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -140,6 +140,46 @@ def test_make_loads_properties(forms):
     vr = v[:, pairing, :]
     assert np.max(np.abs(v[:, :, :2] - vr[:, :, :2])) < 1e-12
     assert np.max(np.abs(v[:, :, 2] + vr[:, :, 2])) < 1e-12
+
+
+def test_make_loads_parity_is_project_symmetry(forms):
+    # the parity loads are the draws of the unprojected family, projected
+    # slab by slab and renormalised
+    cross = forms.mesh.cross
+    Mw = cross_mass(cross)
+    _, pairing = is_centrally_symmetric(cross)
+    raw = pl.make_loads(cross, NY, 16, 0.25, "rod", n_loads=2, seed=4)
+    for regime in ("bend", "stretch"):
+        got = pl.make_loads(cross, NY, 16, 0.25, regime, n_loads=2, seed=4)
+        for f, g in zip(raw, got):
+            p = f.like([fem.project_symmetry(v, regime, forms.mesh, pairing) for v in f.values])
+            want = p.values / np.sqrt(tr.line_norm_sq(p, Mw))
+            assert np.max(np.abs(g.values - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_parity_regimes_require_rod_symmetry(monkeypatch):
+    C = make_isotropic(1.0, 1.0).voigt.copy()
+    C[0, 4] = C[4, 0] = 0.1      # couples e11 to 2e13: no rod symmetry
+    forms = fem.assemble(MaterialProfile.constant(ElasticityTensor(C)),
+                         ProductMesh(build_rectangle(1.0, 2, 2), 4))
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
+    cfg = pl.ExperimentConfig(n_grid=(4, 6, 8, 10), n_loads=1, regimes=("rod", "bend"))
+
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("factorised before the material check")
+
+    with monkeypatch.context() as m:
+        m.setattr(fem.spla, "splu", no_factorisation)
+        with pytest.raises(ValueError, match="rod material symmetry"):
+            pl.rate_experiment(cfg, forms)
+        with pytest.raises(ValueError, match="rod material symmetry"):
+            pl.fiber_rate_study(forms, {"general_chi2": f, "stretch": f})
+    # the regimes that do not split by parity still run
+    rows = pl.rate_experiment(dataclasses.replace(cfg, regimes=("rod",)), forms).rows
+    assert all(np.all(np.isfinite(r["errs"])) for r in rows)
+    out = pl.fiber_rate_study(forms, {"general_chi2": f, "general_chi4": f}, chi_grid=(0.4, 0.2))
+    assert len(out["rows"]) == 2 * 2 * (1 + 2)   # chi, order, components
 
 
 def test_theory_slope_table():

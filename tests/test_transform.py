@@ -178,12 +178,12 @@ def test_momentum_transform_identity(lf, cross):
 def test_apply_scaling_tags(cross):
     vals = np.ones((N * NY, 3 * cross.n_nodes))
     f = tr.LineField(vals, EPS, NY)
-    out = tr.apply_scaling(f, "s_eps_delta", eps=EPS, delta=0.0)
-    assert np.max(np.abs(out.values - f.values)) == 0.0
-    out = tr.apply_scaling(f, "s_inf")
-    assert np.max(np.abs(out.values.reshape(f.S, -1, 3)[:, :, 2])) == 0.0
-    out = tr.apply_scaling(f, "s_abs_chi", chi=0.5)
-    back = out.values.reshape(f.S, -1, 3)[:, :, 2] * 0.5
+    out = fiber.apply_load_scaling(f.values, "s_eps_delta", eps=EPS, delta=0.0)
+    assert np.max(np.abs(out - f.values)) == 0.0
+    out = fiber.apply_load_scaling(f.values, "s_inf")
+    assert np.max(np.abs(out.reshape(f.S, -1, 3)[:, :, 2])) == 0.0
+    out = fiber.apply_load_scaling(f.values, "s_abs_chi", chi=0.5)
+    back = out.reshape(f.S, -1, 3)[:, :, 2] * 0.5
     assert np.max(np.abs(back - 1.0)) < 1e-15
 
 
