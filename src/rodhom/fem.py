@@ -3,8 +3,8 @@
 Vector Q1 elements on quad-times-segment product cells, 2x2x2 Gauss
 quadrature, periodic identification of the y = 1/2 plane with y = -1/2. Each
 element is integrated with its own bilinear Jacobian, so graded and
-non-rectangular cross-section meshes are handled; an element whose Jacobian
-determinant is not positive everywhere is rejected with ValueError.
+non-rectangular cross-section meshes are handled (CrossSectionMesh rejects an
+element whose Jacobian determinant is not positive everywhere).
 
 Strains are engineering Voigt vectors (e11, e22, e33, 2e23, 2e13, 2e12). The
 strain of a fiber field is B_s u + i*chi*B_x u, with B_x carrying (u3, u2, u1)
@@ -18,6 +18,8 @@ into slots (e33, 2e23, 2e13). Assembly builds every fiber operator once:
 - Ls = sum w B_s^T D J_k and Lx = sum w B_x^T D J_k, the n_dof x 4 loads of
   the four canonical J-data (see homogenize), and their 4x4 Gram matrix
   J_gram = sum w J_d^T D J_k;
+- the tiled embedding blocks E0 and E1 (see embedding_blocks), whose E0 is the
+  rigid-motion kernel of K(0) that the saddle solver constrains;
 - the scalar blocks of the H1 norm: S_hat (cross-section gradients), S_y
   (d/dy) and C_y = i (Y - Y^T) with Y = int d_y N_a N_b, so that
   int |d_y u + i chi u|^2 = u^H (S_y + chi C_y + chi^2 M1) u per component.
@@ -89,6 +91,22 @@ def _sparse(blocks, index, n):
                          shape=(n, n))
 
 
+def embedding_blocks(cross):
+    """E0 and E1 of the embedding E(chi) = E0 + chi E1 of the rod
+    coefficients (m1, m2, m3, m4) into fields on the cross-section nodes, as
+    (3 n_cross, 4) column blocks in that slot order. E0 holds the rigid
+    motions: the in-plane translations, the torsion rotation (x2, -x1, 0) and
+    the extension (0, 0, 1). E1 = -i x-hat e3 is the tilt of the two
+    translations, zero in the torsion and extension columns."""
+    x1, x2 = cross.nodes[:, 0], cross.nodes[:, 1]
+    E0 = np.zeros((4, cross.n_nodes, 3))
+    E0[0, :, 0] = E0[1, :, 1] = E0[3, :, 2] = 1.0
+    E0[2, :, 0], E0[2, :, 1] = x2, -x1
+    E1 = np.zeros((4, cross.n_nodes, 3), dtype=complex)
+    E1[0, :, 2], E1[1, :, 2] = -1j * x1, -1j * x2
+    return E0.reshape(4, -1).T, E1.reshape(4, -1).T
+
+
 class AssembledForms:
     """The assembled fiber operators of a profile on a product mesh."""
 
@@ -99,14 +117,7 @@ class AssembledForms:
         n_y, n_c, n_ec = mesh.n_y, cross.n_nodes, len(cross.elements)
         hz = 1.0 / n_y
 
-        # det of the bilinear map is affine in each reference coordinate, so
-        # it is positive on an element iff it is positive at the 4 corners
         X = cross.nodes[cross.elements]                            # (n_ec, 4, 2)
-        a, b = np.roll(X, -1, axis=1) - X, np.roll(X, 1, axis=1) - X
-        bad = np.flatnonzero(np.min(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0], axis=1) <= 0)
-        if len(bad):
-            raise ValueError("cross-section element %d has a non-positive Jacobian "
-                             "determinant (inverted, clockwise or non-convex)" % bad[0])
 
         # Gauss points (xi, eta, zeta), z-major; brick node a is quad corner
         # a % 4 on the lower (a < 4) or upper y-level
@@ -168,25 +179,22 @@ class AssembledForms:
         self.C_y = _sparse(1j * (Y - np.swapaxes(Y, -1, -2)), nodes, n_nodes)
         self.M = sp.kron(self.M1, sp.identity(3), format="csr")
 
-        self._build_constraints()
+        # tiled as rows of E.T: the columns stay column-major, the layout the
+        # chains' products are rounded with
+        self.E0, self.E1 = (np.tile(E.T, n_y).T for E in embedding_blocks(cross))
+        # the rigid motions: the four columns of E0, extension before torsion
+        self.kernel_fields = np.ascontiguousarray(self.E0.T[[0, 1, 3, 2]])
+        # P T and K_xx T for the in-plane translations T: the chi-independent
+        # test columns of the bend coefficient projection
+        T = self.E0[:, :2]
+        self.bend_tests = (self.P @ T, self.K_xx @ T)
+        self.R = np.array([self.M @ b for b in self.kernel_fields])  # constraint rows
         self._saddle = None
 
     def K(self, chi):
         if chi == 0:
             return self.K_ss.astype(complex)
         return (self.K_ss + chi * self.K_sx + chi ** 2 * self.K_xx).tocsr()
-
-    def _build_constraints(self):
-        coords = self.mesh.node_coords()
-        n = self.mesh.n_nodes
-        basis = np.zeros((4, 3 * n))
-        basis[0, 0::3] = 1.0
-        basis[1, 1::3] = 1.0
-        basis[2, 2::3] = 1.0
-        basis[3, 0::3] = coords[:, 1]
-        basis[3, 1::3] = -coords[:, 0]
-        self.kernel_fields = basis        # rigid motions of the cross-section motion space
-        self.R = np.array([self.M @ b for b in basis])  # constraint rows (M-weighted)
 
     def interpolate(self, fn):
         """Nodal interpolation of fn(x1, x2, y) -> 3-vector (vectorised over
@@ -196,10 +204,13 @@ class AssembledForms:
     # -- norms ------------------------------------------------------------
 
     def norm_sq_l2(self, u, component=None):
+        """Squared L2 norm of the displacement components labelled component:
+        '12' (in-plane), '3' (out-of-line), or 'all' / None."""
         return _form(self.M1, _components(u, component))
 
     def norm_sq_h1(self, u, component=None, chi=None, eps=None):
-        """Squared H1 norm.
+        """Squared H1 norm of the components labelled component (see
+        norm_sq_l2).
 
         With chi/eps given, the longitudinal derivative is measured in the
         eps-scaled fiber metric eps^-2 |d_y u + i chi u|^2; otherwise the plain
@@ -224,10 +235,14 @@ class AssembledForms:
         return self._saddle
 
 
+# displacement columns of each component label of the error norms
+COMPONENTS = {None: slice(0, 3), "all": slice(0, 3), "12": slice(0, 2), "3": slice(2, 3)}
+
+
 def _components(u, component):
-    """Nodal values of u as an (n_nodes, 3) array, or one column of it."""
-    U = np.asarray(u).reshape(-1, 3)
-    return U if component is None else U[:, component]
+    """Nodal values of u as an (n_nodes, 3) array, restricted to the columns
+    of a component label (see COMPONENTS)."""
+    return np.asarray(u).reshape(-1, 3)[:, COMPONENTS[component]]
 
 
 def _form(A, U):

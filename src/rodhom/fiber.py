@@ -11,6 +11,7 @@ exact identity of the discrete construction.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,23 +28,54 @@ class ContourTooClose(Exception):
 
 
 class FiberOps:
-    """Per-(forms, chi) embeddings, momenta and effective matrices."""
+    """The operator set of one fiber chi: the embedding E(chi) = E0 + chi E1
+    of the rod coefficients (see fem.embedding_blocks) and the blocks the
+    chains build from it, as n_dof x 4 column blocks or 4x4 matrices in the
+    rod slot order (m1, m2, m3, m4). A regime uses the columns of its slots.
+    The blocks that need the cell basis or M are built on first use."""
 
     def __init__(self, forms, chi):
         self.forms = forms
         self.chi = chi
-        self._embed = {}
+        self.g = hz.g_scaling(chi)
+        self.E = forms.E0 + chi * forms.E1
+        # E without the in-plane translations E0[:, :2]: the tilt chi E1 of the
+        # bend columns, then the torsion and extension columns of E0
+        self.S = np.hstack([chi * forms.E1[:, :2], forms.E0[:, 2:]])
 
-    # -- embeddings -------------------------------------------------------
+    @cached_property
+    def C(self):
+        """The Gram matrix E^H M E."""
+        return self.E.conj().T @ (self.forms.M @ self.E)
+
+    @cached_property
+    def A(self):
+        """The Galerkin effective matrix G(chi)^H A_rod G(chi), through the
+        exact chi-scaling of the J-basis cell solutions."""
+        return hz.chi_tensor(self.forms, self.chi, direct=False)
+
+    @cached_property
+    def B1(self):
+        """The first-order corrector map m -> B1 m: the cell basis times G(chi)."""
+        return hz.cell_basis(self.forms).T * self.g
+
+    @cached_property
+    def lam(self):
+        """The loads int A Lambda_{chi,m} : conj(i chi X v) of the Lambda data,
+        m -> lam m with lam = -i chi Lx G(chi)."""
+        return -1j * self.chi * self.forms.Lx * self.g
+
+    def test_fields(self, regime):
+        """Test columns Ts, Tx and weights c of the coefficient projection,
+        whose moments are c (Ts^T u + i chi Tx^T v): i chi B_x of the in-plane
+        translations for bend, the Lambda data of the slots otherwise."""
+        if regime == "bend":
+            return (*self.forms.bend_tests, np.full(2, -1j * self.chi))
+        s = _slots(regime)
+        return self.forms.Ls[:, s], self.forms.Lx[:, s], np.conj(self.g[s])
 
     def embed_matrix(self, regime):
-        if regime not in self._embed:
-            mesh = self.forms.mesh
-            E = cross_embedding(mesh.cross, self.chi, _slot_key(regime))
-            # tiled as rows of E.T: the columns stay column-major, the layout
-            # the chains' products are rounded with
-            self._embed[regime] = np.tile(E.T, mesh.n_y).T
-        return self._embed[regime]
+        return self.E[:, _slots(regime)]
 
     def embed(self, m, regime):
         return self.embed_matrix(regime) @ np.asarray(m, dtype=complex)
@@ -54,37 +86,14 @@ class FiberOps:
         return E.conj().T @ (self.forms.M @ np.asarray(f, dtype=complex))
 
     def gram(self, regime):
-        E = self.embed_matrix(regime)
-        return E.conj().T @ (self.forms.M @ E)
-
-    def a_chi(self, regime):
-        """Discrete Galerkin effective matrix at this chi (via the exact
-        chi-scaling of the J-basis cell solutions)."""
-        return hz.chi_tensor(self.forms, self.chi, regime=_slot_key(regime), direct=False)
+        s = _slots(regime)
+        return self.C[s, s]
 
 
-def _slot_key(regime):
-    """The coefficient slots of a chain regime: the general regimes use all
-    four (the rod slots)."""
-    return regime if regime in ("stretch", "bend") else "rod"
-
-
-def cross_embedding(cross, chi, key, momentum_variant="eps"):
-    """Embedding columns on the cross-section nodes, one per coefficient
-    slot of key (bend, stretch or rod): the in-plane translations with
-    out-of-line part -i chi x-hat (dropped when momentum_variant is "zero"),
-    then the torsion and the extension. Against the cross mass its conjugate
-    transpose is the momentum map.
-    """
-    x1, x2 = cross.nodes[:, 0], cross.nodes[:, 1]
-    zero, one = np.zeros(cross.n_nodes), np.ones(cross.n_nodes)
-    cols = []
-    if key in ("bend", "rod"):
-        tilt = (zero, zero) if momentum_variant == "zero" else (-1j * chi * x1, -1j * chi * x2)
-        cols += [(one, zero, tilt[0]), (zero, one, tilt[1])]
-    if key in ("stretch", "rod"):
-        cols += [(x2, -x1, zero), (zero, zero, one)]
-    return np.array([np.column_stack(c).reshape(-1) for c in cols], dtype=complex).T
+def _slots(regime):
+    """The coefficient slots of a regime, as a column slice: the general
+    regimes use all four (the rod slots)."""
+    return hz._REGIME_SLOTS[regime if regime in ("stretch", "bend") else "rod"]
 
 
 _DEFAULT_SCALING = {"stretch": "none", "general_chi2": "none",
@@ -143,19 +152,17 @@ def rayleigh_bounds(forms, chi):
     def quotient(v):
         return float((np.vdot(v, K @ v) / np.vdot(v, M @ v)).real)
 
-    Eb = ops.embed_matrix("bend")
-    Es = ops.embed_matrix("stretch")
-    qb = max(quotient(Eb[:, i]) for i in range(2))
-    qs = max(quotient(Es[:, i]) for i in range(2))
+    # the bend columns of E, then the stretch columns
+    E = ops.E
+    qb = max(quotient(E[:, i]) for i in (0, 1))
+    qs = max(quotient(E[:, i]) for i in (2, 3))
 
     # fields M-orthogonal to both embedded spaces
-    B = np.hstack([Eb, Es])
-    G = B.conj().T @ (M @ B)
     rng = np.random.default_rng(11)
     qmin = np.inf
     for _ in range(5):
         v = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-        v = v - B @ np.linalg.solve(G, B.conj().T @ (M @ v))
+        v = v - E @ np.linalg.solve(ops.C, E.conj().T @ (M @ v))
         qmin = min(qmin, quotient(v))
     return {"bend_quotient": qb, "stretch_quotient": qs, "orthogonal_min": qmin}
 
@@ -183,53 +190,23 @@ class Chain:
         return sum(self.terms.values())
 
 
-def _interp(forms, comps):
-    """Nodal field from per-node component arrays (a, b, c)."""
-    n = forms.mesh.n_nodes
-    out = np.zeros((n, 3), dtype=complex)
-    out[:, 0], out[:, 1], out[:, 2] = comps
-    return out.reshape(-1)
-
-
 class _ChainBuilder:
-    def __init__(self, forms, chi, t, regime, gram_mode="chi"):
-        self.forms = forms
-        self.chi = chi
-        self.t = t
-        self.regime = regime
-        self.ops = FiberOps(forms, chi)
-        self.gram_mode = gram_mode
-        self.saddle = forms.saddle_solver()
-        self.E = self.ops.embed_matrix(regime)
-        self.A = self.ops.a_chi(regime)
-        if gram_mode == "chi":
-            self.C = self.ops.gram(regime)
-        elif gram_mode == "identity":
-            self.C = np.eye(self.E.shape[1])
-        else:
+    """The state of one chain: the fiber's blocks restricted to the regime's
+    slots, the coupling t, and the chain being built."""
+
+    def __init__(self, ops, t, regime, gram_mode="chi", depth="full"):
+        if gram_mode not in ("chi", "identity"):
             raise ValueError(gram_mode)
-        key = _slot_key(regime)
-        self.B1 = hz.corrector_map_B1(forms, key, chi)
-        slots = hz._REGIME_SLOTS[key]
-        g = hz.g_scaling(chi)[slots]
-        # the load of the Lambda data, one column per regime slot (see lam)
-        self.lam_cols = -1j * chi * forms.Lx[:, slots] * g
-        # the test fields of the coefficient projection: i X_chi (d1, d2, 0),
-        # i.e. i chi B_x of the in-plane translations, for bend, and the
-        # Lambda data of the regime's slots otherwise
-        if regime == "bend":
-            kern = forms.kernel_fields[:2].T
-            self.test_s, self.test_x = forms.P @ kern, forms.K_xx @ kern
-            self.test_c = np.full(2, -1j * chi)
-        else:
-            self.test_s, self.test_x = forms.Ls[:, slots], forms.Lx[:, slots]
-            self.test_c = np.conj(g)
-        coords = forms.mesh.node_coords()
-        self.x1, self.x2 = coords[:, 0], coords[:, 1]
-        zeros = np.zeros(forms.mesh.n_nodes)
-        self.zeros = zeros
-        self.depth = "full"
-        self.chain = Chain(regime=regime, chi=chi, t=t)
+        s = _slots(regime)
+        self.ops, self.forms, self.chi, self.t = ops, ops.forms, ops.chi, t
+        self.regime, self.gram_mode, self.depth = regime, gram_mode, depth
+        self.saddle = ops.forms.saddle_solver()
+        self.E, self.S, self.B1, self.lam = (X[:, s] for X in (ops.E, ops.S, ops.B1, ops.lam))
+        self.T = ops.forms.E0[:, :2]     # the in-plane translations
+        C = ops.C[s, s] if gram_mode == "chi" else np.eye(self.E.shape[1])
+        self.symbol = t * ops.A[s, s] + C
+        self.test_s, self.test_x, self.test_c = ops.test_fields(regime)
+        self.chain = Chain(regime=regime, chi=ops.chi, t=t)
 
     # elastic terms of the right-hand sides, as dual vectors (v -> ...)
     def shift(self, u):
@@ -241,11 +218,6 @@ class _ChainBuilder:
         """int A i chi X u : conj(i chi X v), which is chi^2 K_xx u."""
         return self.chi ** 2 * (self.forms.K_xx @ u)
 
-    def lam(self, m):
-        """int A Lambda_{chi,m} : conj(i chi X v) for the regime's coefficient
-        vector m, which is -i chi Lx G(chi) m."""
-        return self.lam_cols @ np.asarray(m, dtype=complex)
-
     def solve(self, name, b):
         # with the exact Gram matrix every right-hand side is kernel-orthogonal
         # by construction; the replacement variants are off by O(chi^2), so the
@@ -256,7 +228,16 @@ class _ChainBuilder:
         return u
 
     def msolve(self, rhs):
-        return np.linalg.solve(self.t * self.A + self.C, rhs)
+        return np.linalg.solve(self.symbol, rhs)
+
+    def coefficients(self, k, m):
+        """Record the coefficient vector of refinement k and its terms E m and
+        B1 m: m, u0, u1 for k = 0, then mk, u0_k, u1_k."""
+        tag = "_%d" % k if k else ""
+        self.chain.m["m%d" % k if k else "m"] = m
+        u0 = self.chain.terms["u0" + tag] = self.E @ m
+        u1 = self.chain.terms["u1" + tag] = self.B1 @ m
+        return u0, u1
 
     def moments(self, u, v):
         """int A(sym-grad u + i chi X v) : conj(T) for each test field T of
@@ -265,20 +246,6 @@ class _ChainBuilder:
 
     def project_m(self, u, v):
         return -self.t * self.moments(u, v)
-
-    def w_bend(self, m):
-        """Nodal (0, 0, -i chi (m1 x1 + m2 x2))."""
-        return _interp(self.forms, (self.zeros, self.zeros,
-                                    -1j * self.chi * (m[0] * self.x1 + m[1] * self.x2)))
-
-    def s_rod(self, m):
-        """Nodal (m3 x2, -m3 x1, m4 - i chi (m1 x1 + m2 x2))."""
-        return _interp(self.forms, (m[2] * self.x2, -m[2] * self.x1,
-                                    m[3] - 1j * self.chi * (m[0] * self.x1 + m[1] * self.x2)))
-
-    def const_hat(self, a, b):
-        return _interp(self.forms, (np.full_like(self.x1, a, dtype=complex),
-                                    np.full_like(self.x1, b, dtype=complex), self.zeros))
 
 
 def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None, depth="full"):
@@ -292,8 +259,7 @@ def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None, depth="
     coefficient vectors, and the kernel residual of every corrector
     right-hand side.
     """
-    cb = _ChainBuilder(forms, chi, t, regime, gram_mode)
-    cb.depth = depth
+    cb = _ChainBuilder(FiberOps(forms, chi), t, regime, gram_mode, depth)
     tag = scaling if scaling is not None else _DEFAULT_SCALING[regime]
     g = apply_load_scaling(f, tag, chi)
     if regime == "stretch":
@@ -310,142 +276,93 @@ def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None, depth="
 def _chain_stretch(cb, f):
     t, M = cb.t, cb.forms.M
     m = cb.msolve(cb.ops.momentum(f, "stretch"))
-    cb.chain.m["m"] = m
-    u0 = cb.E @ m
-    cb.chain.terms["u0"] = u0
-    u1 = cb.B1(m)
-    cb.chain.terms["u1"] = u1
-
-    b2 = -t * (cb.shift(u1) + cb.lam(m)) - M @ u0 + M @ f
+    u0, u1 = cb.coefficients(0, m)
+    b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ u0 + M @ f
     u2 = cb.solve("u2", b2)
 
     m1 = cb.msolve(cb.project_m(u2, u1))
-    cb.chain.m["m1"] = m1
-    u0_1 = cb.E @ m1
-    cb.chain.terms["u0_1"] = u0_1
-    u1_1 = cb.B1(m1)
-    cb.chain.terms["u1_1"] = u1_1
+    u0_1, u1_1 = cb.coefficients(1, m1)
     if cb.depth == "correctors":
         return
 
-    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam(m1) + cb.shift2(u1))
+    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam @ m1 + cb.shift2(u1))
             - M @ u0_1 - M @ u1)
     cb.solve("u2_1", b2_1)
 
 
 def _chain_bend(cb, g):
-    forms, t, M = cb.forms, cb.t, cb.forms.M
-    n = forms.mesh.n_nodes
-    gv = g.reshape(n, 3)
+    t, M, S, T = cb.t, cb.forms.M, cb.S, cb.T
+    plane = (g.reshape(-1, 3) * [1, 1, 0]).reshape(-1)   # the in-plane part of g
 
     m = cb.msolve(cb.ops.momentum(g, "bend"))
-    cb.chain.m["m"] = m
-    cb.chain.terms["u0"] = cb.E @ m
-    u1 = cb.B1(m)
-    cb.chain.terms["u1"] = u1
-
-    b2 = (-t * (cb.shift(u1) + cb.lam(m))
-          - M @ cb.w_bend(m)
-          + M @ _interp(forms, (cb.zeros, cb.zeros, gv[:, 2])))
+    _, u1 = cb.coefficients(0, m)
+    b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ (S @ m) + M @ (g - plane)
     u2 = cb.solve("u2", b2)
 
-    b3 = (-t * (cb.shift(u2) + cb.shift2(u1))
-          - M @ cb.const_hat(m[0], m[1])
-          + M @ _interp(forms, (gv[:, 0], gv[:, 1], cb.zeros)))
+    b3 = -t * (cb.shift(u2) + cb.shift2(u1)) - M @ (T @ m) + M @ plane
     u3 = cb.solve("u3", b3)
 
     m1 = cb.msolve(cb.project_m(u3, u2))
-    cb.chain.m["m1"] = m1
-    cb.chain.terms["u0_1"] = cb.E @ m1
-    u1_1 = cb.B1(m1)
-    cb.chain.terms["u1_1"] = u1_1
+    _, u1_1 = cb.coefficients(1, m1)
     if cb.depth == "correctors":
         return
 
-    b2_1 = -t * (cb.shift(u1_1) + cb.lam(m1)) - M @ cb.w_bend(m1)
+    b2_1 = -t * (cb.shift(u1_1) + cb.lam @ m1) - M @ (S @ m1)
     u2_1 = cb.solve("u2_1", b2_1)
 
-    b3_1 = (-t * (cb.shift(u2_1 + u3) + cb.shift2(u1_1 + u2))
-            - M @ cb.const_hat(m1[0], m1[1]))
+    b3_1 = -t * (cb.shift(u2_1 + u3) + cb.shift2(u1_1 + u2)) - M @ (T @ m1)
     u3_1 = cb.solve("u3_1", b3_1)
 
     m2 = cb.msolve(cb.project_m(u3_1, u2_1 + u3))
-    cb.chain.m["m2"] = m2
-    cb.chain.terms["u0_2"] = cb.E @ m2
-    u1_2 = cb.B1(m2)
-    cb.chain.terms["u1_2"] = u1_2
+    _, u1_2 = cb.coefficients(2, m2)
 
-    b2_2 = -t * (cb.shift(u1_2) + cb.lam(m2)) - M @ cb.w_bend(m2)
+    b2_2 = -t * (cb.shift(u1_2) + cb.lam @ m2) - M @ (S @ m2)
     u2_2 = cb.solve("u2_2", b2_2)
 
     b3_2 = (-t * (cb.shift(u2_2 + u3_1) + cb.shift2(u1_2 + u2_1 + u3))
-            - M @ cb.const_hat(m2[0], m2[1]) - M @ cb.chain.terms["u1"])
+            - M @ (T @ m2) - M @ u1)
     cb.solve("u3_2", b3_2)
 
 
 def _chain_general(cb, g):
-    forms, t, M = cb.forms, cb.t, cb.forms.M
-    n = forms.mesh.n_nodes
-    gv = g.reshape(n, 3)
-    fbar = forms.kernel_fields[:2] @ (M @ g)   # int g1, int g2
+    t, M, S, T = cb.t, cb.forms.M, cb.S, cb.T
+    fbar = T.T @ (M @ g)   # int g1, int g2
 
     m = cb.msolve(cb.ops.momentum(g, cb.regime))
-    cb.chain.m["m"] = m
-    cb.chain.terms["u0"] = cb.E @ m
-    u1 = cb.B1(m)
-    cb.chain.terms["u1"] = u1
-
-    fload = _interp(forms, (gv[:, 0] - fbar[0], gv[:, 1] - fbar[1], gv[:, 2]))
-    b2 = -t * (cb.shift(u1) + cb.lam(m)) - M @ cb.s_rod(m) + M @ fload
+    _, u1 = cb.coefficients(0, m)
+    b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ (S @ m) + M @ (g - T @ fbar)
     u2 = cb.solve("u2", b2)
 
     m1 = cb.msolve(cb.project_m(u2, u1))
-    cb.chain.m["m1"] = m1
-    cb.chain.terms["u0_1"] = cb.E @ m1
-    u1_1 = cb.B1(m1)
-    cb.chain.terms["u1_1"] = u1_1
+    _, u1_1 = cb.coefficients(1, m1)
     if cb.depth == "correctors":
         return
 
+    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam @ m1 + cb.shift2(u1))
+            - M @ (S @ m1) - M @ (T @ m[:2]) + M @ (T @ fbar))
     if cb.regime == "general_chi2":
-        b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam(m1) + cb.shift2(u1))
-                - M @ cb.s_rod(m1) - M @ cb.const_hat(m[0], m[1])
-                + M @ cb.const_hat(fbar[0], fbar[1]) - M @ u1)
-        cb.solve("u2_1", b2_1)
+        cb.solve("u2_1", b2_1 - M @ u1)
         return
-
-    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam(m1) + cb.shift2(u1))
-            - M @ cb.s_rod(m1) + M @ cb.const_hat(fbar[0], fbar[1])
-            - M @ cb.const_hat(m[0], m[1]))
     u2_1 = cb.solve("u2_1", b2_1)
 
     m2 = cb.msolve(cb.project_m(u2_1, u1_1 + u2))
-    cb.chain.m["m2"] = m2
-    cb.chain.terms["u0_2"] = cb.E @ m2
-    u1_2 = cb.B1(m2)
-    cb.chain.terms["u1_2"] = u1_2
+    _, u1_2 = cb.coefficients(2, m2)
 
-    b2_2 = (-t * (cb.shift(u1_2 + u2_1) + cb.lam(m2) + cb.shift2(u2 + u1_1))
-            - M @ cb.const_hat(m1[0], m1[1]) - M @ cb.s_rod(m2))
+    b2_2 = (-t * (cb.shift(u1_2 + u2_1) + cb.lam @ m2 + cb.shift2(u2 + u1_1))
+            - M @ (T @ m1[:2]) - M @ (S @ m2))
     u2_2 = cb.solve("u2_2", b2_2)
 
-    # third refinement: the closing coefficient vector is fixed by requiring
-    # the next right-hand side to annihilate the rigid motions (affine solve)
-    def b2_3(m3):
-        return (-t * (cb.shift(cb.B1(m3) + u2_2) + cb.lam(m3) + cb.shift2(u2_1 + u1_2))
-                - M @ cb.const_hat(m2[0], m2[1]) - M @ cb.s_rod(m3) - M @ u1)
-
-    kern = forms.kernel_fields.astype(complex)
-    b0 = b2_3(np.zeros(4))
-    r0 = kern @ b0
-    Z = np.zeros((4, 4), dtype=complex)
-    for r in range(4):
-        Z[:, r] = kern @ b2_3(np.eye(4)[r]) - r0
-    m3 = np.linalg.solve(Z, -r0)
-    cb.chain.m["m3"] = m3
-    cb.chain.terms["u0_3"] = cb.E @ m3
-    cb.chain.terms["u1_3"] = cb.B1(m3)
-    cb.solve("u2_3", b2_3(m3))
+    # third refinement: the next right-hand side is affine in the closing
+    # coefficient vector, b0 + B m3, and m3 is fixed by requiring it to
+    # annihilate the rigid motions. Z = kern B has rank 2: this order does not
+    # fix the bend slots of m3, which span its null space, so take the
+    # minimum-norm solution with a rank cut-off
+    b0 = -t * (cb.shift(u2_2) + cb.shift2(u2_1 + u1_2)) - M @ (T @ m2[:2]) - M @ u1
+    B = -t * (cb.chi * (cb.forms.K_sx @ cb.B1) + cb.lam) - M @ S
+    kern = cb.forms.kernel_fields
+    m3 = np.linalg.lstsq(kern @ B, -(kern @ b0), rcond=1e-10)[0]
+    cb.coefficients(3, m3)
+    cb.solve("u2_3", b0 + B @ m3)
 
 
 def chain_reference(forms, chi, t, regime, f, scaling=None):
@@ -456,19 +373,15 @@ def chain_reference(forms, chi, t, regime, f, scaling=None):
 
 
 def error_report(forms, chain, reference, componentwise=False):
-    """L2/H1 errors of the order-0 and order-1 approximants."""
+    """L2/H1 errors of the order-0 and order-1 approximants, over all
+    components or, componentwise, in-plane ('12') and out-of-line ('3')."""
     rows = []
     for order, approx in ((0, chain.order0()), (1, chain.order1())):
         e = reference - approx
-        comps = [0, 1, 2] if componentwise else [None]
-        for c in comps:
-            rows.append({
-                "chi": chain.chi,
-                "order": order,
-                "component": "all" if c is None else str(c + 1),
-                "err_l2": np.sqrt(forms.norm_sq_l2(e, component=c)),
-                "err_h1": np.sqrt(forms.norm_sq_h1(e, component=c)),
-            })
+        for c in ("12", "3") if componentwise else ("all",):
+            rows.append({"chi": chain.chi, "component": c, "order": order,
+                         "err_l2": np.sqrt(forms.norm_sq_l2(e, c)),
+                         "err_h1": np.sqrt(forms.norm_sq_h1(e, c))})
     return rows
 
 
@@ -517,8 +430,8 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     power = 2 if regime in ("stretch", "general_chi2") else 4
     sc = chi ** power
     ops = FiberOps(forms, chi)
-    A = ops.a_chi(regime)
-    C = ops.gram(regime)
+    s = _slots(regime)
+    A, C = ops.A[s, s], ops.C[s, s]
     g = apply_load_scaling(f, "none" if power == 2 else "s_abs_chi", chi)
     mom = ops.momentum(g, regime)
 
@@ -546,9 +459,9 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
         np.linalg.norm(m_contour - m_oracle) / np.linalg.norm(m_direct))
 
     # first-order corrector is B1 applied to the same coefficients
-    B1 = hz.corrector_map_B1(forms, _slot_key(regime), chi)
-    u1_direct = B1(m_direct)
-    u1_contour = B1(m_contour)
+    B1 = ops.B1[:, s]
+    u1_direct = B1 @ m_direct
+    u1_contour = B1 @ m_contour
     nrm = np.linalg.norm(u1_direct)
     out["corrector"] = float(np.linalg.norm(u1_contour - u1_direct) / nrm) if nrm > 0 else 0.0
 
@@ -558,7 +471,7 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     # refined coefficient m^(1): build the affine pieces P-hat, Q, S-hat of
     # r(t) = t P m + Q m + S f and compare against the double-resolvent
     # contour formula
-    cb = _ChainBuilder(forms, chi, t, "stretch")
+    cb = _ChainBuilder(ops, t, "stretch")
     saddle = forms.saddle_solver()
     E = cb.E
     nb = E.shape[1]
@@ -569,9 +482,8 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
 
     Phat = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):
-        er = np.eye(nb)[r]
-        u1 = cb.B1(er)
-        w = saddle.solve(cb.shift(u1) + cb.lam(er), check=False)
+        u1 = cb.B1[:, r]
+        w = saddle.solve(cb.shift(u1) + cb.lam[:, r], check=False)
         Phat[:, r] = cb.moments(w, -u1)
     Q = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):

@@ -15,9 +15,15 @@ class CrossSectionMesh:
     def __init__(self, nodes, elements):
         self.nodes = np.asarray(nodes, dtype=float)
         self.elements = np.asarray(elements, dtype=int)
+        # det of the bilinear map is affine in each reference coordinate, so
+        # it is positive on an element iff it is positive at the 4 corners
+        X = self.nodes[self.elements]                              # (n_elem, 4, 2)
+        a, b = np.roll(X, -1, axis=1) - X, np.roll(X, 1, axis=1) - X
+        bad = np.flatnonzero(np.min(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0], axis=1) <= 0)
+        if len(bad):
+            raise ValueError("cross-section element %d has a non-positive Jacobian "
+                             "determinant (inverted, clockwise or non-convex)" % bad[0])
         self.areas = _quad_areas(self.nodes, self.elements)
-        if np.any(self.areas <= 0):
-            raise ValueError("degenerate or inverted elements")
 
     @property
     def n_nodes(self):
@@ -73,7 +79,6 @@ def is_centrally_symmetric(mesh, tol=1e-10):
     pairing = np.full(len(nodes), -1, dtype=int)
     # match -node_i against the sorted node list
     for i, p in enumerate(-nodes):
-        lo, hi = 0, len(order)
         j = np.searchsorted(nodes[order, 0], p[0] - tol)
         found = -1
         while j < len(order):

@@ -1,10 +1,11 @@
-"""Cell problems, effective rod tensors, and first-order corrector maps.
+"""Cell problems and effective rod tensors.
 
 The coefficient vector m = (m1, m2, m3, m4) collects two bending curvatures,
 the torsion rate and the stretching rate. The associated strain data are the
 J-matrices; their chi-scaled versions are Lambda^bend = (i chi)^2 J^bend and
 Lambda^stretch = i chi J^stretch, which we realise through the diagonal
-scaling G(chi) = diag((i chi)^2, (i chi)^2, i chi, i chi).
+scaling G(chi) = diag((i chi)^2, (i chi)^2, i chi, i chi). So the first-order
+corrector map at a fiber is the cell basis times G(chi) (fiber.FiberOps.B1).
 """
 
 from dataclasses import dataclass
@@ -36,9 +37,10 @@ def j_voigt(m, coords):
 
 
 def g_scaling(chi):
-    """G(chi): coefficient scaling turning J into Lambda."""
-    ic = 1j * chi
-    return np.array([ic ** 2, ic ** 2, ic, ic])
+    """G(chi): coefficient scaling turning J into Lambda, as the diagonal
+    (..., 4) for a scalar chi or an array of them."""
+    ic = 1j * np.asarray(chi)
+    return np.stack([ic ** 2, ic ** 2, ic, ic], axis=-1)
 
 
 def lambda_matrix(chi, m, xhat):
@@ -46,7 +48,7 @@ def lambda_matrix(chi, m, xhat):
 
 
 # regimes select which coefficient slots are active
-_REGIME_SLOTS = {"bend": [0, 1], "stretch": [2, 3], "rod": [0, 1, 2, 3]}
+_REGIME_SLOTS = {"bend": slice(0, 2), "stretch": slice(2, 4), "rod": slice(0, 4)}
 
 
 def solve_cell(forms, m, check=True):
@@ -65,20 +67,6 @@ def cell_basis(forms):
     if not hasattr(forms, "_cell_basis"):
         forms._cell_basis = np.array([solve_cell(forms, m) for m in np.eye(4)])
     return forms._cell_basis
-
-
-def corrector_map_B1(forms, regime, chi):
-    """Linear map m -> first-order corrector with Lambda_{chi,m} data."""
-    basis = cell_basis(forms)
-    slots = _REGIME_SLOTS[regime]
-    g = g_scaling(chi)
-
-    def apply(m):
-        coeff = np.zeros(4, dtype=complex)
-        coeff[slots] = g[slots] * np.asarray(m, dtype=complex)
-        return coeff @ basis
-
-    return apply
 
 
 @dataclass
@@ -101,19 +89,18 @@ def rod_tensor(forms):
     return forms._rod_tensor
 
 
-def chi_tensor(forms, chi, regime="rod", direct=True):
-    """The Hermitian effective matrix at quasimomentum chi.
+def chi_tensor(forms, chi, direct=True):
+    """The Hermitian 4x4 effective matrix at quasimomentum chi, in the rod
+    slot order; a regime takes the block of its slots.
 
     With direct=True the complex cell problems with Lambda data are solved
     as such; otherwise the chi-scaling of the J-basis solutions is used
     (the two agree to solver precision, which tests assert).
     """
-    slots = _REGIME_SLOTS[regime]
-    G = np.diag(g_scaling(chi)[slots])
+    G = np.diag(g_scaling(chi))
     if not direct:
-        return G.conj().T @ rod_tensor(forms).A_rod[np.ix_(slots, slots)] @ G
-    # column k of data holds the J-coefficients of Lambda_k
-    data = np.eye(4)[:, slots] @ G
-    sols = np.array([solve_cell(forms, m) for m in data.T])
-    A = G.conj().T @ (forms.J_gram[np.ix_(slots, slots)] @ G + forms.Ls[:, slots].T @ sols.T)
+        return G.conj().T @ rod_tensor(forms).A_rod @ G
+    # column k of G holds the J-coefficients of Lambda_k
+    sols = np.array([solve_cell(forms, m) for m in G.T])
+    A = G.conj().T @ (forms.J_gram @ G + forms.Ls.T @ sols.T)
     return 0.5 * (A + A.conj().T)

@@ -75,10 +75,11 @@ def _cache(forms):
 
 def _limit_matrix(A4, md, chi, t, regime):
     """t * G(chi)^H A G(chi) + C restricted to the regime slots, with the
-    chi-independent weight C of the limit operator (identity for bending)."""
+    chi-independent weight C of the limit operator (identity for bending);
+    one matrix per entry of chi, stacked along the leading axes."""
     slots = hz._REGIME_SLOTS[regime]
-    g = hz.g_scaling(chi)[slots]
-    A = np.conj(g)[:, None] * A4[np.ix_(slots, slots)] * g[None, :]
+    g = hz.g_scaling(chi)[..., slots]
+    A = np.conj(g)[..., :, None] * A4[slots, slots] * g[..., None, :]
     if regime == "bend":
         C = np.eye(2)
     elif regime == "stretch":
@@ -88,28 +89,24 @@ def _limit_matrix(A4, md, chi, t, regime):
     return t * A + C
 
 
-def _mass_apply(Mw, vec):
-    return (Mw @ np.asarray(vec).reshape(Mw.shape[0], 3)).reshape(-1)
-
-
 def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"):
-    """Leading-order line approximant: momentum map, per-frequency symbol
-    solve, adjoint embedding."""
+    """Leading-order line approximant: per longitudinal frequency theta, the
+    momentum map, the symbol solve and the adjoint embedding at chi = eps
+    theta, all frequencies at once. With momentum_variant "zero" the
+    embedding is E0 alone. E0 and E1 are the first slab of the forms' tiles."""
     cache = _cache(forms)
     A4 = hz.rod_tensor(forms).A_rod
-    cross = forms.mesh.cross
+    n, slots = 3 * forms.mesh.cross.n_nodes, hz._REGIME_SLOTS[regime]
+    E0, E1 = forms.E0[:n, slots], forms.E1[:n, slots]
     t = f.eps ** (-(gamma + 2.0))
     g = tr.xi_smoothing(f) if use_xi else f
     ghat = np.fft.fft(g.values, axis=0)
-    thetas = 2.0 * np.pi * np.fft.fftfreq(f.S, d=f.L / f.S)
-    out = np.zeros_like(ghat)
-    for s in range(f.S):
-        chi = f.eps * thetas[s]
-        E = fiber.cross_embedding(cross, chi, regime, momentum_variant)
-        mom = E.conj().T @ _mass_apply(cache["Mw"], ghat[s])
-        mhat = np.linalg.solve(_limit_matrix(A4, cache["md"], chi, t, regime), mom)
-        out[s] = E @ mhat
-    return f.like(np.fft.ifft(out, axis=0))
+    chi = f.eps * (2.0 * np.pi * np.fft.fftfreq(f.S, d=f.L / f.S))
+    tilt = np.zeros((f.S, 1)) if momentum_variant == "zero" else chi[:, None]
+    Mg = (cache["Mw"] @ ghat.reshape(f.S, -1, 3)).reshape(f.S, -1)
+    mom = Mg @ E0.conj() + tilt * (Mg @ E1.conj())
+    mhat = np.linalg.solve(_limit_matrix(A4, cache["md"], chi, t, regime), mom[..., None])[..., 0]
+    return f.like(np.fft.ifft(mhat @ E0.T + tilt * (mhat @ E1.T), axis=0))
 
 
 def fiber_pullback_resolvent(forms, f, gamma, regime):
@@ -200,17 +197,15 @@ def line_inner(forms, a, b):
 
 def line_error_norm(forms, e, kind="l2", component=None):
     """Fiberwise L2 or eps-scaled H1 norm of a line field (component '12',
-    '3', or 'all'/None)."""
+    '3', or 'all'/None; see fem.COMPONENTS)."""
     b = tr.gelfand(e)
-    comps = {"12": (0, 1), "3": (2,), "all": (None,), None: (None,)}[component]
     tot = 0.0
     for k in range(len(b.chis)):
         u = b.fiber(k)
-        for c in comps:
-            if kind == "l2":
-                tot += forms.norm_sq_l2(u, component=c)
-            else:
-                tot += forms.norm_sq_h1(u, component=c, chi=float(b.chis[k]), eps=e.eps)
+        if kind == "l2":
+            tot += forms.norm_sq_l2(u, component)
+        else:
+            tot += forms.norm_sq_h1(u, component, chi=float(b.chis[k]), eps=e.eps)
     return float(np.sqrt(tot / b.n_y))
 
 
@@ -441,21 +436,9 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
             ch = fiber.build_chain(forms, chi, t, regime, f)
             ref = solvers[t].solve(fiber.apply_load_scaling(
                 f, fiber._DEFAULT_SCALING[regime], chi))
-            for order, approx in ((0, ch.order0()), (1, ch.order1())):
-                e = ref - approx
-                if split:
-                    comps = {"12": ((0,), (1,)), "3": ((2,),)}
-                else:
-                    comps = {"all": ((None,),)}
-                for tag, groups in comps.items():
-                    l2 = np.sqrt(sum(forms.norm_sq_l2(e, component=c)
-                                     for g in groups for c in g))
-                    h1 = np.sqrt(sum(forms.norm_sq_h1(e, component=c)
-                                     for g in groups for c in g))
-                    rows[regime].append({"regime": regime, "chi": chi,
-                                         "component": tag, "order": order,
-                                         "err_l2": l2, "err_h1": h1})
-                    errs[(regime, tag, order)].append(h1)
+            for row in fiber.error_report(forms, ch, ref, componentwise=split):
+                rows[regime].append({"regime": regime, **row})
+                errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     slopes = []
     for (regime, tag, order), seq in errs.items():
         if not seq:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rodhom import fem, fiber, homogenize as hz, transform as tr
 from rodhom.geometry import ProductMesh, build_rectangle, compute_moments, is_centrally_symmetric
 from rodhom.material import MaterialProfile, make_isotropic
+
+from support_embedding import const_hat, cross_embedding_columns, s_rod, w_bend
 
 CHI_SWEEP = [0.4, 0.283, 0.2, 0.141, 0.1, 0.0707, 0.05]
 
@@ -66,6 +69,45 @@ def test_gram_matches_analytic(setup):
         assert np.max(np.abs(ops.gram("rod") - md.C_rod_chi(chi))) < 1e-12
         assert np.max(np.abs(ops.gram("bend") - md.C_bend(chi))) < 1e-12
         assert np.max(np.abs(ops.gram("stretch") - md.C_stretch)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-3.0, 3.0),
+       st.lists(st.complex_numbers(max_magnitude=10.0), min_size=4, max_size=4))
+def test_embedding_properties(setup, chi, m):
+    # embed is the nodal field of (E0 + chi E1) m, momentum is its M-adjoint,
+    # and the Gram matrix is the analytic one
+    forms, *_, f = setup
+    x1, x2 = forms.mesh.node_coords()[:, 0], forms.mesh.node_coords()[:, 1]
+    ops = fiber.FiberOps(forms, chi)
+    u = ops.embed(m, "rod")
+    want = const_hat(x1, m[0], m[1]) + s_rod(x1, x2, chi, m)
+    assert np.max(np.abs(u - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+    lhs = np.vdot(f, forms.M @ u)
+    rhs = np.vdot(ops.momentum(f, "rod"), m)
+    assert abs(lhs - rhs) <= 1e-12 * max(np.sqrt(forms.norm_sq_l2(u)), 1.0)
+    C = compute_moments(forms.mesh.cross).C_rod_chi(chi)
+    assert np.max(np.abs(ops.gram("rod") - C)) <= 1e-12 * np.max(np.abs(C))
+
+
+def test_chain_blocks_match_nodal_fields(setup):
+    # the column blocks the chains use against their node-by-node fields
+    forms = setup[0]
+    x1, x2 = forms.mesh.node_coords()[:, 0], forms.mesh.node_coords()[:, 1]
+    rng = np.random.default_rng(5)
+    for chi in (0.4, -0.3):
+        ops = fiber.FiberOps(forms, chi)
+        m = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        for got, want in ((ops.S[:, :2] @ m[:2], w_bend(x1, x2, chi, m)),
+                          (ops.S @ m, s_rod(x1, x2, chi, m)),
+                          (forms.E0[:, :2] @ m[:2], const_hat(x1, m[0], m[1]))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        E0, E1 = fem.embedding_blocks(forms.mesh.cross)
+        for key in ("bend", "stretch", "rod"):
+            s = hz._REGIME_SLOTS[key]
+            for variant, got in (("eps", (E0 + chi * E1)[:, s]), ("zero", E0[:, s])):
+                want = cross_embedding_columns(forms.mesh.cross, chi, key, variant)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_reference_apriori_bounded(setup):
@@ -200,28 +242,8 @@ def test_chain_rates(setup):
         for chi in CHI_SWEEP:
             ch = fiber.build_chain(forms, chi, chi ** pw, regime, loads[regime])
             ref = fiber.chain_reference(forms, chi, chi ** pw, regime, loads[regime])
-            rows = fiber.error_report(forms, ch, ref, componentwise=comp)
-            for row in rows:
-                if comp:
-                    tag = {"1": "12", "2": "12", "3": "3"}[row["component"]]
-                    key = (regime, tag, row["order"])
-                    if (regime, "12", row["order"]) in errs and row["component"] == "2":
-                        continue  # components 1, 2 measured jointly below
-                else:
-                    key = (regime, "all", row["order"])
-                if key in errs:
-                    errs[key].append(row["err_h1"])
-    # joint 1-2 component errors need recombination; redo those directly
-    for regime, f in [("bend", fb), ("general_chi4", fn)]:
-        for order in (0, 1):
-            errs[(regime, "12", order)] = []
-        for chi in CHI_SWEEP:
-            ch = fiber.build_chain(forms, chi, chi ** -4, regime, f)
-            ref = fiber.chain_reference(forms, chi, chi ** -4, regime, f)
-            for order, ap in ((0, ch.order0()), (1, ch.order1())):
-                e = ref - ap
-                errs[(regime, "12", order)].append(np.sqrt(
-                    forms.norm_sq_h1(e, 0) + forms.norm_sq_h1(e, 1)))
+            for row in fiber.error_report(forms, ch, ref, componentwise=comp):
+                errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     for key, floor in thresholds.items():
         slope = fiber.fit_slope(CHI_SWEEP, errs[key])
         assert slope >= floor, (key, slope)
@@ -235,6 +257,19 @@ def test_third_refinement_closes(setup):
     names = [n for n, _ in ch.residuals]
     assert "u2_3" in names
     assert dict(ch.residuals)["u2_3"] < 1e-10
+
+
+def test_third_refinement_determined_by_load(setup):
+    # the rigid-motion condition of the third refinement leaves the bend
+    # slots of m3 free; a last-bit change of the load must not move m3
+    forms, _, _, fn = setup
+    for chi in (0.4, 0.2, 0.1, 0.05):
+        a = fiber.build_chain(forms, chi, chi ** -4, "general_chi4", fn)
+        b = fiber.build_chain(forms, chi, chi ** -4, "general_chi4", fn * (1 + 1e-15))
+        m3 = a.m["m3"]
+        assert np.linalg.norm(b.m["m3"] - m3) <= 1e-12 * np.linalg.norm(m3)
+        for ch in (a, b):
+            assert dict(ch.residuals)["u2_3"] < 1e-10
 
 
 def test_gram_mode_identity_same_rates(setup):
@@ -296,5 +331,5 @@ def test_embed_matrix_tiles_cross_embedding(setup):
     for chi in (0.0, 0.3, -2.1):
         ops = fiber.FiberOps(forms, chi)
         for regime, key in keys.items():
-            E = fiber.cross_embedding(forms.mesh.cross, chi, key)
-            assert np.array_equal(ops.embed_matrix(regime), np.tile(E, (forms.mesh.n_y, 1)))
+            E = np.tile(cross_embedding_columns(forms.mesh.cross, chi, key), (forms.mesh.n_y, 1))
+            assert np.max(np.abs(ops.embed_matrix(regime) - E)) <= 1e-15 * np.max(np.abs(E))

@@ -26,6 +26,16 @@ def test_degenerate_counts_rejected():
         build_rectangle(1.0, 1, 8)
 
 
+def test_clockwise_element_rejected_at_mesh():
+    # the shoelace area of a clockwise element is negative; its absolute value
+    # is not, so only the corner Jacobians show the orientation
+    cross = build_rectangle(1.0, 2, 2)
+    elements = cross.elements.copy()
+    elements[2] = elements[2][::-1]
+    with pytest.raises(ValueError, match="element 2"):
+        CrossSectionMesh(cross.nodes, elements)
+
+
 def test_first_moments_vanish():
     m = build_rectangle(1.5, 6, 4)
     # element-exact by symmetry of the construction

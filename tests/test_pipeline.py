@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rodhom import fem, fiber, pipeline as pl, transform as tr
+from rodhom import fem, pipeline as pl, transform as tr
 from rodhom.geometry import (ProductMesh, build_rectangle, compute_moments,
                              cross_mass, is_centrally_symmetric)
 from rodhom.homogenize import rod_tensor
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
+
+from support_embedding import cross_embedding_columns, limit_resolvent_loop
 
 NY = 8
 
@@ -45,6 +47,15 @@ def test_limit_matches_fiber_pullback(forms, load):
         b = pl.fiber_pullback_resolvent(forms, load, 0.0, regime)
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(a.values - b.values)) < 1e-10 * scale
+
+
+def test_limit_resolvent_matches_frequency_loop(forms, load):
+    for regime in ("rod", "stretch", "bend"):
+        for variant in ("eps", "zero"):
+            for use_xi in (True, False):
+                got = pl.limit_resolvent(forms, load, 0.3, regime, use_xi, variant).values
+                want = limit_resolvent_loop(forms, load, 0.3, regime, use_xi, variant).values
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_reference_selfadjoint(forms):
@@ -94,7 +105,7 @@ def test_zero_frequency_mode(forms):
     f = tr.LineField(vals, 0.25, NY)
     out = pl.limit_resolvent(forms, f, 0.0, "rod")
     Mw = cross_mass(forms.mesh.cross)
-    E0 = fiber.cross_embedding(forms.mesh.cross, 0.0, "rod")
+    E0 = cross_embedding_columns(forms.mesh.cross, 0.0, "rod")
     mom = E0.conj().T @ (Mw @ c.reshape(n_c, 3)).reshape(-1)
     expected = E0 @ np.linalg.solve(md.C_rod, mom)
     assert np.max(np.abs(out.values - expected[None, :])) < 1e-12 * np.max(np.abs(expected))
@@ -119,7 +130,7 @@ def test_stretch_single_frequency_oracle(forms):
     mh = np.linalg.solve(eps ** (-gamma) * theta ** 2 * rt.A_stretch + md.C_stretch,
                          md.C_stretch @ c)
     expected = np.outer(np.exp(1j * theta * x3),
-                        (fiber.cross_embedding(cross, 0.0, "stretch") @ mh))
+                        (cross_embedding_columns(cross, 0.0, "stretch") @ mh))
     out = pl.limit_resolvent(forms, f, gamma, "stretch")
     assert np.max(np.abs(out.values - expected)) < 1e-10 * np.max(np.abs(expected))
 
