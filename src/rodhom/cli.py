@@ -55,13 +55,56 @@ def _merge(base, user, where=""):
             base[key] = val
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _numbers(v, test, least):
+    return isinstance(v, list) and len(v) >= least and all(_number(x) and test(x) for x in v)
+
+
+# what each value outside the material layers must be, by dotted key; the
+# layers are left to profile_from_json, which also runs before assembly
+_RECT = "geometry.cross_section.rectangle."
+_VALUES = {
+    _RECT + "aspect": ("a positive number", lambda v: _number(v) and v > 0),
+    _RECT + "nx": ("an integer >= 2", lambda v: _integer(v) and v >= 2),
+    _RECT + "ny": ("an integer >= 2", lambda v: _integer(v) and v >= 2),
+    "geometry.n_y": ("an integer >= 2", lambda v: _integer(v) and v >= 2),
+    "gamma": ("a number > -2", lambda v: _number(v) and v > -2),
+    "delta": ("a number >= 0", lambda v: _number(v) and v >= 0),
+    "length": ("a positive number", lambda v: _number(v) and v > 0),
+    "n_grid": ("a list of at least 4 positive integers",
+               lambda v: _numbers(v, lambda n: _integer(n) and n > 0, 4)),
+    "regimes": ("a nonempty list drawn from %s" % ", ".join(pl.REGIMES),
+                lambda v: isinstance(v, list) and len(v) > 0
+                and all(r in pl.REGIMES for r in v)),
+    "n_loads": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
+    "seed": ("a nonnegative integer", lambda v: _integer(v) and v >= 0),
+    "slope_margin": ("a number >= 0", lambda v: _number(v) and v >= 0),
+    "chi_grid": ("a list of at least 2 positive numbers",
+                 lambda v: _numbers(v, lambda c: c > 0, 2)),
+}
+
+
 def load_config(path):
-    """DEFAULT_CONFIG deep-merged with the JSON file at path; a key the
-    defaults do not have raises ValueError."""
+    """DEFAULT_CONFIG deep-merged with the JSON file at path. A key the
+    defaults do not have, or a value of the wrong type or out of range,
+    raises ValueError naming its dotted key, before anything is built."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         with open(path) as fh:
             _merge(cfg, json.load(fh))
+    for key, (want, ok) in _VALUES.items():
+        val = cfg
+        for part in key.split("."):
+            val = val[part]
+        if not ok(val):
+            raise ValueError("config key %s must be %s, not %r" % (key, want, val))
     return cfg
 
 

@@ -196,11 +196,6 @@ class AssembledForms:
             return self.K_ss.astype(complex)
         return (self.K_ss + chi * self.K_sx + chi ** 2 * self.K_xx).tocsr()
 
-    def interpolate(self, fn):
-        """Nodal interpolation of fn(x1, x2, y) -> 3-vector (vectorised over
-        an (n, 3) coordinate array)."""
-        return np.asarray(fn(self.mesh.node_coords())).reshape(-1)
-
     # -- norms ------------------------------------------------------------
 
     def norm_sq_l2(self, u, component=None):
@@ -259,8 +254,7 @@ class SaddleSolver:
     cached on the forms does not refer back to them.
     """
 
-    def __init__(self, forms, tol=1e-8):
-        self.tol = tol
+    def __init__(self, forms):
         self.kernel = forms.kernel_fields
         R = sp.csr_matrix(forms.R.astype(complex))
         A = sp.bmat([[forms.K_ss.astype(complex), R.conj().T],
@@ -272,10 +266,12 @@ class SaddleSolver:
         self.n = forms.mesh.n_dof
 
     def solve(self, load, t=1.0, check=True):
+        """u with t K_ss u = load on the rigid-motion quotient; with check, a
+        load whose kernel residual exceeds 1e-8 of its norm is rejected."""
         load = np.asarray(load, dtype=complex)
         res = np.max(np.abs(self.kernel @ load))
         scale = np.linalg.norm(load)
-        if check and scale > 0 and res > self.tol * scale:
+        if check and scale > 0 and res > 1e-8 * scale:
             raise IncompatibleLoad("load has kernel residual %.3e relative" % (res / scale))
         rhs = np.concatenate([load, np.zeros(4, dtype=complex)])
         sol = self.lu.solve(rhs)
@@ -303,7 +299,7 @@ class ResolventSolver:
         return self.lu.solve(self.forms.M @ np.asarray(load_field, dtype=complex))
 
 
-def smallest_eigs(forms, chi, k, tol=0):
+def smallest_eigs(forms, chi, k):
     """k smallest eigenpairs of K(chi) u = lambda M u via shift-invert."""
     K = forms.K(chi)
     scale = float(np.abs(K.diagonal()).mean())
@@ -313,7 +309,7 @@ def smallest_eigs(forms, chi, k, tol=0):
     v0 = np.ones(forms.mesh.n_dof)
     try:
         vals, vecs = spla.eigsh(K, k=k, M=forms.M.astype(complex), sigma=sigma,
-                                which="LM", tol=tol, v0=v0)
+                                which="LM", v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc))
     order = np.argsort(vals)

@@ -1,26 +1,22 @@
-"""Fiber-level machinery: embeddings and momenta, reference resolvents,
-spectral scaling studies, the asymptotic approximation chains, and the
-contour-quadrature validation of the t-substitution.
+"""Fiber-level machinery: embeddings and momenta, spectral scaling studies,
+the asymptotic approximation chains and their error reports.
 
 Chains follow the four regimes (stretch, bend, general_chi2, general_chi4)
 with a free positive prefactor t standing in for chi^-2 / chi^-4 (or
-eps^-(gamma+2) in the eps-parametrised studies). Every corrector solve goes
-through one cached saddle factorisation; the solvability residual of each
-right-hand side against the rigid motions is recorded, since each one is an
-exact identity of the discrete construction.
+eps^-(gamma+2) in the eps-parametrised studies). Bend has its own recursion;
+stretch, general_chi2 and general_chi4 run one recursion on the slots of the
+regime, ending at chi^-2 or running on to the chi^-4 refinements. Every
+corrector solve goes through one cached saddle factorisation; the
+solvability residual of each right-hand side against the rigid motions is
+recorded, since each one is an exact identity of the discrete construction.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import fem, homogenize as hz
-
-
-class ContourTooClose(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +48,7 @@ class FiberOps:
     def A(self):
         """The Galerkin effective matrix G(chi)^H A_rod G(chi), through the
         exact chi-scaling of the J-basis cell solutions."""
-        return hz.chi_tensor(self.forms, self.chi, direct=False)
+        return hz.chi_tensor(self.forms, self.chi)
 
     @cached_property
     def B1(self):
@@ -115,11 +111,6 @@ def apply_load_scaling(values, tag, chi=None, eps=None, delta=None):
     elif tag != "none":
         raise ValueError(tag)
     return w.reshape(v.shape)
-
-
-def reference_solve(forms, chi, t, f):
-    """(t K(chi) + M) u = M f."""
-    return fem.ResolventSolver(forms, chi, t).solve(f)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +193,8 @@ class _ChainBuilder:
         self.regime, self.gram_mode, self.depth = regime, gram_mode, depth
         self.saddle = ops.forms.saddle_solver()
         self.E, self.S, self.B1, self.lam = (X[:, s] for X in (ops.E, ops.S, ops.B1, ops.lam))
-        self.T = ops.forms.E0[:, :2]     # the in-plane translations
+        # the in-plane translations among the regime's slots (none for stretch)
+        self.T = ops.forms.E0[:, :2][:, s]
         C = ops.C[s, s] if gram_mode == "chi" else np.eye(self.E.shape[1])
         self.symbol = t * ops.A[s, s] + C
         self.test_s, self.test_x, self.test_c = ops.test_fields(regime)
@@ -232,12 +224,12 @@ class _ChainBuilder:
 
     def coefficients(self, k, m):
         """Record the coefficient vector of refinement k and its terms E m and
-        B1 m: m, u0, u1 for k = 0, then mk, u0_k, u1_k."""
+        B1 m: m, u0, u1 for k = 0, then mk, u0_k, u1_k; returns B1 m."""
         tag = "_%d" % k if k else ""
         self.chain.m["m%d" % k if k else "m"] = m
-        u0 = self.chain.terms["u0" + tag] = self.E @ m
+        self.chain.terms["u0" + tag] = self.E @ m
         u1 = self.chain.terms["u1" + tag] = self.B1 @ m
-        return u0, u1
+        return u1
 
     def moments(self, u, v):
         """int A(sym-grad u + i chi X v) : conj(T) for each test field T of
@@ -262,32 +254,13 @@ def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None, depth="
     cb = _ChainBuilder(FiberOps(forms, chi), t, regime, gram_mode, depth)
     tag = scaling if scaling is not None else _DEFAULT_SCALING[regime]
     g = apply_load_scaling(f, tag, chi)
-    if regime == "stretch":
-        _chain_stretch(cb, g)
-    elif regime == "bend":
+    if regime == "bend":
         _chain_bend(cb, g)
-    elif regime in ("general_chi2", "general_chi4"):
+    elif regime in ("stretch", "general_chi2", "general_chi4"):
         _chain_general(cb, g)
     else:
         raise ValueError(regime)
     return cb.chain
-
-
-def _chain_stretch(cb, f):
-    t, M = cb.t, cb.forms.M
-    m = cb.msolve(cb.ops.momentum(f, "stretch"))
-    u0, u1 = cb.coefficients(0, m)
-    b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ u0 + M @ f
-    u2 = cb.solve("u2", b2)
-
-    m1 = cb.msolve(cb.project_m(u2, u1))
-    u0_1, u1_1 = cb.coefficients(1, m1)
-    if cb.depth == "correctors":
-        return
-
-    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam @ m1 + cb.shift2(u1))
-            - M @ u0_1 - M @ u1)
-    cb.solve("u2_1", b2_1)
 
 
 def _chain_bend(cb, g):
@@ -295,7 +268,7 @@ def _chain_bend(cb, g):
     plane = (g.reshape(-1, 3) * [1, 1, 0]).reshape(-1)   # the in-plane part of g
 
     m = cb.msolve(cb.ops.momentum(g, "bend"))
-    _, u1 = cb.coefficients(0, m)
+    u1 = cb.coefficients(0, m)
     b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ (S @ m) + M @ (g - plane)
     u2 = cb.solve("u2", b2)
 
@@ -303,7 +276,7 @@ def _chain_bend(cb, g):
     u3 = cb.solve("u3", b3)
 
     m1 = cb.msolve(cb.project_m(u3, u2))
-    _, u1_1 = cb.coefficients(1, m1)
+    u1_1 = cb.coefficients(1, m1)
     if cb.depth == "correctors":
         return
 
@@ -314,7 +287,7 @@ def _chain_bend(cb, g):
     u3_1 = cb.solve("u3_1", b3_1)
 
     m2 = cb.msolve(cb.project_m(u3_1, u2_1 + u3))
-    _, u1_2 = cb.coefficients(2, m2)
+    u1_2 = cb.coefficients(2, m2)
 
     b2_2 = -t * (cb.shift(u1_2) + cb.lam @ m2) - M @ (S @ m2)
     u2_2 = cb.solve("u2_2", b2_2)
@@ -325,28 +298,32 @@ def _chain_bend(cb, g):
 
 
 def _chain_general(cb, g):
+    """The recursion of stretch, general_chi2 and general_chi4 on the slots
+    of the regime. On the stretch slots T has no columns, so the terms of the
+    in-plane translations vanish; every regime but general_chi4 ends at the
+    chi^-2 order."""
     t, M, S, T = cb.t, cb.forms.M, cb.S, cb.T
     fbar = T.T @ (M @ g)   # int g1, int g2
 
     m = cb.msolve(cb.ops.momentum(g, cb.regime))
-    _, u1 = cb.coefficients(0, m)
+    u1 = cb.coefficients(0, m)
     b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ (S @ m) + M @ (g - T @ fbar)
     u2 = cb.solve("u2", b2)
 
     m1 = cb.msolve(cb.project_m(u2, u1))
-    _, u1_1 = cb.coefficients(1, m1)
+    u1_1 = cb.coefficients(1, m1)
     if cb.depth == "correctors":
         return
 
     b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam @ m1 + cb.shift2(u1))
-            - M @ (S @ m1) - M @ (T @ m[:2]) + M @ (T @ fbar))
-    if cb.regime == "general_chi2":
+            - M @ (S @ m1) - M @ (T @ m[:T.shape[1]]) + M @ (T @ fbar))
+    if cb.regime != "general_chi4":
         cb.solve("u2_1", b2_1 - M @ u1)
         return
     u2_1 = cb.solve("u2_1", b2_1)
 
     m2 = cb.msolve(cb.project_m(u2_1, u1_1 + u2))
-    _, u1_2 = cb.coefficients(2, m2)
+    u1_2 = cb.coefficients(2, m2)
 
     b2_2 = (-t * (cb.shift(u1_2 + u2_1) + cb.lam @ m2 + cb.shift2(u2 + u1_1))
             - M @ (T @ m1[:2]) - M @ (S @ m2))
@@ -363,13 +340,6 @@ def _chain_general(cb, g):
     m3 = np.linalg.lstsq(kern @ B, -(kern @ b0), rcond=1e-10)[0]
     cb.coefficients(3, m3)
     cb.solve("u2_3", b0 + B @ m3)
-
-
-def chain_reference(forms, chi, t, regime, f, scaling=None):
-    """The resolvent field the chain approximates (with the regime's load
-    scaling applied)."""
-    tag = scaling if scaling is not None else _DEFAULT_SCALING[regime]
-    return reference_solve(forms, chi, t, apply_load_scaling(f, tag, chi))
 
 
 def error_report(forms, chain, reference, componentwise=False):
@@ -390,115 +360,3 @@ def fit_slope(xs, errs):
     xs = np.asarray(xs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     return float(np.polyfit(np.log(xs), np.log(errs), 1)[0])
-
-
-# ---------------------------------------------------------------------------
-# contour-quadrature validation of the t-substitution
-
-
-def _contour(eigs):
-    """Circle enclosing the positive pencil eigenvalues with clearance on
-    both sides (the scaling-function pole sits on the negative axis)."""
-    eigs = np.asarray(eigs, dtype=float)
-    c0 = float((np.max(eigs) + np.min(eigs)) / 2.0)
-    half = float(np.max(eigs) - np.min(eigs)) / 2.0
-    gap = c0 - half  # distance from the circle of the eigenvalues to zero
-    if gap < 0.05 * c0:
-        raise ContourTooClose("eigenvalue too close to the origin for a safe circle")
-    radius = half + 0.3 * gap
-    return c0, radius
-
-
-def _quad_contour(fn, c0, radius, nodes):
-    """(2 pi i)^-1 closed contour integral by the trapezoid rule on a circle."""
-    th = 2 * np.pi * np.arange(nodes) / nodes
-    z = c0 + radius * np.exp(1j * th)
-    dz = 1j * radius * np.exp(1j * th)
-    vals = sum(fn(zz) * dd for zz, dd in zip(z, dz))
-    return vals / (1j * nodes)
-
-
-def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=256):
-    """Compare the t-substitution chain coefficients against contour
-    integrals of the scaled resolvent family.
-
-    Returns relative discrepancies for the leading term, the first-order
-    corrector, and (stretch) the refined coefficient with its double-pole
-    structure, plus a quadrature self-check at doubled node count.
-    """
-    t = eps ** (-(gamma + 2))
-    power = 2 if regime in ("stretch", "general_chi2") else 4
-    sc = chi ** power
-    ops = FiberOps(forms, chi)
-    s = _slots(regime)
-    A, C = ops.A[s, s], ops.C[s, s]
-    g = apply_load_scaling(f, "none" if power == 2 else "s_abs_chi", chi)
-    mom = ops.momentum(g, regime)
-
-    Asc = A / sc  # O(1) pencil
-    eigs = sla.eigvalsh(Asc, C)
-    pole = -1.0 / (t * sc)
-    c0, radius = _contour(eigs)
-    if abs(pole - c0) <= radius:
-        raise ContourTooClose("scaling-function pole inside the contour")
-
-    def R(z):
-        return np.linalg.inv(z * C - Asc)
-
-    def gfun(z):
-        return 1.0 / (t * sc * z + 1.0)
-
-    T = np.linalg.inv(t * A + C)
-    m_direct = T @ mom
-    out = {}
-
-    m_contour = _quad_contour(lambda z: gfun(z) * (R(z) @ mom), c0, radius, nodes)
-    m_oracle = _quad_contour(lambda z: gfun(z) * (R(z) @ mom), c0, radius, 2 * nodes)
-    out["leading"] = float(np.linalg.norm(m_contour - m_direct) / np.linalg.norm(m_direct))
-    out["leading_quadrature"] = float(
-        np.linalg.norm(m_contour - m_oracle) / np.linalg.norm(m_direct))
-
-    # first-order corrector is B1 applied to the same coefficients
-    B1 = ops.B1[:, s]
-    u1_direct = B1 @ m_direct
-    u1_contour = B1 @ m_contour
-    nrm = np.linalg.norm(u1_direct)
-    out["corrector"] = float(np.linalg.norm(u1_contour - u1_direct) / nrm) if nrm > 0 else 0.0
-
-    if regime != "stretch":
-        return out
-
-    # refined coefficient m^(1): build the affine pieces P-hat, Q, S-hat of
-    # r(t) = t P m + Q m + S f and compare against the double-resolvent
-    # contour formula
-    cb = _ChainBuilder(ops, t, "stretch")
-    saddle = forms.saddle_solver()
-    E = cb.E
-    nb = E.shape[1]
-    zero = np.zeros(forms.mesh.n_dof)
-
-    def Shat(h):
-        return -cb.moments(saddle.solve(forms.M @ h, check=False), zero)
-
-    Phat = np.zeros((nb, nb), dtype=complex)
-    for r in range(nb):
-        u1 = cb.B1[:, r]
-        w = saddle.solve(cb.shift(u1) + cb.lam[:, r], check=False)
-        Phat[:, r] = cb.moments(w, -u1)
-    Q = np.zeros((nb, nb), dtype=complex)
-    for r in range(nb):
-        Q[:, r] = -Shat(E[:, r])
-    Sf = Shat(g)
-
-    m1_direct = T @ (t * (Phat @ m_direct) + Q @ m_direct + Sf)
-
-    def integrand(z):
-        Rz = R(z)
-        return gfun(z) * (Rz @ ((-Phat / sc + z * Q) @ (Rz @ mom)) + Rz @ Sf)
-
-    m1_contour = _quad_contour(integrand, c0, radius, nodes)
-    m1_oracle = _quad_contour(integrand, c0, radius, 2 * nodes)
-    nrm = np.linalg.norm(m1_direct)
-    out["refined"] = float(np.linalg.norm(m1_contour - m1_direct) / nrm)
-    out["refined_quadrature"] = float(np.linalg.norm(m1_contour - m1_oracle) / nrm)
-    return out

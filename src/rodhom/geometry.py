@@ -23,21 +23,10 @@ class CrossSectionMesh:
         if len(bad):
             raise ValueError("cross-section element %d has a non-positive Jacobian "
                              "determinant (inverted, clockwise or non-convex)" % bad[0])
-        self.areas = _quad_areas(self.nodes, self.elements)
 
     @property
     def n_nodes(self):
         return len(self.nodes)
-
-    def total_area(self):
-        return float(np.sum(self.areas))
-
-
-def _quad_areas(nodes, elements):
-    p = nodes[elements]  # (n_elem, 4, 2)
-    x, y = p[:, :, 0], p[:, :, 1]
-    return 0.5 * np.abs(
-        np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1))
 
 
 def build_rectangle(aspect, nx, ny):
@@ -68,13 +57,13 @@ def build_rectangle(aspect, nx, ny):
     return CrossSectionMesh(nodes, np.array(elements))
 
 
-def is_centrally_symmetric(mesh, tol=1e-10):
-    """Check invariance of the node set under x -> -x.
+def is_centrally_symmetric(mesh):
+    """Check invariance of the node set under x -> -x, to 1e-10.
 
     Returns (flag, pairing) where pairing[i] is the node index of -node_i
     (or None when the mesh is not symmetric).
     """
-    nodes = mesh.nodes
+    nodes, tol = mesh.nodes, 1e-10
     order = np.lexsort((nodes[:, 1], nodes[:, 0]))
     pairing = np.full(len(nodes), -1, dtype=int)
     # match -node_i against the sorted node list
@@ -116,9 +105,6 @@ class ProductMesh:
     @property
     def n_dof(self):
         return 3 * self.n_nodes
-
-    def node_index(self, q, i_cross):
-        return q * self.cross.n_nodes + i_cross
 
     def node_coords(self):
         """(n_nodes, 3) array of (x1, x2, y) coordinates."""
@@ -163,15 +149,6 @@ class MomentData:
     def __post_init__(self):
         self.C_stretch = np.diag([self.c1 + self.c2, 1.0])
         self.C_rod = np.diag([1.0, 1.0, self.c1 + self.c2, 1.0])
-
-    def C_bend(self, chi):
-        return np.diag([1.0 + chi ** 2 * self.c1, 1.0 + chi ** 2 * self.c2])
-
-    def C_rod_chi(self, chi):
-        out = np.zeros((4, 4))
-        out[:2, :2] = self.C_bend(chi)
-        out[2:, 2:] = self.C_stretch
-        return out
 
 
 def compute_moments(mesh):

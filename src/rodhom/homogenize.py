@@ -13,20 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def j_matrix(m, xhat):
-    """The symmetric 3x3 strain pattern of a Bernoulli-Navier motion with
-    coefficients m at cross-section point xhat."""
-    x1, x2 = xhat
-    J = np.zeros((3, 3), dtype=np.result_type(np.asarray(m).dtype, float))
-    J[2, 2] = -x1 * m[0] - x2 * m[1] + m[3]
-    J[0, 2] = J[2, 0] = x2 * m[2] / 2.0
-    J[1, 2] = J[2, 1] = -x1 * m[2] / 2.0
-    return J
-
-
 def j_voigt(m, coords):
-    """J as engineering Voigt vectors over a coordinate array whose last axis
-    holds (x1, x2) or (x1, x2, y)."""
+    """The strain pattern J_m of the Bernoulli-Navier motion with
+    coefficients m, as engineering Voigt vectors over a coordinate array
+    whose last axis holds (x1, x2) or (x1, x2, y)."""
     coords = np.asarray(coords)
     x1, x2 = coords[..., 0], coords[..., 1]
     out = np.zeros(coords.shape[:-1] + (6,), dtype=np.result_type(np.asarray(m).dtype, float))
@@ -43,19 +33,15 @@ def g_scaling(chi):
     return np.stack([ic ** 2, ic ** 2, ic, ic], axis=-1)
 
 
-def lambda_matrix(chi, m, xhat):
-    return j_matrix(g_scaling(chi) * np.asarray(m, dtype=complex), xhat)
-
-
 # regimes select which coefficient slots are active
 _REGIME_SLOTS = {"bend": slice(0, 2), "stretch": slice(2, 4), "rod": slice(0, 4)}
 
 
-def solve_cell(forms, m, check=True):
+def solve_cell(forms, m):
     """Corrector u with int A(sym-grad u + J_m) : conj(sym-grad v) = 0 for
     all periodic v, posed on the rigid-motion quotient; m holds the
     (possibly complex) coefficients of the data J_m."""
-    return forms.saddle_solver().solve(-forms.Ls @ np.asarray(m), check=check)
+    return forms.saddle_solver().solve(-forms.Ls @ np.asarray(m))
 
 
 def cell_basis(forms):
@@ -89,18 +75,11 @@ def rod_tensor(forms):
     return forms._rod_tensor
 
 
-def chi_tensor(forms, chi, direct=True):
-    """The Hermitian 4x4 effective matrix at quasimomentum chi, in the rod
-    slot order; a regime takes the block of its slots.
-
-    With direct=True the complex cell problems with Lambda data are solved
-    as such; otherwise the chi-scaling of the J-basis solutions is used
-    (the two agree to solver precision, which tests assert).
-    """
+def chi_tensor(forms, chi):
+    """The Hermitian 4x4 effective matrix G(chi)^H A_rod G(chi) at
+    quasimomentum chi, in the rod slot order; a regime takes the block of its
+    slots. The cell problems with Lambda data are exactly the J-basis ones
+    scaled by G(chi), so no cell problem is solved here (the tests compare a
+    direct solve, tests/support_cell.py)."""
     G = np.diag(g_scaling(chi))
-    if not direct:
-        return G.conj().T @ rod_tensor(forms).A_rod @ G
-    # column k of G holds the J-coefficients of Lambda_k
-    sols = np.array([solve_cell(forms, m) for m in G.T])
-    A = G.conj().T @ (forms.J_gram @ G + forms.Ls.T @ sols.T)
-    return 0.5 * (A + A.conj().T)
+    return G.conj().T @ rod_tensor(forms).A_rod @ G

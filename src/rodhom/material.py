@@ -7,9 +7,6 @@ the elastic energy density is e^T C e for the engineering strain vector e.
 
 import numpy as np
 
-# (i, j) index pairs behind each Voigt slot, 0-based
-_VOIGT_PAIRS = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
-
 # Mandel weights turning the engineering matrix into the symmetric-matrix
 # quadratic form: eigenvalues of P^T C P are the eigenvalues of the map
 # E -> A E on symmetric matrices.
@@ -17,7 +14,8 @@ _MANDEL = np.diag([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
 
 
 class ElasticityTensor:
-    """A constant rank-4 stiffness tensor with minor and major symmetries."""
+    """A constant rank-4 stiffness tensor with minor and major symmetries,
+    held as its 6x6 engineering (Voigt) matrix."""
 
     def __init__(self, voigt):
         C = np.asarray(voigt, dtype=float)
@@ -25,32 +23,6 @@ class ElasticityTensor:
             raise ValueError("expected a 6x6 stiffness matrix")
         # enforce major symmetry exactly
         self.voigt = 0.5 * (C + C.T)
-
-    def full(self):
-        """Return the rank-4 array A[i,j,k,l] equivalent to the 6x6 matrix."""
-        A = np.zeros((3, 3, 3, 3))
-        for a, (i, j) in enumerate(_VOIGT_PAIRS):
-            for b, (k, l) in enumerate(_VOIGT_PAIRS):
-                v = self.voigt[a, b]
-                A[i, j, k, l] = v
-                A[j, i, k, l] = v
-                A[i, j, l, k] = v
-                A[j, i, l, k] = v
-        return A
-
-    def contract(self, E):
-        """Apply the tensor to a symmetric 3x3 matrix, returning the stress."""
-        E = np.asarray(E)
-        e = np.array([E[0, 0], E[1, 1], E[2, 2],
-                      E[1, 2] + E[2, 1], E[0, 2] + E[2, 0], E[0, 1] + E[1, 0]])
-        s = self.voigt @ e
-        S = np.array([[s[0], s[5], s[4]],
-                      [s[5], s[1], s[3]],
-                      [s[4], s[3], s[2]]])
-        return S
-
-    def __eq__(self, other):
-        return isinstance(other, ElasticityTensor) and np.array_equal(self.voigt, other.voigt)
 
 
 def make_isotropic(lam, mu):
@@ -77,8 +49,9 @@ def check_coercivity(t):
     return float(np.linalg.eigvalsh(mandel)[0])
 
 
-def check_rod_material_symmetry(t, tol=1e-12):
-    """True iff the in-plane/axial shear couplings forbidden for rod problems vanish.
+def check_rod_material_symmetry(t):
+    """True iff the in-plane/axial shear couplings forbidden for rod problems
+    vanish (to 1e-12).
 
     The forbidden entries are A_{ijk3} and A_{i333} with i, j, k in {1, 2},
     which in Voigt indices are the rows {11, 22, 33, 12} against the columns
@@ -87,7 +60,7 @@ def check_rod_material_symmetry(t, tol=1e-12):
     rows = [0, 1, 2, 5]
     cols = [3, 4]
     block = t.voigt[np.ix_(rows, cols)]
-    return bool(np.max(np.abs(block)) <= tol)
+    return bool(np.max(np.abs(block)) <= 1e-12)
 
 
 class MaterialProfile:

@@ -22,6 +22,7 @@ from .material import check_rod_material_symmetry
 
 _CHAIN_REGIME = {"rod": "general_chi2", "stretch": "stretch", "bend": "bend"}
 _COMPONENTS = {"rod": ("12", "3"), "stretch": ("all",), "bend": ("12", "3")}
+REGIMES = ("stretch", "bend", "rod")
 _ORDER_NORM = {0: "l2", 1: "h1", 2: "l2"}
 
 
@@ -52,6 +53,12 @@ class ExperimentConfig:
             raise ValueError(self.momentum_variant)
         if len(self.n_grid) < 4:
             raise ValueError("need at least 4 grid points for a slope fit")
+        if not set(self.regimes) <= set(REGIMES):
+            raise ValueError("regimes must be drawn from %s" % ", ".join(REGIMES))
+        if not self.orders or not set(self.orders) <= set(_ORDER_NORM):
+            raise ValueError("orders must be a nonempty selection of 0, 1, 2")
+        if self.n_loads < 1:
+            raise ValueError("n_loads must be at least 1")
 
     def flags(self):
         return "xi=%d,momentum=%s,s_inf=%d,gamma=%g,delta=%g" % (
@@ -209,9 +216,9 @@ def line_error_norm(forms, e, kind="l2", component=None):
     return float(np.sqrt(tot / b.n_y))
 
 
-def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0, micro_weight=0.5):
+def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
     """Seeded band-limited loads: random cross profiles on the low line
-    modes |j| <= 2 plus short-scale modes at j = +-N (weight micro_weight),
+    modes |j| <= 2 plus short-scale modes at j = +-N (weight 0.5),
     parity-projected for the invariant regimes and unit-normalised.
 
     The random draws depend only on (seed, load index), so the same family
@@ -234,7 +241,7 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0, micro_weight=0.5):
             vals += np.outer(np.exp(2j * np.pi * j * (p + y) / N), c)
         for sign in (1, -1):
             c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            vals += micro_weight * np.outer(np.exp(2j * np.pi * sign * y), c)
+            vals += 0.5 * np.outer(np.exp(2j * np.pi * sign * y), c)
         if regime in ("stretch", "bend"):
             vals = fem.parity_project(vals.reshape(S, -1, 3), regime, pairing).reshape(S, d)
         lf = tr.LineField(vals, eps, n_y)

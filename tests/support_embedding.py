@@ -1,7 +1,8 @@
-"""Node-by-node constructions of the rod-coefficient embedding and the
-leading-order line approximant, one fiber frequency at a time: oracles for
-the column blocks E0, E1 and the vectorised limit_resolvent. Validation-only;
-not part of the library."""
+"""Node-by-node constructions of the rod-coefficient embedding, its analytic
+Gram matrices, and the leading-order line approximant, one fiber frequency
+at a time: oracles for the column blocks E0, E1, the Gram matrix of
+fiber.FiberOps and the vectorised limit_resolvent. Validation-only; not part
+of the library."""
 
 import numpy as np
 
@@ -32,6 +33,19 @@ def const_hat(x1, a, b):
     """The in-plane translation (a, b, 0)."""
     return nodal_field(np.full_like(x1, a, dtype=complex),
                        np.full_like(x1, b, dtype=complex), np.zeros_like(x1))
+
+
+def C_bend(md, chi):
+    """The analytic Gram matrix of the bend embedding columns at chi."""
+    return np.diag([1.0 + chi ** 2 * md.c1, 1.0 + chi ** 2 * md.c2])
+
+
+def C_rod_chi(md, chi):
+    """The analytic Gram matrix of the four rod embedding columns at chi."""
+    out = np.zeros((4, 4))
+    out[:2, :2] = C_bend(md, chi)
+    out[2:, 2:] = md.C_stretch
+    return out
 
 
 def cross_embedding_columns(cross, chi, key, momentum_variant="eps"):

@@ -22,6 +22,19 @@ def graded_square(n):
     return CrossSectionMesh(np.column_stack([X.ravel(), Y.ravel()]), elements)
 
 
+def quad_areas(cross):
+    """Shoelace area of every element of a cross-section mesh."""
+    p = cross.nodes[cross.elements]  # (n_elem, 4, 2)
+    x, y = p[:, :, 0], p[:, :, 1]
+    return 0.5 * np.abs(
+        np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1))
+
+
+def total_area(cross):
+    """Polygon area of a cross-section mesh: the sum of its element areas."""
+    return float(np.sum(quad_areas(cross)))
+
+
 def cross_mass_loop(cross):
     """Scalar Q1 mass matrix of a cross-section mesh, element by element
     and Gauss point by Gauss point."""

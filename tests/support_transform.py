@@ -1,0 +1,98 @@
+"""Second constructions of the line/fiber transforms: the quasiperiodic
+(Floquet) picture, the fiberwise Parseval norm, the spectral longitudinal
+derivative, the fiber-mean form of the band-limiter and the real-domain
+momenta. Oracles for the Gelfand transform and the band-limiter of the
+library. Validation-only; not part of the library."""
+
+import numpy as np
+
+from rodhom.geometry import cross_mass
+from rodhom.transform import FiberBundle, LineField, _twiddle, chi_values, gelfand, gelfand_inverse
+
+
+def floquet(lf):
+    """Quasiperiodic-picture transform: plain DFT over periods."""
+    v = lf.values.reshape(lf.N, lf.n_y, -1)
+    hat = np.fft.fft(v, axis=0) * np.sqrt(lf.eps / lf.N)
+    return FiberBundle(hat, chi_values(lf.N), lf.eps)
+
+
+def floquet_inverse(b):
+    N = len(b.chis)
+    f = np.fft.ifft(b.values, axis=0) * np.sqrt(N / b.eps)
+    return LineField(f.reshape(N * b.n_y, -1), b.eps, b.n_y)
+
+
+def to_floquet(b):
+    """Multiply fiber k of a Gelfand bundle by e^{i chi_k y}: the Floquet
+    bundle of the same line field."""
+    vals = b.values / _twiddle(b.chis, b.y_nodes())[:, :, None]
+    return FiberBundle(vals, b.chis, b.eps)
+
+
+def bundle_norm_sq(b, M_omega):
+    """Squared L2 norm of a bundle, fiber by fiber: the Parseval partner of
+    transform.line_norm_sq."""
+    v = b.values.reshape(len(b.chis), b.n_y, -1, 3)
+    return float((1.0 / b.n_y)
+                 * np.einsum("kqic,ij,kqjc->", v.conj(), M_omega, v).real)
+
+
+def spectral_d3(lf):
+    """Longitudinal derivative, spectral over the box."""
+    freq = 2j * np.pi * np.fft.fftfreq(lf.S, d=lf.L / lf.S)
+    out = np.fft.ifft(freq[:, None] * np.fft.fft(lf.values, axis=0), axis=0)
+    return lf.like(out)
+
+
+def _fiber_dy(values, n_y):
+    """Spectral d/dy on the periodic fiber profiles (axis 1)."""
+    freq = 2j * np.pi * np.fft.fftfreq(n_y) * n_y
+    return np.fft.ifft(freq[None, :, None] * np.fft.fft(values, axis=1), axis=1)
+
+
+def gelfand_derivative_check(lf):
+    """Max residual of (transform of d3 f) minus eps^-1 (d_y + i chi) applied
+    fiberwise; zero for loads band-limited under the fiber y-resolution."""
+    lhs = gelfand(spectral_d3(lf)).values
+    b = gelfand(lf)
+    rhs = (_fiber_dy(b.values, b.n_y)
+           + 1j * b.chis[:, None, None] * b.values) / lf.eps
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def fiber_mean(lf):
+    """The band-limiter as the fiberwise y-mean of the Gelfand bundle."""
+    b = gelfand(lf)
+    mean = np.mean(b.values, axis=1, keepdims=True)
+    return gelfand_inverse(b.like(np.broadcast_to(mean, b.values.shape).copy()))
+
+
+def _cross_functionals(cross):
+    Mw = cross_mass(cross)
+    one = Mw @ np.ones(cross.n_nodes)
+    wx1 = Mw @ cross.nodes[:, 0]
+    wx2 = Mw @ cross.nodes[:, 1]
+    return one, wx1, wx2
+
+
+def momentum_real(lf, which, cross):
+    """Slab-wise force-and-momentum moments on the line.
+
+    stretch: (int x2 f1 - x1 f2, int f3); bend: int(f-hat + eps (d3 f3) x-hat)
+    with the longitudinal derivative taken spectrally; rod: bend then stretch.
+    """
+    one, wx1, wx2 = _cross_functionals(cross)
+    v = lf.values.reshape(lf.S, -1, 3)
+    stretch = np.column_stack([v[:, :, 0] @ wx2 - v[:, :, 1] @ wx1,
+                               v[:, :, 2] @ one])
+    if which == "stretch":
+        return stretch
+    d3 = spectral_d3(lf).values.reshape(lf.S, -1, 3)[:, :, 2]
+    bend = np.column_stack([v[:, :, 0] @ one + lf.eps * (d3 @ wx1),
+                            v[:, :, 1] @ one + lf.eps * (d3 @ wx2)])
+    if which == "bend":
+        return bend
+    if which == "rod":
+        return np.hstack([bend, stretch])
+    raise ValueError(which)

@@ -16,7 +16,10 @@ from rodhom.geometry import (ProductMesh, build_rectangle, compute_moments,
 from rodhom.homogenize import rod_tensor
 from rodhom.material import MaterialProfile, make_isotropic
 
+from support_contour import contour_quadrature_check
+from support_embedding import C_rod_chi
 from support_torsion import torsion_constant
+from support_transform import bundle_norm_sq, fiber_mean, momentum_real
 
 
 def layered_profile(contrast=5.0):
@@ -134,14 +137,14 @@ def test_05_exact_identities(forms):
     scale = np.max(np.abs(lf.values))
 
     b = tr.gelfand(lf)
-    ok = abs(tr.line_norm_sq(lf, Mw) - tr.bundle_norm_sq(b, Mw)) \
+    ok = abs(tr.line_norm_sq(lf, Mw) - bundle_norm_sq(b, Mw)) \
         < 1e-12 * tr.line_norm_sq(lf, Mw)
     ok = ok and np.max(np.abs(tr.gelfand_inverse(b).values - lf.values)) < 1e-12 * scale
 
-    xa = tr.xi_smoothing(lf, "fourier")
-    xb = tr.xi_smoothing(lf, "fiber_mean")
+    xa = tr.xi_smoothing(lf)
+    xb = fiber_mean(lf)
     ok = ok and np.max(np.abs(xa.values - xb.values)) < 1e-10 * scale
-    ok = ok and np.max(np.abs(tr.xi_smoothing(xa, "fourier").values - xa.values)) \
+    ok = ok and np.max(np.abs(tr.xi_smoothing(xa).values - xa.values)) \
         < 1e-12 * scale
 
     ops = fiber.FiberOps(forms, 0.3)
@@ -151,15 +154,15 @@ def test_05_exact_identities(forms):
         lhs = np.vdot(f, forms.M @ ops.embed(mvec, which))
         rhs = np.vdot(ops.momentum(f, which), mvec)
         ok = ok and abs(lhs - rhs) < 1e-12 * max(abs(rhs), 1)
-    ok = ok and np.max(np.abs(ops.gram("rod") - md.C_rod_chi(0.3))) < 1e-12
+    ok = ok and np.max(np.abs(ops.gram("rod") - C_rod_chi(md, 0.3))) < 1e-12
 
     bb = tr.gelfand(lf)
     moms = np.array([fiber.FiberOps(forms, bb.chis[k]).momentum(bb.fiber(k), "rod")
                      for k in range(N)])
     lifted = tr.FiberBundle(np.broadcast_to(moms[:, None, :], (N, NY, 4)).copy(),
-                            bb.chis, EPS, "gelfand")
+                            bb.chis, EPS)
     lhs = tr.gelfand_inverse(lifted).values
-    rhs = tr.momentum_real(tr.xi_smoothing(lf), "rod", cross)
+    rhs = momentum_real(tr.xi_smoothing(lf), "rod", cross)
     ok = ok and np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
     _report(5, "exact identities", ok)
 
@@ -167,12 +170,12 @@ def test_05_exact_identities(forms):
 def test_06_contour_equivalence(forms, fiber_loads):
     ok = True
     for chi in (0.4, 0.2, 0.1):
-        out = fiber.contour_quadrature_check(forms, chi, 0.125, 0.0,
-                                             fiber_loads["stretch"], regime="stretch")
+        out = contour_quadrature_check(forms, chi, 0.125, 0.0,
+                                       fiber_loads["stretch"], regime="stretch")
         ok = ok and out["leading"] < 1e-5 and out["corrector"] < 1e-5
         ok = ok and out["refined"] < 1e-5
-        outb = fiber.contour_quadrature_check(forms, chi, 0.125, 0.0,
-                                              fiber_loads["bend"], regime="bend")
+        outb = contour_quadrature_check(forms, chi, 0.125, 0.0,
+                                        fiber_loads["bend"], regime="bend")
         ok = ok and outb["leading"] < 1e-5 and outb["corrector"] < 1e-5
     _report(6, "contour equivalence", ok)
 

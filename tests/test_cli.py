@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rodhom import cli
+from rodhom import cli, fem
 
 
 @pytest.fixture()
@@ -102,3 +102,18 @@ def test_config_rejects_unknown_keys(tmp_path):
             "geometry": {"cross_section": {"rectangle": {"nz": 2}}}}))
     with pytest.raises(ValueError, match="geometry"):
         cli.load_config(_write(tmp_path, {"geometry": 4}))
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("resolvent-rates", {"regimes": ["rods"]}, "regimes"),
+    ("fiber-rates", {"n_grid": [8, 12]}, "n_grid"),
+    ("fiber-rates", {"chi_grid": [0.4, 0.0, 0.2, 0.1]}, "chi_grid"),
+    ("homogenize", {"geometry": {"n_y": "8"}}, "geometry.n_y"),
+], ids=["regime", "n_grid", "chi_grid", "n_y"])
+def test_config_values_checked_before_assembly(tmp_path, monkeypatch, command, cfg, key):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the config check")
+
+    monkeypatch.setattr(fem, "assemble", no_assembly)
+    with pytest.raises(ValueError, match="config key %s must be" % key):
+        cli.main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])

@@ -3,13 +3,17 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from rodhom import fem, homogenize as hz
 from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, cross_mass,
                              is_centrally_symmetric)
-from rodhom.material import MaterialProfile, make_isotropic
+from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
-from support_quadrature import cross_mass_loop, gauss_points, graded_square, strain_matrices
+from support_embedding import nodal_field
+from support_quadrature import (cross_mass_loop, gauss_points, graded_square, strain_matrices,
+                                total_area)
 
 
 def layered_profile(contrast=5.0):
@@ -68,7 +72,38 @@ def test_cross_mass_on_curved_mesh():
     got = cross_mass(cross)
     assert np.max(np.abs(got - want)) < 1e-15 * np.max(want)
     one = np.ones(cross.n_nodes)
-    assert abs(one @ got @ one - cross.total_area()) < 1e-14
+    assert abs(one @ got @ one - total_area(cross)) < 1e-14
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 4), bow=st.floats(-0.05, 0.05), stretch=st.floats(0.5, 2.0),
+       shear=st.floats(-0.5, 0.5), interface=st.floats(-0.4, 0.4),
+       seed=st.integers(0, 2 ** 16), chi=st.floats(-3.0, 3.0))
+def test_form_properties_on_random_cells(n, bow, stretch, shear, interface, seed, chi):
+    # a centrally symmetric graded cross mesh: graded_square with an odd bow
+    # of its grid lines, under a linear map of determinant 1; two coercive
+    # layers L L^T + I/10 with random L and a random interface
+    sq = graded_square(n)
+    x = sq.nodes + bow * np.sin(2 * np.pi * sq.nodes[:, ::-1])
+    cross = CrossSectionMesh(x @ np.array([[stretch, 0.0], [shear, 1.0 / stretch]]), sq.elements)
+    assert is_centrally_symmetric(cross)[0]
+    C = [L @ L.T + 0.1 * np.eye(6) for L in np.random.default_rng(seed).standard_normal((2, 6, 6))]
+    profile = MaterialProfile([(-0.5, interface, ElasticityTensor(C[0])),
+                               (interface, 0.5, ElasticityTensor(C[1]))])
+    forms = fem.assemble(profile, ProductMesh(cross, 2))
+
+    K = forms.K(chi)
+    scale = abs(K).max()
+    assert abs(K - K.conj().T).max() <= 1e-12 * scale
+    assert abs(forms.K(-chi) - K.conj()).max() <= 1e-12 * scale
+    # the four rigid motions lie in the kernel of K(0), and span it
+    K0, M = forms.K_ss.toarray(), forms.M.toarray()
+    assert np.max(np.abs(K0 @ forms.kernel_fields.T)) <= 1e-10 * np.max(np.abs(K0))
+    lam = sla.eigh(K0, M, eigvals_only=True)
+    assert np.max(np.abs(lam[:4])) <= 1e-10 * lam[-1] < lam[4]
+    # a translation has mass the section volume: its area times the unit cell
+    one = forms.kernel_fields[0]
+    assert abs(one @ (forms.M @ one) - total_area(cross)) <= 1e-12
 
 
 def test_energy_identity():
@@ -194,11 +229,11 @@ def test_parity_projectors(forms):
     assert np.max(np.abs(ub + us - u)) < 1e-14
     assert np.max(np.abs(fem.project_symmetry(ub, "bend", mesh, pairing) - ub)) < 1e-14
     # constant (1, 0, 0) is pure bend parity; (x2, -x1, 0) pure stretch
-    e1 = forms.interpolate(lambda c: np.column_stack(
-        [np.ones(len(c)), np.zeros(len(c)), np.zeros(len(c))]))
+    x1, x2, _ = mesh.node_coords().T
+    zero = np.zeros_like(x1)
+    e1 = nodal_field(np.ones_like(x1), zero, zero)
     assert np.max(np.abs(fem.project_symmetry(e1, "stretch", mesh, pairing))) < 1e-14
-    rot = forms.interpolate(lambda c: np.column_stack(
-        [c[:, 1], -c[:, 0], np.zeros(len(c))]))
+    rot = nodal_field(x2, -x1, zero)
     assert np.max(np.abs(fem.project_symmetry(rot, "stretch", mesh, pairing) - rot)) < 1e-14
 
 

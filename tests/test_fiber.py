@@ -6,7 +6,9 @@ from rodhom import fem, fiber, homogenize as hz, transform as tr
 from rodhom.geometry import ProductMesh, build_rectangle, compute_moments, is_centrally_symmetric
 from rodhom.material import MaterialProfile, make_isotropic
 
-from support_embedding import const_hat, cross_embedding_columns, s_rod, w_bend
+from support_contour import ContourTooClose, _contour, contour_quadrature_check
+from support_embedding import (C_bend, C_rod_chi, const_hat, cross_embedding_columns, nodal_field,
+                               s_rod, w_bend)
 
 CHI_SWEEP = [0.4, 0.283, 0.2, 0.141, 0.1, 0.0707, 0.05]
 
@@ -35,17 +37,15 @@ def test_momentum_examples(setup):
     forms, *_ = setup
     ops = fiber.FiberOps(forms, 0.1)
     md = compute_moments(forms.mesh.cross)
-    f = forms.interpolate(lambda c: np.column_stack(
-        [c[:, 1], -c[:, 0], np.ones(len(c))]))
-    mom = ops.momentum(f, "stretch")
+    x1, x2, _ = forms.mesh.node_coords().T
+    zero, one = np.zeros_like(x1), np.ones_like(x1)
+    mom = ops.momentum(nodal_field(x2, -x1, one), "stretch")
     assert np.allclose(mom, [md.c1 + md.c2, 1.0], atol=1e-12)
 
-    e1 = forms.interpolate(lambda c: np.column_stack(
-        [np.ones(len(c)), np.zeros(len(c)), np.zeros(len(c))]))
+    e1 = nodal_field(one, zero, zero)
     assert np.allclose(ops.momentum(e1, "bend"), [1.0, 0.0], atol=1e-12)
 
-    f3 = forms.interpolate(lambda c: np.column_stack(
-        [np.zeros(len(c)), np.zeros(len(c)), c[:, 0]]))
+    f3 = nodal_field(zero, zero, x1)
     assert np.allclose(ops.momentum(f3, "bend"), [0.1j * md.c1, 0.0], atol=1e-12)
 
 
@@ -66,8 +66,8 @@ def test_gram_matches_analytic(setup):
     md = compute_moments(forms.mesh.cross)
     for chi in [0.3, 0.05]:
         ops = fiber.FiberOps(forms, chi)
-        assert np.max(np.abs(ops.gram("rod") - md.C_rod_chi(chi))) < 1e-12
-        assert np.max(np.abs(ops.gram("bend") - md.C_bend(chi))) < 1e-12
+        assert np.max(np.abs(ops.gram("rod") - C_rod_chi(md, chi))) < 1e-12
+        assert np.max(np.abs(ops.gram("bend") - C_bend(md, chi))) < 1e-12
         assert np.max(np.abs(ops.gram("stretch") - md.C_stretch)) < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_embedding_properties(setup, chi, m):
     lhs = np.vdot(f, forms.M @ u)
     rhs = np.vdot(ops.momentum(f, "rod"), m)
     assert abs(lhs - rhs) <= 1e-12 * max(np.sqrt(forms.norm_sq_l2(u)), 1.0)
-    C = compute_moments(forms.mesh.cross).C_rod_chi(chi)
+    C = C_rod_chi(compute_moments(forms.mesh.cross), chi)
     assert np.max(np.abs(ops.gram("rod") - C)) <= 1e-12 * np.max(np.abs(C))
 
 
@@ -114,7 +114,7 @@ def test_reference_apriori_bounded(setup):
     forms, fs, *_ = setup
     ratios = []
     for chi in CHI_SWEEP:
-        u = fiber.reference_solve(forms, chi, chi ** -2, fs)
+        u = fem.ResolventSolver(forms, chi, chi ** -2).solve(fs)
         ratios.append(np.sqrt(forms.norm_sq_h1(u)))
     assert max(ratios) < 10.0
     assert max(ratios) < 3.0 * min(ratios)
@@ -241,7 +241,8 @@ def test_chain_rates(setup):
         pw = -4 if comp else -2
         for chi in CHI_SWEEP:
             ch = fiber.build_chain(forms, chi, chi ** pw, regime, loads[regime])
-            ref = fiber.chain_reference(forms, chi, chi ** pw, regime, loads[regime])
+            ref = fem.ResolventSolver(forms, chi, chi ** pw).solve(fiber.apply_load_scaling(
+                loads[regime], fiber._DEFAULT_SCALING[regime], chi))
             for row in fiber.error_report(forms, ch, ref, componentwise=comp):
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     for key, floor in thresholds.items():
@@ -286,19 +287,19 @@ def test_gram_mode_identity_same_rates(setup):
 def test_contour_checks(setup):
     forms, fs, fb, _ = setup
     for chi in [0.4, 0.2, 0.1]:
-        out = fiber.contour_quadrature_check(forms, chi, 0.125, 0.0, fs, regime="stretch")
+        out = contour_quadrature_check(forms, chi, 0.125, 0.0, fs, regime="stretch")
         assert out["leading"] < 1e-6
         assert out["corrector"] < 1e-6
         assert out["refined"] < 1e-5
         assert out["leading_quadrature"] < 1e-6
         assert out["refined_quadrature"] < 1e-5
-        outb = fiber.contour_quadrature_check(forms, chi, 0.125, 0.0, fb, regime="bend")
+        outb = contour_quadrature_check(forms, chi, 0.125, 0.0, fb, regime="bend")
         assert outb["leading"] < 1e-6
 
 
 def test_contour_too_close():
-    with pytest.raises(fiber.ContourTooClose):
-        fiber._contour([1e-8, 2.0])
+    with pytest.raises(ContourTooClose):
+        _contour([1e-8, 2.0])
 
 
 def test_load_scaling_tags():

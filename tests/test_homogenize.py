@@ -5,6 +5,8 @@ from rodhom import fem, fiber, homogenize as hz
 from rodhom.geometry import ProductMesh, build_rectangle
 from rodhom.material import MaterialProfile, make_isotropic
 
+from support_cell import chi_tensor_direct
+from support_embedding import nodal_field
 from support_quadrature import gauss_points, graded_square
 from support_torsion import torsion_constant
 
@@ -28,24 +30,27 @@ def forms_lay():
 
 
 def test_j_matrix_entries():
-    J = hz.j_matrix([1, 0, 0, 0], (1.0, 0.0))
-    expect = np.zeros((3, 3))
-    expect[2, 2] = -1.0
-    assert np.allclose(J, expect)
-    J = hz.j_matrix([0, 0, 1, 0], (0.0, 1.0))
-    expect = np.zeros((3, 3))
-    expect[0, 2] = expect[2, 0] = 0.5
-    assert np.allclose(J, expect)
-    assert np.allclose(hz.j_matrix([0, 0, 0, 0], (0.3, -0.2)), 0)
+    # J_m as an engineering Voigt vector: J_33 in slot 33, and 2 J_13 in
+    # slot 13
+    expect = np.zeros(6)
+    expect[2] = -1.0
+    assert np.allclose(hz.j_voigt([1, 0, 0, 0], (1.0, 0.0)), expect)
+    expect = np.zeros(6)
+    expect[4] = 1.0
+    assert np.allclose(hz.j_voigt([0, 0, 1, 0], (0.0, 1.0)), expect)
+    assert np.allclose(hz.j_voigt([0, 0, 0, 0], (0.3, -0.2)), 0)
 
 
 def test_lambda_matrix():
-    assert np.allclose(hz.lambda_matrix(0.0, [1, 2, 3, 4], (0.5, 0.5)), 0)
-    L = hz.lambda_matrix(0.1, [0, 0, 0, 1], (0.0, 0.0))
-    assert abs(L[2, 2] - 0.1j) < 1e-15
+    # Lambda_m is J of the coefficients G(chi) m
+    def lam(chi, m, xhat):
+        return hz.j_voigt(hz.g_scaling(chi) * np.asarray(m, dtype=complex), xhat)
+    assert np.allclose(lam(0.0, [1, 2, 3, 4], (0.5, 0.5)), 0)
+    L = lam(0.1, [0, 0, 0, 1], (0.0, 0.0))
+    assert abs(L[2] - 0.1j) < 1e-15
     # bending data scales with (i chi)^2
-    L = hz.lambda_matrix(0.2, [1, 0, 0, 0], (1.0, 0.0))
-    assert abs(L[2, 2] - 0.04) < 1e-15
+    L = lam(0.2, [1, 0, 0, 0], (1.0, 0.0))
+    assert abs(L[2] - 0.04) < 1e-15
 
 
 def test_lambda_bend_l2_norm(forms_hom):
@@ -62,8 +67,8 @@ def test_poisson_contraction_corrector(forms_hom):
     u = hz.solve_cell(forms_hom, [0, 0, 0, 1])
     lam = mu = 1.0
     nu_p = lam / (2 * (lam + mu))
-    expect = forms_hom.interpolate(lambda c: np.column_stack(
-        [-nu_p * c[:, 0], -nu_p * c[:, 1], np.zeros(len(c))]))
+    x1, x2, _ = forms_hom.mesh.node_coords().T
+    expect = nodal_field(-nu_p * x1, -nu_p * x2, np.zeros_like(x1))
     assert np.linalg.norm(u - expect) < 1e-8 * np.linalg.norm(expect)
     # constraint: zero mean
     assert np.max(np.abs(forms_hom.R @ u)) < 1e-10
@@ -125,10 +130,10 @@ def test_galerkin_energy_decreases_under_refinement():
 
 def test_chi_tensor_hermitian_and_scaling(forms_lay):
     chi = 0.35
-    A = hz.chi_tensor(forms_lay, chi)
+    A = chi_tensor_direct(forms_lay, chi)
     assert np.max(np.abs(A - A.conj().T)) < 1e-12 * np.max(np.abs(A))
     # scaling identity against the J-basis route
-    A2 = hz.chi_tensor(forms_lay, chi, direct=False)
+    A2 = hz.chi_tensor(forms_lay, chi)
     assert np.max(np.abs(A - A2)) < 1e-10 * np.max(np.abs(A2))
     # positive on nonzero vectors
     rng = np.random.default_rng(0)
@@ -141,7 +146,7 @@ def test_chi_tensor_hermitian_and_scaling(forms_lay):
 
 def test_chi_tensor_stretch_restriction(forms_lay):
     chi = 0.25
-    A = hz.chi_tensor(forms_lay, chi)
+    A = chi_tensor_direct(forms_lay, chi)
     rt = hz.rod_tensor(forms_lay)
     assert np.max(np.abs(A[2:, 2:] - chi ** 2 * rt.A_stretch)) \
         < 1e-8 * np.max(np.abs(rt.A_stretch))

@@ -39,6 +39,12 @@ def test_config_validation():
         pl.ExperimentConfig(momentum_variant="bogus")
     with pytest.raises(ValueError):
         pl.ExperimentConfig(n_grid=(8, 12, 16))
+    # a regime outside stretch, bend, rod; no order, or one without a
+    # norm; no load, which would leave every row inconclusive
+    for bad in ({"regimes": ("rods",)}, {"orders": ()}, {"orders": (0, 3)},
+                {"n_loads": 0}):
+        with pytest.raises(ValueError):
+            pl.ExperimentConfig(**bad)
 
 
 def test_limit_matches_fiber_pullback(forms, load):
