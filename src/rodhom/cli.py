@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import fem, fiber, pipeline as pl
-from .geometry import ProductMesh, build_rectangle, compute_moments, is_centrally_symmetric
+from .geometry import ProductMesh, build_rectangle, is_centrally_symmetric
 from .homogenize import rod_tensor
 from .material import profile_from_json
 
@@ -68,7 +68,7 @@ def _numbers(v, test, least):
 
 
 # what each value outside the material layers must be, by dotted key; the
-# layers are left to profile_from_json, which also runs before assembly
+# layers are checked by profile_from_json
 _RECT = "geometry.cross_section.rectangle."
 _VALUES = {
     _RECT + "aspect": ("a positive number", lambda v: _number(v) and v > 0),
@@ -105,6 +105,7 @@ def load_config(path):
             val = val[part]
         if not ok(val):
             raise ValueError("config key %s must be %s, not %r" % (key, want, val))
+    profile_from_json(cfg["material"])
     return cfg
 
 
@@ -145,7 +146,7 @@ def write_report(outdir, command, cfg, forms, payload, all_pass):
 
 def cmd_homogenize(cfg, forms, outdir):
     rt = rod_tensor(forms)
-    md = compute_moments(forms.mesh.cross)
+    md = forms.moments
     out = {"A_rod": rt.A_rod.tolist(), "A_bend": rt.A_bend.tolist(),
            "A_stretch": rt.A_stretch.tolist(), "eta": rt.eta,
            "c1": md.c1, "c2": md.c2}

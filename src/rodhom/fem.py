@@ -27,14 +27,23 @@ into slots (e33, 2e23, 2e13). Assembly builds every fiber operator once:
 Every term of the corrector chains, the cell problems, the rod tensor and the
 error norms is one of these matrices applied to a nodal vector. No Gauss-point
 fields are kept: they would be a second representation of the same
-operators, to be kept consistent with the first.
+operators, to be kept consistent with the first. Values derived from the
+forms are cached properties of AssembledForms.
+
+Every sparse LU goes through factorize, with options from the system's
+structure: the real, indefinite saddle system [[K_ss, R^T], [R, 0]] gets a
+real LU with partial pivoting; the Hermitian positive definite resolvents
+t K(chi) + M and shift-invert matrices K(chi) - sigma M (sigma < 0) get
+SuperLU's symmetric mode, with every pivot checked to be positive.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .homogenize import j_voigt
+from . import geometry, homogenize
 
 
 class SingularSystem(Exception):
@@ -148,7 +157,7 @@ class AssembledForms:
             Bx[:, slot, :, comp] = N
         Bs, Bx = Bs.reshape(n_ec, 8, 6, 24), Bx.reshape(8, 6, 24)
         xhat = (N[:, :4] + N[:, 4:]) @ X                                  # (n_ec, 8, 2)
-        J = np.stack([j_voigt(m, xhat) for m in np.eye(4)], axis=-1)      # (n_ec, 8, 6, 4)
+        J = np.stack([homogenize.j_voigt(m, xhat) for m in np.eye(4)], axis=-1)  # (n_ec, 8, 6, 4)
         D = np.array([[profile.evaluate(y0 + (zg + 1) / 2.0 * hz).voigt for zg in z[:, 0]]
                       for y0 in mesh.y_nodes])[:, None]                    # (n_y, 1, 8, 6, 6)
 
@@ -189,7 +198,6 @@ class AssembledForms:
         T = self.E0[:, :2]
         self.bend_tests = (self.P @ T, self.K_xx @ T)
         self.R = np.array([self.M @ b for b in self.kernel_fields])  # constraint rows
-        self._saddle = None
 
     def K(self, chi):
         if chi == 0:
@@ -224,10 +232,32 @@ class AssembledForms:
         """|<rigid motion, load>| for the four rigid-motion fields."""
         return np.abs(self.kernel_fields @ np.asarray(load, dtype=complex))
 
+    @cached_property
+    def saddle(self):
+        return SaddleSolver(self)
+
     def saddle_solver(self):
-        if self._saddle is None:
-            self._saddle = SaddleSolver(self)
-        return self._saddle
+        return self.saddle
+
+    @cached_property
+    def cell_basis(self):
+        """The cell correctors of the four canonical J-data (see
+        homogenize.cell_basis)."""
+        return np.array([homogenize.solve_cell(self, m) for m in np.eye(4)])
+
+    @cached_property
+    def rod_tensor(self):
+        """The effective rod tensor: entry (d, k) of its stiffness is
+        int A(J_k + sym-grad u_k) : J_d (see homogenize.rod_tensor)."""
+        return homogenize.RodTensor.from_stiffness(self.J_gram + self.Ls.T @ self.cell_basis.T)
+
+    @cached_property
+    def moments(self):
+        return geometry.compute_moments(self.mesh.cross)
+
+    @cached_property
+    def cross_mass(self):
+        return geometry.cross_mass(self.mesh.cross)
 
 
 # displacement columns of each component label of the error norms
@@ -246,23 +276,20 @@ def _form(A, U):
 
 
 class SaddleSolver:
-    """One sparse LU of [[K_ss, R^H], [R, 0]]; solves every constrained cell
-    and corrector problem (the left-hand side is chi-independent).
+    """One sparse LU of the real matrix [[K_ss, R^T], [R, 0]]; solves every
+    constrained cell and corrector problem (the left-hand side is
+    chi-independent).
 
     For t*K_ss the solution is u(1)/t, so a single factorisation serves all
-    scalings. Only the LU and the rigid-motion rows are kept, so the solver
-    cached on the forms does not refer back to them.
+    scalings. A complex load is solved as its real and imaginary parts, two
+    columns of one real solve. Only the LU and the rigid-motion rows are
+    kept, so the solver cached on the forms does not refer back to them.
     """
 
     def __init__(self, forms):
         self.kernel = forms.kernel_fields
-        R = sp.csr_matrix(forms.R.astype(complex))
-        A = sp.bmat([[forms.K_ss.astype(complex), R.conj().T],
-                     [R, None]], format="csc")
-        try:
-            self.lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc))
+        R = sp.csr_matrix(forms.R)
+        self.lu = factorize(sp.bmat([[forms.K_ss, R.T], [R, None]]))
         self.n = forms.mesh.n_dof
 
     def solve(self, load, t=1.0, check=True):
@@ -273,9 +300,10 @@ class SaddleSolver:
         scale = np.linalg.norm(load)
         if check and scale > 0 and res > 1e-8 * scale:
             raise IncompatibleLoad("load has kernel residual %.3e relative" % (res / scale))
-        rhs = np.concatenate([load, np.zeros(4, dtype=complex)])
+        rhs = np.zeros((self.n + 4, 2))
+        rhs[:self.n, 0], rhs[:self.n, 1] = load.real, load.imag
         sol = self.lu.solve(rhs)
-        return sol[:self.n] / t
+        return (sol[:self.n, 0] + 1j * sol[:self.n, 1]) / t
 
 
 def assemble(profile, mesh):
@@ -283,33 +311,53 @@ def assemble(profile, mesh):
     return AssembledForms(profile, mesh)
 
 
+def factorize(A, hpd=False):
+    """Sparse LU of A. A Hermitian positive definite A (hpd) gets SuperLU's
+    symmetric mode: minimum degree on A^T + A and diagonal pivots. Unpivoted,
+    an indefinite A would give wrong solves, so a pivot (diagonal of U) whose
+    real part is not positive raises SingularSystem. Any other A gets COLAMD
+    with partial pivoting."""
+    opts = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True)) if hpd else {}
+    try:
+        lu = spla.splu(sp.csc_matrix(A), **opts)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc))
+    if hpd:
+        pivots = lu.U.diagonal().real
+        if not np.all(pivots > 0):
+            raise SingularSystem("matrix is not positive definite: pivot %.3e"
+                                 % pivots.min())
+    return lu
+
+
 class ResolventSolver:
     """Cached factorisation of (t K(chi) + M) for repeated loads; solves
-    (t K(chi) + M) u = M f, strictly positive definite, no constraints."""
+    (t K(chi) + M) u = M f, Hermitian positive definite, no constraints."""
 
     def __init__(self, forms, chi, t):
         self.forms = forms
-        A = (t * forms.K(chi) + forms.M.astype(complex)).tocsc()
-        try:
-            self.lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc))
+        self.lu = factorize(t * forms.K(chi) + forms.M, hpd=True)
 
     def solve(self, load_field):
         return self.lu.solve(self.forms.M @ np.asarray(load_field, dtype=complex))
 
 
 def smallest_eigs(forms, chi, k):
-    """k smallest eigenpairs of K(chi) u = lambda M u via shift-invert."""
+    """k smallest eigenpairs of K(chi) u = lambda M u via shift-invert, with
+    the LU of the positive definite K(chi) - sigma M (sigma < 0) built by
+    factorize."""
     K = forms.K(chi)
     scale = float(np.abs(K.diagonal()).mean())
     sigma = -1e-8 * scale
+    lu = factorize(K - sigma * forms.M, hpd=True)
+    OPinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=complex)
     # fixed start vector: ARPACK's default is random, which makes the
     # achieved residuals (and bit-stability) run-dependent
     v0 = np.ones(forms.mesh.n_dof)
     try:
         vals, vecs = spla.eigsh(K, k=k, M=forms.M.astype(complex), sigma=sigma,
-                                which="LM", v0=v0)
+                                which="LM", v0=v0, OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc))
     order = np.argsort(vals)

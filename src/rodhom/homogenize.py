@@ -45,14 +45,13 @@ def solve_cell(forms, m):
 
 
 def cell_basis(forms):
-    """Cell correctors for the four canonical J-data, cached on the forms.
+    """Cell correctors for the four canonical J-data, computed once per
+    forms (AssembledForms.cell_basis).
 
     Every chi-dependent corrector is a linear combination of these (the data
     depend on chi only through G(chi)).
     """
-    if not hasattr(forms, "_cell_basis"):
-        forms._cell_basis = np.array([solve_cell(forms, m) for m in np.eye(4)])
-    return forms._cell_basis
+    return forms.cell_basis
 
 
 @dataclass
@@ -62,17 +61,20 @@ class RodTensor:
     A_stretch: np.ndarray
     eta: float
 
+    @classmethod
+    def from_stiffness(cls, A):
+        """The rod tensor of a 4x4 stiffness, taken real and symmetrised."""
+        A = A.real
+        A = 0.5 * (A + A.T)
+        return cls(A_rod=A, A_bend=A[:2, :2].copy(), A_stretch=A[2:, 2:].copy(),
+                   eta=float(np.linalg.eigvalsh(A)[0]))
+
 
 def rod_tensor(forms):
-    """Effective 4x4 rod stiffness from the four cell problems, cached on the
-    forms; entry (d, k) is int A(J_k + sym-grad u_k) : J_d."""
-    if not hasattr(forms, "_rod_tensor"):
-        A = (forms.J_gram + forms.Ls.T @ cell_basis(forms).T).real
-        A = 0.5 * (A + A.T)
-        eta = float(np.linalg.eigvalsh(A)[0])
-        forms._rod_tensor = RodTensor(A_rod=A, A_bend=A[:2, :2].copy(),
-                                      A_stretch=A[2:, 2:].copy(), eta=eta)
-    return forms._rod_tensor
+    """Effective 4x4 rod stiffness from the four cell problems, computed once
+    per forms (AssembledForms.rod_tensor); entry (d, k) is
+    int A(J_k + sym-grad u_k) : J_d."""
+    return forms.rod_tensor
 
 
 def chi_tensor(forms, chi):

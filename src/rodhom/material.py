@@ -105,21 +105,51 @@ class MaterialProfile:
         return MaterialProfile([(-0.5, 0.5, tensor)])
 
 
+def _entry(obj, key, where, want, ok):
+    """obj[key] of a JSON object; ValueError naming the dotted key where.key
+    if it is missing or ok(value) is false."""
+    name = "%s.%s" % (where, key)
+    if key not in obj:
+        raise ValueError("%s is missing" % name)
+    if not ok(obj[key]):
+        raise ValueError("%s must be %s, not %r" % (name, want, obj[key]))
+    return obj[key]
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _voigt(v):
+    return isinstance(v, list) and len(v) == 6 and all(
+        isinstance(row, list) and len(row) == 6 and all(map(_number, row)) for row in v)
+
+
 def profile_from_json(obj):
-    """Build a MaterialProfile from the JSON layer schema.
+    """Build a MaterialProfile from the JSON layer schema of the config's
+    material object.
 
     Schema: {"layers": [{"from": a, "to": b, "model": {"isotropic": {"lambda":
     l, "mu": m}}}, {"from": ..., "to": ..., "model": {"voigt": [[...]]}}]}.
+    A missing or malformed entry raises ValueError naming its dotted key,
+    such as material.layers[0].model.
     """
     layers = []
-    for lay in obj["layers"]:
-        model = lay["model"]
+    for i, lay in enumerate(_entry(obj, "layers", "material", "a list",
+                                   lambda v: isinstance(v, list))):
+        where = "material.layers[%d]" % i
+        if not isinstance(lay, dict):
+            raise ValueError("%s must be an object, not %r" % (where, lay))
+        a, b = (_entry(lay, end, where, "a number", _number) for end in ("from", "to"))
+        model = _entry(lay, "model", where, "an object holding isotropic or voigt",
+                       lambda m: isinstance(m, dict) and ("isotropic" in m or "voigt" in m))
+        where += ".model"
         if "isotropic" in model:
-            p = model["isotropic"]
-            t = make_isotropic(p["lambda"], p["mu"])
-        elif "voigt" in model:
-            t = ElasticityTensor(model["voigt"])
+            p = _entry(model, "isotropic", where, "an object", lambda v: isinstance(v, dict))
+            lam, mu = (_entry(p, k, where + ".isotropic", "a number", _number)
+                       for k in ("lambda", "mu"))
+            t = make_isotropic(lam, mu)
         else:
-            raise ValueError("unknown material model: %s" % sorted(model))
-        layers.append((lay["from"], lay["to"], t))
+            t = ElasticityTensor(_entry(model, "voigt", where, "a 6x6 list of numbers", _voigt))
+        layers.append((a, b, t))
     return MaterialProfile(layers)

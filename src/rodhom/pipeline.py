@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import fem, fiber, homogenize as hz, transform as tr
-from .geometry import compute_moments, cross_mass, is_centrally_symmetric
+from .geometry import cross_mass, is_centrally_symmetric
 from .material import check_rod_material_symmetry
 
 _CHAIN_REGIME = {"rod": "general_chi2", "stretch": "stretch", "bend": "bend"}
@@ -73,13 +73,6 @@ class ExperimentConfig:
                 "slope_margin": self.slope_margin, "floor": self.floor}
 
 
-def _cache(forms):
-    if not hasattr(forms, "_line_cache"):
-        cross = forms.mesh.cross
-        forms._line_cache = {"md": compute_moments(cross), "Mw": cross_mass(cross)}
-    return forms._line_cache
-
-
 def _limit_matrix(A4, md, chi, t, regime):
     """t * G(chi)^H A G(chi) + C restricted to the regime slots, with the
     chi-independent weight C of the limit operator (identity for bending);
@@ -101,7 +94,6 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     momentum map, the symbol solve and the adjoint embedding at chi = eps
     theta, all frequencies at once. With momentum_variant "zero" the
     embedding is E0 alone. E0 and E1 are the first slab of the forms' tiles."""
-    cache = _cache(forms)
     A4 = hz.rod_tensor(forms).A_rod
     n, slots = 3 * forms.mesh.cross.n_nodes, hz._REGIME_SLOTS[regime]
     E0, E1 = forms.E0[:n, slots], forms.E1[:n, slots]
@@ -110,9 +102,9 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     ghat = np.fft.fft(g.values, axis=0)
     chi = f.eps * (2.0 * np.pi * np.fft.fftfreq(f.S, d=f.L / f.S))
     tilt = np.zeros((f.S, 1)) if momentum_variant == "zero" else chi[:, None]
-    Mg = (cache["Mw"] @ ghat.reshape(f.S, -1, 3)).reshape(f.S, -1)
+    Mg = (forms.cross_mass @ ghat.reshape(f.S, -1, 3)).reshape(f.S, -1)
     mom = Mg @ E0.conj() + tilt * (Mg @ E1.conj())
-    mhat = np.linalg.solve(_limit_matrix(A4, cache["md"], chi, t, regime), mom[..., None])[..., 0]
+    mhat = np.linalg.solve(_limit_matrix(A4, forms.moments, chi, t, regime), mom[..., None])[..., 0]
     return f.like(np.fft.ifft(mhat @ E0.T + tilt * (mhat @ E1.T), axis=0))
 
 
@@ -120,7 +112,7 @@ def fiber_pullback_resolvent(forms, f, gamma, regime):
     """The same leading-order operator built fiberwise (momentum, symbol
     solve, embedding per Gelfand fiber); must agree with limit_resolvent to
     solver precision."""
-    md, A4 = _cache(forms)["md"], hz.rod_tensor(forms).A_rod
+    md, A4 = forms.moments, hz.rod_tensor(forms).A_rod
     t = f.eps ** (-(gamma + 2.0))
     b = tr.gelfand(f)
     out = np.zeros_like(b.values)

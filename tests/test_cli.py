@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -117,3 +118,29 @@ def test_config_values_checked_before_assembly(tmp_path, monkeypatch, command, c
     monkeypatch.setattr(fem, "assemble", no_assembly)
     with pytest.raises(ValueError, match="config key %s must be" % key):
         cli.main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+
+
+_ISO = {"isotropic": {"lambda": 1.0, "mu": 1.0}}
+
+
+@pytest.mark.parametrize("layer, key", [
+    ({"to": 0.5, "model": _ISO}, "material.layers[0].from"),
+    ({"from": -0.5, "model": _ISO}, "material.layers[0].to"),
+    ({"from": -0.5, "to": 0.5}, "material.layers[0].model"),
+    ({"from": -0.5, "to": 0.5, "model": {"isotropic": {"lambda": "1", "mu": 1.0}}},
+     "material.layers[0].model.isotropic.lambda"),
+    ({"from": -0.5, "to": 0.5, "model": {"isotropic": {"lambda": 1.0, "mu": "1"}}},
+     "material.layers[0].model.isotropic.mu"),
+    ({"from": -0.5, "to": 0.5, "model": {"voigt": [[1.0] * 5] * 5}},
+     "material.layers[0].model.voigt"),
+], ids=["from", "to", "model", "lambda", "mu", "voigt"])
+def test_material_layers_checked_before_assembly(tmp_path, monkeypatch, layer, key):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the config check")
+
+    monkeypatch.setattr(fem, "assemble", no_assembly)
+    cfg = _write(tmp_path, {"material": {"layers": [layer]}})
+    with pytest.raises(ValueError, match=re.escape(key)):
+        cli.load_config(cfg)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        cli.main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o")])

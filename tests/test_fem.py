@@ -198,6 +198,56 @@ def test_saddle_rejects_incompatible_load(forms):
         forms.saddle_solver().solve(load)
 
 
+def test_saddle_complex_load_matches_dense_solve(forms):
+    # the real LU solves the real and imaginary parts as two columns; the
+    # result must be the complex solve of the same saddle matrix
+    rng = np.random.default_rng(11)
+    n = forms.mesh.n_dof
+    B = forms.kernel_fields.T
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    load = f - forms.M @ (B @ np.linalg.solve(B.T @ (forms.M @ B), B.T @ f))
+    A = np.block([[forms.K_ss.toarray(), forms.R.T], [forms.R, np.zeros((4, 4))]])
+    want = np.linalg.solve(A.astype(complex), np.concatenate([load, np.zeros(4)]))[:n]
+    got = forms.saddle_solver().solve(load)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.max(np.abs(forms.R @ got)) <= 1e-10 * np.linalg.norm(load)
+
+
+def test_resolvent_backward_error(forms):
+    chi = 0.05
+    t = chi ** -4
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
+    u = fem.ResolventSolver(forms, chi, t).solve(f)
+    A, b = t * forms.K(chi) + forms.M, forms.M @ f
+    norm_A = abs(A).sum(axis=1).max()
+    eta = np.abs(A @ u - b).max() / (norm_A * np.abs(u).max() + np.abs(b).max())
+    assert eta <= 1e-14
+
+
+def test_factorize_rejects_indefinite_hermitian(forms):
+    A = forms.K(0.3) - 10.0 * forms.M
+    fem.factorize(A)   # nonsingular: only the positive-definite guard rejects it
+    with pytest.raises(fem.SingularSystem, match="not positive definite"):
+        fem.factorize(A, hpd=True)
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.3])
+def test_smallest_eigs_one_factorisation_and_dense_values(forms, monkeypatch, chi):
+    sizes = []
+    splu = fem.spla.splu
+
+    def counted(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    vals, _ = fem.smallest_eigs(forms, chi, 5)
+    assert sizes == [forms.mesh.n_dof]
+    ref = sla.eigh(forms.K(chi).toarray(), forms.M.toarray(), eigvals_only=True)[:5]
+    assert np.all(np.abs(vals - ref) <= 1e-9 * np.abs(ref).max())
+
+
 def test_smallest_eigs_kernel_dimension(forms):
     vals, vecs = fem.smallest_eigs(forms, 0.0, 5)
     assert np.all(vals[:4] < 1e-8)
