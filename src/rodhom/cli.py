@@ -35,8 +35,7 @@ DEFAULT_CONFIG = {
 TOLERANCES = {
     "fiber_line_consistency": 1e-10,
     "self_adjointness": 1e-10,
-    "kernel_residual": 1e-8,
-    "slope_margin": 0.1,
+    "kernel_residual": fem.KERNEL_TOLERANCE,
 }
 
 

@@ -19,7 +19,7 @@ into slots (e33, 2e23, 2e13). Assembly builds every fiber operator once:
   the four canonical J-data (see homogenize), and their 4x4 Gram matrix
   J_gram = sum w J_d^T D J_k;
 - the tiled embedding blocks E0 and E1 (see embedding_blocks), whose E0 is the
-  rigid-motion kernel of K(0) that the saddle solver constrains;
+  rigid-motion kernel of K(0) that the quotient solver factors out;
 - the scalar blocks of the H1 norm: S_hat (cross-section gradients), S_y
   (d/dy) and C_y = i (Y - Y^T) with Y = int d_y N_a N_b, so that
   int |d_y u + i chi u|^2 = u^H (S_y + chi C_y + chi^2 M1) u per component.
@@ -30,20 +30,23 @@ fields are kept: they would be a second representation of the same
 operators, to be kept consistent with the first. Values derived from the
 forms are cached properties of AssembledForms.
 
-Every sparse LU goes through factorize, with options from the system's
-structure: the real, indefinite saddle system [[K_ss, R^T], [R, 0]] gets a
-real LU with partial pivoting; the Hermitian positive definite resolvents
-t K(chi) + M and shift-invert matrices K(chi) - sigma M (sigma < 0) get
-SuperLU's symmetric mode, with every pivot checked to be positive.
+Every sparse LU goes through factorize and is Hermitian positive definite:
+K_ss with four dofs pinned (QuotientSolver), the resolvents t K(chi) + M and
+the shift-invert matrices K(chi) - sigma M (sigma < 0), each in SuperLU's
+symmetric mode with every pivot checked to be positive.
 """
 
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import geometry, homogenize
+
+
+KERNEL_TOLERANCE = 1e-8   # the largest relative kernel residual QuotientSolver accepts
 
 
 class SingularSystem(Exception):
@@ -197,7 +200,6 @@ class AssembledForms:
         # test columns of the bend coefficient projection
         T = self.E0[:, :2]
         self.bend_tests = (self.P @ T, self.K_xx @ T)
-        self.R = np.array([self.M @ b for b in self.kernel_fields])  # constraint rows
 
     def K(self, chi):
         if chi == 0:
@@ -233,11 +235,8 @@ class AssembledForms:
         return np.abs(self.kernel_fields @ np.asarray(load, dtype=complex))
 
     @cached_property
-    def saddle(self):
-        return SaddleSolver(self)
-
-    def saddle_solver(self):
-        return self.saddle
+    def quotient(self):
+        return QuotientSolver(self)
 
     @cached_property
     def cell_basis(self):
@@ -275,35 +274,40 @@ def _form(A, U):
     return float(np.vdot(U, A @ U).real)
 
 
-class SaddleSolver:
-    """One sparse LU of the real matrix [[K_ss, R^T], [R, 0]]; solves every
-    constrained cell and corrector problem (the left-hand side is
-    chi-independent).
-
-    For t*K_ss the solution is u(1)/t, so a single factorisation serves all
-    scalings. A complex load is solved as its real and imaginary parts, two
-    columns of one real solve. Only the LU and the rigid-motion rows are
-    kept, so the solver cached on the forms does not refer back to them.
+class QuotientSolver:
+    """Solves t K_ss u = load, every cell and corrector problem, on the
+    rigid-motion quotient. A pivoted QR of the rigid motions Z picks four dofs
+    to pin, so K_ss on the other dofs is real symmetric positive definite;
+    one LU of it serves all loads and t. The load's M-rigid part
+    M Z^T G^-1 Z load (G = Z M Z^T) is removed first and u is projected
+    M-orthogonally off Z after, which makes u the solution of the saddle
+    system [[K_ss, (Z M)^T], [Z M, 0]] for every load. A complex load is two
+    columns of one real solve. The solver keeps no reference to the forms.
     """
 
     def __init__(self, forms):
-        self.kernel = forms.kernel_fields
-        R = sp.csr_matrix(forms.R)
-        self.lu = factorize(sp.bmat([[forms.K_ss, R.T], [R, None]]))
-        self.n = forms.mesh.n_dof
+        Z = self.kernel = forms.kernel_fields
+        self.MZ = forms.M @ Z.T
+        self.G_inv = np.linalg.inv(Z @ self.MZ)
+        pins = sla.qr(Z, mode="r", pivoting=True)[1][:4]
+        self.free = np.setdiff1d(np.arange(Z.shape[1]), pins)
+        self.lu = factorize(forms.K_ss[self.free][:, self.free])
 
     def solve(self, load, t=1.0, check=True):
         """u with t K_ss u = load on the rigid-motion quotient; with check, a
-        load whose kernel residual exceeds 1e-8 of its norm is rejected."""
+        load whose kernel residual exceeds KERNEL_TOLERANCE of its norm is
+        rejected."""
         load = np.asarray(load, dtype=complex)
-        res = np.max(np.abs(self.kernel @ load))
-        scale = np.linalg.norm(load)
-        if check and scale > 0 and res > 1e-8 * scale:
-            raise IncompatibleLoad("load has kernel residual %.3e relative" % (res / scale))
-        rhs = np.zeros((self.n + 4, 2))
-        rhs[:self.n, 0], rhs[:self.n, 1] = load.real, load.imag
-        sol = self.lu.solve(rhs)
-        return (sol[:self.n, 0] + 1j * sol[:self.n, 1]) / t
+        res = self.kernel @ load
+        worst, scale = np.max(np.abs(res)), np.linalg.norm(load)
+        if check and scale > 0 and worst > KERNEL_TOLERANCE * scale:
+            raise IncompatibleLoad("load has kernel residual %.3e relative" % (worst / scale))
+        f = (load - self.MZ @ (self.G_inv @ res))[self.free]
+        sol = self.lu.solve(np.column_stack([f.real, f.imag]))
+        u = np.zeros(load.shape, dtype=complex)
+        u[self.free] = sol[:, 0] + 1j * sol[:, 1]
+        u -= self.kernel.T @ (self.G_inv @ (self.MZ.T @ u))
+        return u / t
 
 
 def assemble(profile, mesh):
@@ -311,23 +315,19 @@ def assemble(profile, mesh):
     return AssembledForms(profile, mesh)
 
 
-def factorize(A, hpd=False):
-    """Sparse LU of A. A Hermitian positive definite A (hpd) gets SuperLU's
-    symmetric mode: minimum degree on A^T + A and diagonal pivots. Unpivoted,
-    an indefinite A would give wrong solves, so a pivot (diagonal of U) whose
-    real part is not positive raises SingularSystem. Any other A gets COLAMD
-    with partial pivoting."""
-    opts = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True)) if hpd else {}
+def factorize(A):
+    """Sparse LU of a Hermitian positive definite A in SuperLU's symmetric
+    mode: minimum degree on A^T + A and diagonal pivots. Unpivoted, an
+    indefinite A would give wrong solves, so a pivot (diagonal of U) whose
+    real part is not positive raises SingularSystem."""
     try:
-        lu = spla.splu(sp.csc_matrix(A), **opts)
+        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(str(exc))
-    if hpd:
-        pivots = lu.U.diagonal().real
-        if not np.all(pivots > 0):
-            raise SingularSystem("matrix is not positive definite: pivot %.3e"
-                                 % pivots.min())
+    pivots = lu.U.diagonal().real
+    if not np.all(pivots > 0):
+        raise SingularSystem("matrix is not positive definite: pivot %.3e" % pivots.min())
     return lu
 
 
@@ -337,7 +337,7 @@ class ResolventSolver:
 
     def __init__(self, forms, chi, t):
         self.forms = forms
-        self.lu = factorize(t * forms.K(chi) + forms.M, hpd=True)
+        self.lu = factorize(t * forms.K(chi) + forms.M)
 
     def solve(self, load_field):
         return self.lu.solve(self.forms.M @ np.asarray(load_field, dtype=complex))
@@ -350,7 +350,7 @@ def smallest_eigs(forms, chi, k):
     K = forms.K(chi)
     scale = float(np.abs(K.diagonal()).mean())
     sigma = -1e-8 * scale
-    lu = factorize(K - sigma * forms.M, hpd=True)
+    lu = factorize(K - sigma * forms.M)
     OPinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=complex)
     # fixed start vector: ARPACK's default is random, which makes the
     # achieved residuals (and bit-stability) run-dependent

@@ -6,7 +6,7 @@ with a free positive prefactor t standing in for chi^-2 / chi^-4 (or
 eps^-(gamma+2) in the eps-parametrised studies). Bend has its own recursion;
 stretch, general_chi2 and general_chi4 run one recursion on the slots of the
 regime, ending at chi^-2 or running on to the chi^-4 refinements. Every
-corrector solve goes through one cached saddle factorisation; the
+corrector solve goes through the forms' quotient solver, one cached LU; the
 solvability residual of each right-hand side against the rigid motions is
 recorded, since each one is an exact identity of the discrete construction.
 """
@@ -185,18 +185,14 @@ class _ChainBuilder:
     """The state of one chain: the fiber's blocks restricted to the regime's
     slots, the coupling t, and the chain being built."""
 
-    def __init__(self, ops, t, regime, gram_mode="chi", depth="full"):
-        if gram_mode not in ("chi", "identity"):
-            raise ValueError(gram_mode)
+    def __init__(self, ops, t, regime, depth="full"):
         s = _slots(regime)
         self.ops, self.forms, self.chi, self.t = ops, ops.forms, ops.chi, t
-        self.regime, self.gram_mode, self.depth = regime, gram_mode, depth
-        self.saddle = ops.forms.saddle_solver()
+        self.regime, self.depth = regime, depth
         self.E, self.S, self.B1, self.lam = (X[:, s] for X in (ops.E, ops.S, ops.B1, ops.lam))
         # the in-plane translations among the regime's slots (none for stretch)
         self.T = ops.forms.E0[:, :2][:, s]
-        C = ops.C[s, s] if gram_mode == "chi" else np.eye(self.E.shape[1])
-        self.symbol = t * ops.A[s, s] + C
+        self.symbol = t * ops.A[s, s] + ops.C[s, s]
         self.test_s, self.test_x, self.test_c = ops.test_fields(regime)
         self.chain = Chain(regime=regime, chi=ops.chi, t=t)
 
@@ -211,10 +207,8 @@ class _ChainBuilder:
         return self.chi ** 2 * (self.forms.K_xx @ u)
 
     def solve(self, name, b):
-        # with the exact Gram matrix every right-hand side is kernel-orthogonal
-        # by construction; the replacement variants are off by O(chi^2), so the
-        # hard check applies only to the default mode
-        u = self.saddle.solve(b, t=self.t, check=self.gram_mode == "chi")
+        # every right-hand side is kernel-orthogonal by construction
+        u = self.forms.quotient.solve(b, t=self.t)
         self.chain.residuals.append((name, float(np.max(self.forms.kernel_residuals(b)))))
         self.chain.terms[name] = u
         return u
@@ -240,7 +234,7 @@ class _ChainBuilder:
         return -self.t * self.moments(u, v)
 
 
-def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None, depth="full"):
+def build_chain(forms, chi, t, regime, f, scaling=None, depth="full"):
     """Run the corrector recursion of the given regime.
 
     f is the unscaled load; scaling defaults to the regime's natural tag
@@ -251,7 +245,7 @@ def build_chain(forms, chi, t, regime, f, gram_mode="chi", scaling=None, depth="
     coefficient vectors, and the kernel residual of every corrector
     right-hand side.
     """
-    cb = _ChainBuilder(FiberOps(forms, chi), t, regime, gram_mode, depth)
+    cb = _ChainBuilder(FiberOps(forms, chi), t, regime, depth)
     tag = scaling if scaling is not None else _DEFAULT_SCALING[regime]
     g = apply_load_scaling(f, tag, chi)
     if regime == "bend":

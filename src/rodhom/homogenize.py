@@ -41,7 +41,7 @@ def solve_cell(forms, m):
     """Corrector u with int A(sym-grad u + J_m) : conj(sym-grad v) = 0 for
     all periodic v, posed on the rigid-motion quotient; m holds the
     (possibly complex) coefficients of the data J_m."""
-    return forms.saddle_solver().solve(-forms.Ls @ np.asarray(m))
+    return forms.quotient.solve(-forms.Ls @ np.asarray(m))
 
 
 def cell_basis(forms):

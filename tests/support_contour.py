@@ -88,18 +88,18 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     # r(t) = t P m + Q m + S f and compare against the double-resolvent
     # contour formula
     cb = fiber._ChainBuilder(ops, t, "stretch")
-    saddle = forms.saddle_solver()
+    quotient = forms.quotient
     E = cb.E
     nb = E.shape[1]
     zero = np.zeros(forms.mesh.n_dof)
 
     def Shat(h):
-        return -cb.moments(saddle.solve(forms.M @ h, check=False), zero)
+        return -cb.moments(quotient.solve(forms.M @ h, check=False), zero)
 
     Phat = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):
         u1 = cb.B1[:, r]
-        w = saddle.solve(cb.shift(u1) + cb.lam[:, r], check=False)
+        w = quotient.solve(cb.shift(u1) + cb.lam[:, r], check=False)
         Phat[:, r] = cb.moments(w, -u1)
     Q = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):

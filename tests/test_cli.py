@@ -89,6 +89,17 @@ def test_config_merges_nested_keys(tmp_path):
     assert cli.build_problem(cfg).mesh.n_y == 4
 
 
+def test_report_tolerances_leave_slope_margin_to_config(tmp_path):
+    # the slope margin a run uses is reported in its config block; the fixed
+    # tolerances must not claim another value
+    cfg = cli.load_config(_write(tmp_path, {
+        "slope_margin": 0.3,
+        "geometry": {"n_y": 2, "cross_section": {"rectangle": {"nx": 2, "ny": 2}}}}))
+    tolerances = cli.provenance(cfg, cli.build_problem(cfg))["tolerances"]
+    assert "slope_margin" not in tolerances
+    assert tolerances["kernel_residual"] == fem.KERNEL_TOLERANCE
+
+
 def test_config_replaces_material_layers_whole(tmp_path):
     layer = {"from": -0.5, "to": 0.5, "model": {"isotropic": {"lambda": 1.0, "mu": 1.0}}}
     cfg = cli.load_config(_write(tmp_path, {"material": {"layers": [layer]}}))

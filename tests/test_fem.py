@@ -16,6 +16,15 @@ from support_quadrature import (cross_mass_loop, gauss_points, graded_square, st
                                 total_area)
 
 
+def dense_saddle_solve(forms, load):
+    """u of the saddle system [[K_ss, R^T], [R, 0]] [u, lam] = [load, 0] with
+    the constraint rows R = Z M of the rigid motions Z, from one dense complex
+    solve: the solution on the rigid-motion quotient for any load."""
+    R = forms.kernel_fields @ forms.M
+    A = np.block([[forms.K_ss.toarray(), R.T], [R, np.zeros((4, 4))]])
+    return np.linalg.solve(A.astype(complex), np.concatenate([load, np.zeros(4)]))[:len(load)]
+
+
 def layered_profile(contrast=5.0):
     return MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)),
                             (0.0, 0.5, make_isotropic(contrast, contrast))])
@@ -104,6 +113,11 @@ def test_form_properties_on_random_cells(n, bow, stretch, shear, interface, seed
     # a translation has mass the section volume: its area times the unit cell
     one = forms.kernel_fields[0]
     assert abs(one @ (forms.M @ one) - total_area(cross)) <= 1e-12
+    # the quotient solve is the saddle solution, whichever four dofs it pins
+    w = [1, 1j] @ np.random.default_rng(seed).standard_normal((2, forms.mesh.n_dof))
+    load = forms.K_ss @ w
+    want = dense_saddle_solve(forms, load)
+    assert np.linalg.norm(forms.quotient.solve(load) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_energy_identity():
@@ -148,12 +162,12 @@ def test_rejects_inverted_element():
 
 
 def test_forms_freed_without_cycle_collector():
-    # the cached saddle solver must not refer back to the forms, or a dropped
-    # set-up stays resident until the cyclic collector runs
+    # the cached quotient solver must not refer back to the forms, or a
+    # dropped set-up stays resident until the cyclic collector runs
     gc.disable()
     try:
         forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 2))
-        forms.saddle_solver()
+        forms.quotient
         hz.cell_basis(forms)
         ref = weakref.ref(forms)
         del forms
@@ -172,7 +186,7 @@ def test_positive_semidefinite(forms):
 
 
 def test_saddle_zero_load(forms):
-    u = forms.saddle_solver().solve(np.zeros(forms.mesh.n_dof))
+    u = forms.quotient.solve(np.zeros(forms.mesh.n_dof))
     assert np.linalg.norm(u) == 0
 
 
@@ -186,31 +200,32 @@ def test_saddle_consistency(forms):
     w -= B @ np.linalg.solve(G, B.T @ (forms.M @ w))
     t = 2.5
     load = t * (forms.K_ss @ w)
-    u = forms.saddle_solver().solve(load, t=t)
+    u = forms.quotient.solve(load, t=t)
     assert np.linalg.norm(u - w) < 1e-8 * np.linalg.norm(w)
     # solution satisfies the constraints
-    assert np.max(np.abs(forms.R @ u)) < 1e-10 * np.linalg.norm(w)
+    assert np.max(np.abs(forms.kernel_fields @ (forms.M @ u))) < 1e-10 * np.linalg.norm(w)
 
 
 def test_saddle_rejects_incompatible_load(forms):
     load = forms.M @ forms.kernel_fields[0].astype(complex)
     with pytest.raises(fem.IncompatibleLoad):
-        forms.saddle_solver().solve(load)
+        forms.quotient.solve(load)
 
 
 def test_saddle_complex_load_matches_dense_solve(forms):
-    # the real LU solves the real and imaginary parts as two columns; the
-    # result must be the complex solve of the same saddle matrix
+    # the real LU solves the real and imaginary parts as two columns; for a
+    # compatible load, and for an incompatible one solved unchecked, the
+    # result must be the complex solve of the saddle matrix
     rng = np.random.default_rng(11)
     n = forms.mesh.n_dof
     B = forms.kernel_fields.T
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    load = f - forms.M @ (B @ np.linalg.solve(B.T @ (forms.M @ B), B.T @ f))
-    A = np.block([[forms.K_ss.toarray(), forms.R.T], [forms.R, np.zeros((4, 4))]])
-    want = np.linalg.solve(A.astype(complex), np.concatenate([load, np.zeros(4)]))[:n]
-    got = forms.saddle_solver().solve(load)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert np.max(np.abs(forms.R @ got)) <= 1e-10 * np.linalg.norm(load)
+    compatible = f - forms.M @ (B @ np.linalg.solve(B.T @ (forms.M @ B), B.T @ f))
+    for load, check in ((compatible, True), (f, False)):
+        want = dense_saddle_solve(forms, load)
+        got = forms.quotient.solve(load, check=check)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.max(np.abs(forms.kernel_fields @ (forms.M @ got))) <= 1e-10 * np.linalg.norm(load)
 
 
 def test_resolvent_backward_error(forms):
@@ -227,9 +242,12 @@ def test_resolvent_backward_error(forms):
 
 def test_factorize_rejects_indefinite_hermitian(forms):
     A = forms.K(0.3) - 10.0 * forms.M
-    fem.factorize(A)   # nonsingular: only the positive-definite guard rejects it
+    # nonsingular: a dense solve recovers x, so only the positive-definite
+    # guard rejects A
+    x = np.random.default_rng(13).standard_normal(forms.mesh.n_dof)
+    assert np.linalg.norm(np.linalg.solve(A.toarray(), A @ x) - x) <= 1e-8 * np.linalg.norm(x)
     with pytest.raises(fem.SingularSystem, match="not positive definite"):
-        fem.factorize(A, hpd=True)
+        fem.factorize(A)
 
 
 @pytest.mark.parametrize("chi", [0.0, 0.3])

@@ -170,7 +170,7 @@ def test_chain_constraints_and_residuals(setup):
         # every corrector field satisfies the mean / rotation constraints
         for name, u in ch.terms.items():
             if name.startswith(("u2", "u3")):
-                assert np.max(np.abs(forms.R @ u)) < 1e-10
+                assert np.max(np.abs(forms.kernel_fields @ (forms.M @ u))) < 1e-10
 
 
 def test_chain_norm_ladders(setup):
@@ -271,17 +271,6 @@ def test_third_refinement_determined_by_load(setup):
         assert np.linalg.norm(b.m["m3"] - m3) <= 1e-12 * np.linalg.norm(m3)
         for ch in (a, b):
             assert dict(ch.residuals)["u2_3"] < 1e-10
-
-
-def test_gram_mode_identity_same_rates(setup):
-    # replacing the chi-dependent Gram by its chi-independent version moves
-    # the leading term by O(chi^2) only
-    forms, _, fb, _ = setup
-    for chi in [0.3, 0.15]:
-        c1 = fiber.build_chain(forms, chi, chi ** -4, "bend", fb, gram_mode="chi")
-        c2 = fiber.build_chain(forms, chi, chi ** -4, "bend", fb, gram_mode="identity")
-        d = np.sqrt(forms.norm_sq_l2(c1.order0() - c2.order0()))
-        assert d < 2.0 * chi ** 2
 
 
 def test_contour_checks(setup):

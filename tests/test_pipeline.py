@@ -274,9 +274,9 @@ def test_report_json_roundtrip(forms, tmp_path):
 @pytest.fixture()
 def factorisations(forms, monkeypatch):
     """Matrix sizes of every sparse LU made while the test runs, after the
-    cell basis and the saddle LU (cached on the forms) are built."""
+    cell basis and the quotient LU (cached on the forms) are built."""
     rod_tensor(forms)
-    forms.saddle_solver()
+    forms.quotient
     sizes = []
     splu = fem.spla.splu
 
