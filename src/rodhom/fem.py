@@ -25,7 +25,9 @@ into slots (e33, 2e23, 2e13). Assembly builds every fiber operator once:
   int |d_y u + i chi u|^2 = u^H (S_y + chi C_y + chi^2 M1) u per component.
 
 Every term of the corrector chains, the cell problems, the rod tensor and the
-error norms is one of these matrices applied to a nodal vector. No Gauss-point
+error norms is one of these matrices applied to a nodal vector. The norms take
+one fiber or a (K, n_dof) stack of fibers with one chi each, and apply each
+scalar block to the whole stack in one sparse product. No Gauss-point
 fields are kept: they would be a second representation of the same
 operators, to be kept consistent with the first. Values derived from the
 forms are cached properties of AssembledForms.
@@ -210,23 +212,23 @@ class AssembledForms:
 
     def norm_sq_l2(self, u, component=None):
         """Squared L2 norm of the displacement components labelled component:
-        '12' (in-plane), '3' (out-of-line), or 'all' / None."""
-        return _form(self.M1, _components(u, component))
+        '12' (in-plane), '3' (out-of-line), or 'all' / None. u is one fiber
+        (n_dof,) or a stack (K, n_dof), whose squared norms are summed."""
+        return float(np.sum(_form(self.M1, _components(u, component))))
 
-    def norm_sq_h1(self, u, component=None, chi=None, eps=None):
-        """Squared H1 norm of the components labelled component (see
-        norm_sq_l2).
+    def norm_sq_h1(self, u, component=None, chi=0.0, eps=1.0):
+        """Squared H1 norm of the components labelled component, of one fiber
+        or summed over a stack (see norm_sq_l2).
 
-        With chi/eps given, the longitudinal derivative is measured in the
-        eps-scaled fiber metric eps^-2 |d_y u + i chi u|^2; otherwise the plain
-        gradient on the product domain is used.
+        The longitudinal derivative is measured in the eps-scaled fiber metric
+        eps^-2 |d_y u + i chi u|^2, with chi a scalar or one value per fiber
+        of the stack; the defaults chi = 0, eps = 1 give the plain gradient on
+        the product domain.
         """
         U = _components(u, component)
         l2 = _form(self.M1, U)
-        out = l2 + _form(self.S_hat, U)
-        if chi is None:
-            return out + _form(self.S_y, U)
-        return out + (_form(self.S_y, U) + chi * _form(self.C_y, U) + chi ** 2 * l2) / eps ** 2
+        dy = _form(self.S_y, U) + chi * _form(self.C_y, U) + chi ** 2 * l2
+        return float(np.sum(l2 + _form(self.S_hat, U) + dy / eps ** 2))
 
     # -- solvers ----------------------------------------------------------
 
@@ -264,14 +266,20 @@ COMPONENTS = {None: slice(0, 3), "all": slice(0, 3), "12": slice(0, 2), "3": sli
 
 
 def _components(u, component):
-    """Nodal values of u as an (n_nodes, 3) array, restricted to the columns
-    of a component label (see COMPONENTS)."""
-    return np.asarray(u).reshape(-1, 3)[:, COMPONENTS[component]]
+    """Nodal values of u, one fiber (n_dof,) or a stack (..., n_dof), as an
+    (..., n_nodes, c) array of the columns of a component label (see
+    COMPONENTS)."""
+    u = np.asarray(u)
+    return u.reshape(u.shape[:-1] + (-1, 3))[..., COMPONENTS[component]]
 
 
 def _form(A, U):
-    """sum over components of U^H A U for a Hermitian scalar block A."""
-    return float(np.vdot(U, A @ U).real)
+    """sum over components of U^H A U for a Hermitian scalar block A, per
+    fiber of nodal values U (..., n_nodes, c): one sparse product of A with
+    every fiber's columns side by side."""
+    W = np.moveaxis(U, -2, 0)
+    AW = (A @ W.reshape(len(W), -1)).reshape(W.shape)
+    return np.einsum("n...c,n...c->...", W.conj(), AW).real
 
 
 class QuotientSolver:

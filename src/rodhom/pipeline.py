@@ -11,8 +11,8 @@ error over a seeded load family against the expected exponents.
 
 import csv
 import dataclasses
-import json
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,21 +38,25 @@ class ExperimentConfig:
     orders: tuple = (0,)
     n_loads: int = 5
     seed: int = 0
-    use_xi: bool = True
     momentum_variant: str = "eps"   # "zero" drops the derivative part (bend)
     s_inf: bool = False             # zero out-of-line force components (bend)
     slope_margin: float = 0.1
-    floor: float = 1e-10
+    floor: ClassVar[float] = 1e-10  # a row whose last error is below it is inconclusive
 
     def __post_init__(self):
         if self.gamma <= -2:
             raise ValueError("gamma must exceed -2")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
+        if not self.length > 0:
+            raise ValueError("length must be positive")
         if self.momentum_variant not in ("eps", "zero"):
             raise ValueError(self.momentum_variant)
         if len(self.n_grid) < 4:
             raise ValueError("need at least 4 grid points for a slope fit")
+        if not all(isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N > 0
+                   for N in self.n_grid):
+            raise ValueError("n_grid entries must be positive integers")
         if not set(self.regimes) <= set(REGIMES):
             raise ValueError("regimes must be drawn from %s" % ", ".join(REGIMES))
         if not self.orders or not set(self.orders) <= set(_ORDER_NORM):
@@ -61,16 +65,10 @@ class ExperimentConfig:
             raise ValueError("n_loads must be at least 1")
 
     def flags(self):
-        return "xi=%d,momentum=%s,s_inf=%d,gamma=%g,delta=%g" % (
-            self.use_xi, self.momentum_variant, self.s_inf, self.gamma, self.delta)
-
-    def to_json(self):
-        return {"gamma": self.gamma, "delta": self.delta, "length": self.length,
-                "n_grid": list(self.n_grid), "regimes": list(self.regimes),
-                "orders": list(self.orders), "n_loads": self.n_loads,
-                "seed": self.seed, "use_xi": self.use_xi,
-                "momentum_variant": self.momentum_variant, "s_inf": self.s_inf,
-                "slope_margin": self.slope_margin, "floor": self.floor}
+        # xi=1: the band-limiter is always on; the reference tables key
+        # their rows by the full flag string
+        return "xi=1,momentum=%s,s_inf=%d,gamma=%g,delta=%g" % (
+            self.momentum_variant, self.s_inf, self.gamma, self.delta)
 
 
 def _limit_matrix(A4, md, chi, t, regime):
@@ -185,26 +183,24 @@ class LineResolvent:
 
 def line_inner(forms, a, b):
     """L2 inner product of two line fields in the consistent-mass metric
-    (the one the fiberwise resolvents are exactly self-adjoint in)."""
-    ba = tr.gelfand(a)
-    bb = tr.gelfand(b)
-    out = 0.0 + 0.0j
-    for k in range(len(ba.chis)):
-        out += np.vdot(ba.fiber(k), forms.M @ bb.fiber(k))
-    return complex(out / ba.n_y)
+    (the one the fiberwise resolvents are exactly self-adjoint in): the sum
+    of the fiber products, from one product of M with b's whole bundle."""
+    ba, bb = tr.gelfand(a), tr.gelfand(b)
+    K = len(bb.chis)
+    MB = forms.M @ bb.values.reshape(K, -1).T
+    return complex(np.vdot(ba.values.reshape(K, -1).T, MB) / bb.n_y)
 
 
 def line_error_norm(forms, e, kind="l2", component=None):
-    """Fiberwise L2 or eps-scaled H1 norm of a line field (component '12',
-    '3', or 'all'/None; see fem.COMPONENTS)."""
+    """L2 or eps-scaled H1 norm of a line field (component '12', '3', or
+    'all'/None; see fem.COMPONENTS): the Gelfand transform is unitary, so it
+    is the fiber norm of the whole bundle, each fiber at its own chi."""
     b = tr.gelfand(e)
-    tot = 0.0
-    for k in range(len(b.chis)):
-        u = b.fiber(k)
-        if kind == "l2":
-            tot += forms.norm_sq_l2(u, component)
-        else:
-            tot += forms.norm_sq_h1(u, component, chi=float(b.chis[k]), eps=e.eps)
+    U = b.values.reshape(len(b.chis), -1)
+    if kind == "l2":
+        tot = forms.norm_sq_l2(U, component)
+    else:
+        tot = forms.norm_sq_h1(U, component, chi=b.chis, eps=e.eps)
     return float(np.sqrt(tot / b.n_y))
 
 
@@ -287,7 +283,6 @@ def write_csv(path, rows):
 @dataclass
 class RateReport:
     rows: list
-    config: dict = dfield(default_factory=dict)
 
     def all_pass(self):
         return all(r["passed"] for r in self.rows)
@@ -310,17 +305,18 @@ class RateReport:
     def write_csv(self, path):
         write_csv(path, self.csv_rows())
 
-    def to_json(self):
-        return {"config": self.config, "rows": self.rows,
-                "all_pass": self.all_pass()}
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
-
-def _fit(eps_list, errs):
-    return fiber.fit_slope(eps_list, np.maximum(errs, 1e-300))
+def _rate_row(regime, component, order, flags, eps_list, errs, theory, margin):
+    """One report row: the slope fitted to errs against the expected one.
+    It passes when its last error is above the floor and the slope is at
+    least theory - margin."""
+    slope = fiber.fit_slope(eps_list, np.maximum(errs, 1e-300))
+    conclusive = errs[-1] > ExperimentConfig.floor
+    return {"regime": regime, "component": component, "order": order,
+            "flags": flags, "eps": eps_list, "errs": errs,
+            "slope_fit": slope, "slope_theory": theory,
+            "conclusive": conclusive,
+            "passed": bool(conclusive and slope >= theory - margin)}
 
 
 def _scaled_load(cfg, g):
@@ -365,7 +361,6 @@ def rate_experiment(cfg, forms):
                 g = _scaled_load(cfg, f) if regime == "bend" else f
                 ref = R.apply(g)
                 a0 = limit_resolvent(forms, g, cfg.gamma, regime,
-                                     use_xi=cfg.use_xi,
                                      momentum_variant=cfg.momentum_variant)
                 if any(o >= 1 for o in cfg.orders):
                     u1, u01 = corrector_fields(forms, g, cfg.gamma, regime)
@@ -381,21 +376,12 @@ def rate_experiment(cfg, forms):
                             forms, e, kind=_ORDER_NORM[o], component=c))
             for key, seq in regime_errs.items():
                 seq.append(worst[key])
-    rows = []
-    for regime, regime_errs in zip(cfg.regimes, errs):
-        for (o, c), seq in sorted(regime_errs.items()):
-            slope = _fit(eps_list, seq)
-            theory = theory_slope(regime, c, o, cfg.gamma, cfg.delta,
-                                  cfg.momentum_variant)
-            conclusive = seq[-1] > cfg.floor
-            rows.append({
-                "regime": regime, "component": c, "order": o,
-                "flags": cfg.flags(), "eps": eps_list, "errs": seq,
-                "slope_fit": slope, "slope_theory": theory,
-                "conclusive": conclusive,
-                "passed": bool(conclusive and slope >= theory - cfg.slope_margin),
-            })
-    return RateReport(rows=rows, config=cfg.to_json())
+    return RateReport(rows=[
+        _rate_row(regime, c, o, cfg.flags(), eps_list, seq,
+                  theory_slope(regime, c, o, cfg.gamma, cfg.delta, cfg.momentum_variant),
+                  cfg.slope_margin)
+        for regime, regime_errs in zip(cfg.regimes, errs)
+        for (o, c), seq in sorted(regime_errs.items())])
 
 
 CHI_SWEEP = (0.4, 0.283, 0.2, 0.141, 0.1, 0.0707, 0.05)
@@ -469,15 +455,8 @@ def xi_ablation(cfg, forms):
             worst = max(worst, line_error_norm(
                 forms, f.like(a1.values - a0.values), kind="l2"))
         diffs.append(worst)
-    slope = _fit(eps_list, diffs)
-    theory = cfg.gamma + 2.0
-    row = {"regime": "rod", "component": "all", "order": 0,
-           "flags": "ablation=xi," + cfg.flags(), "eps": eps_list,
-           "errs": diffs, "slope_fit": slope, "slope_theory": theory,
-           "conclusive": diffs[-1] > cfg.floor,
-           "passed": bool(diffs[-1] > cfg.floor
-                          and slope >= theory - 2 * cfg.slope_margin)}
-    return RateReport(rows=[row], config=cfg.to_json())
+    return RateReport(rows=[_rate_row("rod", "all", 0, "ablation=xi," + cfg.flags(), eps_list,
+                                      diffs, cfg.gamma + 2.0, 2 * cfg.slope_margin)])
 
 
 def ablation_experiment(cfg, forms):

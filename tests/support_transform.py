@@ -1,8 +1,9 @@
 """Second constructions of the line/fiber transforms: the quasiperiodic
-(Floquet) picture, the fiberwise Parseval norm, the spectral longitudinal
-derivative, the fiber-mean form of the band-limiter and the real-domain
-momenta. Oracles for the Gelfand transform and the band-limiter of the
-library. Validation-only; not part of the library."""
+(Floquet) picture, the fiberwise Parseval norm, the line error norm and inner
+product fiber by fiber, the spectral longitudinal derivative, the fiber-mean
+form of the band-limiter and the real-domain momenta. Oracles for the Gelfand
+transform, the line norms and the band-limiter of the library.
+Validation-only; not part of the library."""
 
 import numpy as np
 
@@ -36,6 +37,29 @@ def bundle_norm_sq(b, M_omega):
     v = b.values.reshape(len(b.chis), b.n_y, -1, 3)
     return float((1.0 / b.n_y)
                  * np.einsum("kqic,ij,kqjc->", v.conj(), M_omega, v).real)
+
+
+def line_inner_loop(forms, a, b):
+    """pipeline.line_inner as a sum of fiber products, one fiber at a time."""
+    ba, bb = gelfand(a), gelfand(b)
+    out = 0.0 + 0.0j
+    for k in range(len(ba.chis)):
+        out += np.vdot(ba.fiber(k), forms.M @ bb.fiber(k))
+    return complex(out / ba.n_y)
+
+
+def line_error_norm_loop(forms, e, kind="l2", component=None):
+    """pipeline.line_error_norm as a sum of single-fiber norms, one fiber at
+    a time, each H1 norm at its fiber's chi."""
+    b = gelfand(e)
+    tot = 0.0
+    for k in range(len(b.chis)):
+        u = b.fiber(k)
+        if kind == "l2":
+            tot += forms.norm_sq_l2(u, component)
+        else:
+            tot += forms.norm_sq_h1(u, component, chi=float(b.chis[k]), eps=e.eps)
+    return float(np.sqrt(tot / b.n_y))
 
 
 def spectral_d3(lf):

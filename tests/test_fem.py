@@ -153,6 +153,24 @@ def test_energy_identity():
         assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
+def test_norms_of_fiber_stacks(forms):
+    # a (K, n_dof) stack with one chi per fiber is the sum of its fibers'
+    # norms; with its defaults, norm_sq_h1 is u^H (M1 + S_hat + S_y) u over
+    # the component's displacement columns
+    rng = np.random.default_rng(6)
+    V = rng.standard_normal((3, forms.mesh.n_dof)) + 1j * rng.standard_normal((3, forms.mesh.n_dof))
+    chis, eps = np.array([0.7, -1.2, 0.0]), 0.3
+    A = forms.M1 + forms.S_hat + forms.S_y
+    for c in (None, "12", "3"):
+        want = sum(forms.norm_sq_h1(v, c, chi=chi, eps=eps) for v, chi in zip(V, chis))
+        assert abs(forms.norm_sq_h1(V, c, chi=chis, eps=eps) - want) <= 1e-13 * want
+        want = sum(forms.norm_sq_l2(v, c) for v in V)
+        assert abs(forms.norm_sq_l2(V, c) - want) <= 1e-13 * want
+        U = V[0].reshape(-1, 3)[:, fem.COMPONENTS[c]]
+        want = sum(np.vdot(col, A @ col).real for col in U.T)
+        assert abs(forms.norm_sq_h1(V[0], c) - want) <= 1e-13 * want
+
+
 def test_rejects_inverted_element():
     cross = build_rectangle(1.0, 2, 2)
     elements = cross.elements.copy()
