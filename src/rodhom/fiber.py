@@ -177,9 +177,6 @@ class Chain:
     def order1(self):
         return self.terms["u0"] + self.terms["u0_1"] + self.terms["u1"]
 
-    def full(self):
-        return sum(self.terms.values())
-
 
 class _ChainBuilder:
     """The state of one chain: the fiber's blocks restricted to the regime's

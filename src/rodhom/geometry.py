@@ -4,17 +4,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import POSITIVE, is_integer, require
+
+# a mesh direction needs at least two cells
+_CELLS = ("an integer >= 2", lambda v: is_integer(v) and v >= 2)
+
 
 class CrossSectionMesh:
     """Structured quadrilateral mesh of a centered, area-1 cross-section.
 
-    nodes: (n_nodes, 2) coordinates; elements: (n_elem, 4) node indices,
-    counterclockwise.
+    nodes: (n_nodes, 2) coordinates; elements: (n_elem, 4) indices into
+    nodes, counterclockwise. Anything else raises ValueError.
     """
 
     def __init__(self, nodes, elements):
         self.nodes = np.asarray(nodes, dtype=float)
-        self.elements = np.asarray(elements, dtype=int)
+        self.elements = e = np.asarray(elements, dtype=int)
+        if e.ndim != 2 or e.shape[1] != 4:
+            raise ValueError("elements must be an (n_elem, 4) array of node indices, "
+                             "not one of shape %s" % (e.shape,))
+        if e.size and not 0 <= e.min() <= e.max() < self.n_nodes:
+            raise ValueError("element node indices must lie in [0, %d)" % self.n_nodes)
         # det of the bilinear map is affine in each reference coordinate, so
         # it is positive on an element iff it is positive at the 4 corners
         X = self.nodes[self.elements]                              # (n_elem, 4, 2)
@@ -34,12 +44,11 @@ def build_rectangle(aspect, nx, ny):
 
     The mesh is uniform nx-by-ny, centered at the origin, so all the
     normalisation identities (zero first moments, zero mixed moment) hold by
-    construction.
+    construction. aspect must be a positive number and nx, ny integers >= 2.
     """
-    if aspect <= 0:
-        raise ValueError("aspect must be positive")
-    if nx < 2 or ny < 2:
-        raise ValueError("need at least 2 cells per direction")
+    require("aspect", aspect, *POSITIVE)
+    require("nx", nx, *_CELLS)
+    require("ny", ny, *_CELLS)
     a = np.sqrt(aspect)   # side along x1
     b = 1.0 / a           # side along x2, so a*b = 1
     xs = np.linspace(-a / 2, a / 2, nx + 1)
@@ -63,25 +72,13 @@ def is_centrally_symmetric(mesh):
     Returns (flag, pairing) where pairing[i] is the node index of -node_i
     (or None when the mesh is not symmetric).
     """
-    nodes, tol = mesh.nodes, 1e-10
-    order = np.lexsort((nodes[:, 1], nodes[:, 0]))
-    pairing = np.full(len(nodes), -1, dtype=int)
-    # match -node_i against the sorted node list
-    for i, p in enumerate(-nodes):
-        j = np.searchsorted(nodes[order, 0], p[0] - tol)
-        found = -1
-        while j < len(order):
-            cand = order[j]
-            if nodes[cand, 0] > p[0] + tol:
-                break
-            if abs(nodes[cand, 1] - p[1]) <= tol and abs(nodes[cand, 0] - p[0]) <= tol:
-                found = cand
-                break
-            j += 1
-        if found < 0:
-            return False, None
-        pairing[i] = found
-    return True, pairing
+    nodes = mesh.nodes
+    # match[i, j]: node j lies within 1e-10 of -node_i in both coordinates;
+    # a dense n_nodes^2 table, as cross_mass is
+    match = np.all(np.abs(nodes[:, None, :] + nodes[None, :, :]) <= 1e-10, axis=2)
+    if not np.all(np.any(match, axis=1)):
+        return False, None
+    return True, np.argmax(match, axis=1)
 
 
 class ProductMesh:
@@ -89,13 +86,12 @@ class ProductMesh:
 
     The y-grid has n_y nodes y_q = -1/2 + q/n_y (q = 0..n_y-1); the node at
     y = 1/2 is identified with y = -1/2. Product node index = q * n_cross + i.
+    n_y must be an integer >= 2.
     """
 
     def __init__(self, cross, n_y):
-        if n_y < 2:
-            raise ValueError("need at least 2 cells along y")
         self.cross = cross
-        self.n_y = int(n_y)
+        self.n_y = int(require("n_y", n_y, *_CELLS))
         self.y_nodes = -0.5 + np.arange(self.n_y) / self.n_y
 
     @property

@@ -79,9 +79,10 @@ def rod_tensor(forms):
 
 def chi_tensor(forms, chi):
     """The Hermitian 4x4 effective matrix G(chi)^H A_rod G(chi) at
-    quasimomentum chi, in the rod slot order; a regime takes the block of its
-    slots. The cell problems with Lambda data are exactly the J-basis ones
-    scaled by G(chi), so no cell problem is solved here (the tests compare a
-    direct solve, tests/support_cell.py)."""
-    G = np.diag(g_scaling(chi))
-    return G.conj().T @ rod_tensor(forms).A_rod @ G
+    quasimomentum chi, in the rod slot order, for a scalar chi or stacked
+    along the leading axes for an array of them; a regime takes the block of
+    its slots. The cell problems with Lambda data are exactly the J-basis
+    ones scaled by G(chi), so no cell problem is solved here (the tests
+    compare a direct solve, tests/support_cell.py)."""
+    g = g_scaling(chi)
+    return np.conj(g)[..., :, None] * rod_tensor(forms).A_rod * g[..., None, :]

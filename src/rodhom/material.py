@@ -7,6 +7,8 @@ the elastic energy density is e^T C e for the engineering strain vector e.
 
 import numpy as np
 
+from .checks import is_number, require
+
 # Mandel weights turning the engineering matrix into the symmetric-matrix
 # quadratic form: eigenvalues of P^T C P are the eigenvalues of the map
 # E -> A E on symmetric matrices.
@@ -111,18 +113,12 @@ def _entry(obj, key, where, want, ok):
     name = "%s.%s" % (where, key)
     if key not in obj:
         raise ValueError("%s is missing" % name)
-    if not ok(obj[key]):
-        raise ValueError("%s must be %s, not %r" % (name, want, obj[key]))
-    return obj[key]
-
-
-def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return require(name, obj[key], want, ok)
 
 
 def _voigt(v):
     return isinstance(v, list) and len(v) == 6 and all(
-        isinstance(row, list) and len(row) == 6 and all(map(_number, row)) for row in v)
+        isinstance(row, list) and len(row) == 6 and all(map(is_number, row)) for row in v)
 
 
 def profile_from_json(obj):
@@ -138,15 +134,14 @@ def profile_from_json(obj):
     for i, lay in enumerate(_entry(obj, "layers", "material", "a list",
                                    lambda v: isinstance(v, list))):
         where = "material.layers[%d]" % i
-        if not isinstance(lay, dict):
-            raise ValueError("%s must be an object, not %r" % (where, lay))
-        a, b = (_entry(lay, end, where, "a number", _number) for end in ("from", "to"))
+        require(where, lay, "an object", lambda v: isinstance(v, dict))
+        a, b = (_entry(lay, end, where, "a number", is_number) for end in ("from", "to"))
         model = _entry(lay, "model", where, "an object holding isotropic or voigt",
                        lambda m: isinstance(m, dict) and ("isotropic" in m or "voigt" in m))
         where += ".model"
         if "isotropic" in model:
             p = _entry(model, "isotropic", where, "an object", lambda v: isinstance(v, dict))
-            lam, mu = (_entry(p, k, where + ".isotropic", "a number", _number)
+            lam, mu = (_entry(p, k, where + ".isotropic", "a number", is_number)
                        for k in ("lambda", "mu"))
             t = make_isotropic(lam, mu)
         else:

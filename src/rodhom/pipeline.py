@@ -17,6 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import fem, fiber, homogenize as hz, transform as tr
+from .checks import POSITIVE, is_integer, is_list_of, is_number, require
 from .geometry import cross_mass, is_centrally_symmetric
 from .material import check_rod_material_symmetry
 
@@ -26,10 +27,34 @@ REGIMES = ("stretch", "bend", "rod")
 _ORDER_NORM = {0: "l2", 1: "h1", 2: "l2"}
 
 
+# what each ExperimentConfig field must be
+_NONNEGATIVE = ("a number >= 0", lambda v: is_number(v) and v >= 0)
+_RULES = {
+    "gamma": ("a number > -2", lambda v: is_number(v) and v > -2),
+    "delta": _NONNEGATIVE,
+    "length": POSITIVE,
+    "n_grid": ("a list of at least 4 positive integers",
+               lambda v: is_list_of(v, 4, lambda n: is_integer(n) and n > 0)),
+    "regimes": ("a nonempty list drawn from %s" % ", ".join(REGIMES),
+                lambda v: is_list_of(v, 1, lambda r: r in REGIMES)),
+    "orders": ("a nonempty list drawn from 0, 1, 2",
+               lambda v: is_list_of(v, 1, lambda o: is_integer(o) and 0 <= o <= 2)),
+    "n_loads": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    "seed": ("a nonnegative integer", lambda v: is_integer(v) and v >= 0),
+    "momentum_variant": ("'eps' or 'zero'", lambda v: v in ("eps", "zero")),
+    "s_inf": ("a bool", lambda v: isinstance(v, bool)),
+    "slope_margin": _NONNEGATIVE,
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Knobs of a rate study; gamma > -2 keeps all symbols positive
-    definite and delta >= 0 keeps the load scaling bounded."""
+    """Knobs of a rate study. A field breaking its rule in _RULES raises
+    ValueError "<field> must be <want>, not <value>". The rules: gamma > -2
+    (positive definite symbols), delta >= 0 (bounded load scaling), length >
+    0, n_grid >= 4 positive integers, regimes and orders nonempty selections
+    of REGIMES and of 0, 1, 2, integers n_loads >= 1 and seed >= 0,
+    momentum_variant "eps" or "zero", s_inf a bool, slope_margin >= 0."""
     gamma: float = 0.0
     delta: float = 0.0
     length: float = 6.0
@@ -44,25 +69,8 @@ class ExperimentConfig:
     floor: ClassVar[float] = 1e-10  # a row whose last error is below it is inconclusive
 
     def __post_init__(self):
-        if self.gamma <= -2:
-            raise ValueError("gamma must exceed -2")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
-        if self.momentum_variant not in ("eps", "zero"):
-            raise ValueError(self.momentum_variant)
-        if len(self.n_grid) < 4:
-            raise ValueError("need at least 4 grid points for a slope fit")
-        if not all(isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N > 0
-                   for N in self.n_grid):
-            raise ValueError("n_grid entries must be positive integers")
-        if not set(self.regimes) <= set(REGIMES):
-            raise ValueError("regimes must be drawn from %s" % ", ".join(REGIMES))
-        if not self.orders or not set(self.orders) <= set(_ORDER_NORM):
-            raise ValueError("orders must be a nonempty selection of 0, 1, 2")
-        if self.n_loads < 1:
-            raise ValueError("n_loads must be at least 1")
+        for name, (want, ok) in _RULES.items():
+            require(name, getattr(self, name), want, ok)
 
     def flags(self):
         # xi=1: the band-limiter is always on; the reference tables key
@@ -71,20 +79,18 @@ class ExperimentConfig:
             self.momentum_variant, self.s_inf, self.gamma, self.delta)
 
 
-def _limit_matrix(A4, md, chi, t, regime):
+def _limit_matrix(forms, chi, t, regime):
     """t * G(chi)^H A G(chi) + C restricted to the regime slots, with the
     chi-independent weight C of the limit operator (identity for bending);
     one matrix per entry of chi, stacked along the leading axes."""
     slots = hz._REGIME_SLOTS[regime]
-    g = hz.g_scaling(chi)[..., slots]
-    A = np.conj(g)[..., :, None] * A4[slots, slots] * g[..., None, :]
     if regime == "bend":
         C = np.eye(2)
     elif regime == "stretch":
-        C = md.C_stretch
+        C = forms.moments.C_stretch
     else:
-        C = md.C_rod
-    return t * A + C
+        C = forms.moments.C_rod
+    return t * hz.chi_tensor(forms, chi)[..., slots, slots] + C
 
 
 def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"):
@@ -92,7 +98,6 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     momentum map, the symbol solve and the adjoint embedding at chi = eps
     theta, all frequencies at once. With momentum_variant "zero" the
     embedding is E0 alone. E0 and E1 are the first slab of the forms' tiles."""
-    A4 = hz.rod_tensor(forms).A_rod
     n, slots = 3 * forms.mesh.cross.n_nodes, hz._REGIME_SLOTS[regime]
     E0, E1 = forms.E0[:n, slots], forms.E1[:n, slots]
     t = f.eps ** (-(gamma + 2.0))
@@ -102,7 +107,7 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     tilt = np.zeros((f.S, 1)) if momentum_variant == "zero" else chi[:, None]
     Mg = (forms.cross_mass @ ghat.reshape(f.S, -1, 3)).reshape(f.S, -1)
     mom = Mg @ E0.conj() + tilt * (Mg @ E1.conj())
-    mhat = np.linalg.solve(_limit_matrix(A4, forms.moments, chi, t, regime), mom[..., None])[..., 0]
+    mhat = np.linalg.solve(_limit_matrix(forms, chi, t, regime), mom[..., None])[..., 0]
     return f.like(np.fft.ifft(mhat @ E0.T + tilt * (mhat @ E1.T), axis=0))
 
 
@@ -110,7 +115,6 @@ def fiber_pullback_resolvent(forms, f, gamma, regime):
     """The same leading-order operator built fiberwise (momentum, symbol
     solve, embedding per Gelfand fiber); must agree with limit_resolvent to
     solver precision."""
-    md, A4 = forms.moments, hz.rod_tensor(forms).A_rod
     t = f.eps ** (-(gamma + 2.0))
     b = tr.gelfand(f)
     out = np.zeros_like(b.values)
@@ -118,7 +122,7 @@ def fiber_pullback_resolvent(forms, f, gamma, regime):
         chi = float(b.chis[k])
         ops = fiber.FiberOps(forms, chi)
         mom = ops.momentum(b.fiber(k), regime)
-        mhat = np.linalg.solve(_limit_matrix(A4, md, chi, t, regime), mom)
+        mhat = np.linalg.solve(_limit_matrix(forms, chi, t, regime), mom)
         u = ops.embed(mhat, regime)
         out[k] = u.reshape(b.n_y, -1)
     return tr.gelfand_inverse(b.like(out))
@@ -286,9 +290,6 @@ class RateReport:
 
     def all_pass(self):
         return all(r["passed"] for r in self.rows)
-
-    def conclusive(self):
-        return all(r["conclusive"] for r in self.rows)
 
     def csv_rows(self):
         out = []

@@ -18,6 +18,9 @@ def small_cfg(tmp_path):
     return str(p)
 
 
+_RATES_HEADER = "regime,component,order,flags,eps,err,slope_fit,slope_theory,pass"
+
+
 def _report(outdir):
     return json.loads((outdir / "report.json").read_text())
 
@@ -57,10 +60,33 @@ def test_resolvent_rates(tmp_path, small_cfg):
     assert cli.main(["resolvent-rates", "--config", small_cfg,
                      "--out", str(out)]) == 0
     lines = (out / "rates.csv").read_text().splitlines()
-    assert lines[0] == "regime,component,order,flags,eps,err,slope_fit,slope_theory,pass"
+    assert lines[0] == _RATES_HEADER
     assert len(lines) == 1 + 4  # one row per eps
     rep = _report(out)
     assert rep["all_pass"] and rep["config"]["regimes"] == ["stretch"]
+
+
+@pytest.mark.parametrize("command, order", [("h1-rates", 1), ("higher-order-rates", 2)])
+def test_corrector_rates(tmp_path, small_cfg, command, order):
+    out = tmp_path / "r"
+    assert cli.main([command, "--config", small_cfg, "--out", str(out)]) == 0
+    lines = (out / "rates.csv").read_text().splitlines()
+    assert lines[0] == _RATES_HEADER
+    assert len(lines) == 1 + 4
+    assert all(line.split(",")[2] == str(order) for line in lines[1:])
+    assert _report(out)["all_pass"]
+
+
+def test_validate(tmp_path, small_cfg):
+    out = tmp_path / "v"
+    assert cli.main(["validate", "--config", small_cfg, "--out", str(out)]) == 0
+    assert (out / "rates.csv").read_text().splitlines()[0] == _RATES_HEADER
+    rep = _report(out)
+    assert rep["all_pass"]
+    for name in ("fiber_line_consistency", "self_adjointness"):
+        assert rep["checks"][name] < cli.TOLERANCES[name]
+    for ablation in ("xi", "momentum_zero", "s_inf"):
+        assert any(r["flags"].startswith("ablation=%s," % ablation) for r in rep["rows"])
 
 
 def test_default_config_used_when_missing(tmp_path):
@@ -121,7 +147,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("fiber-rates", {"n_grid": [8, 12]}, "n_grid"),
     ("fiber-rates", {"chi_grid": [0.4, 0.0, 0.2, 0.1]}, "chi_grid"),
     ("homogenize", {"geometry": {"n_y": "8"}}, "geometry.n_y"),
-], ids=["regime", "n_grid", "chi_grid", "n_y"])
+    ("resolvent-rates", {"seed": -1}, "seed"),
+    ("resolvent-rates", {"slope_margin": -0.5}, "slope_margin"),
+    ("resolvent-rates", {"n_loads": 2.5}, "n_loads"),
+    ("homogenize", {"geometry": {"n_y": 8.7}}, "geometry.n_y"),
+    ("homogenize", {"geometry": {"cross_section": {"rectangle": {"nx": 2.5}}}},
+     "geometry.cross_section.rectangle.nx"),
+], ids=["regime", "n_grid", "chi_grid", "n_y", "seed", "slope_margin", "n_loads",
+        "n_y_fraction", "nx_fraction"])
 def test_config_values_checked_before_assembly(tmp_path, monkeypatch, command, cfg, key):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before the config check")

@@ -27,6 +27,28 @@ def test_aspect_scaling():
 def test_degenerate_counts_rejected():
     with pytest.raises(ValueError):
         build_rectangle(1.0, 1, 8)
+    # a count that is not an integer is rejected, not truncated
+    with pytest.raises(ValueError, match="^nx must be an integer >= 2, not 2.5"):
+        build_rectangle(1.0, 2.5, 4)
+    with pytest.raises(ValueError, match="^aspect must be a positive number"):
+        build_rectangle("1", 4, 4)
+    with pytest.raises(ValueError, match="^n_y must be an integer >= 2, not 8.7"):
+        ProductMesh(build_rectangle(1.0, 2, 2), 8.7)
+
+
+@pytest.mark.parametrize("elements, match", [
+    (lambda e: e[:, :3], "shape"),
+    (lambda e: e.ravel(), "shape"),
+    (lambda e: np.where(e == 4, 9, e), r"\[0, 9\)"),
+    (lambda e: np.where(e == 0, -1, e), r"\[0, 9\)"),
+], ids=["triangles", "flat", "index_past_end", "negative_index"])
+def test_malformed_elements_rejected_at_mesh(elements, match):
+    # without the check, triangles built and then failed inside cross_mass
+    # and fem.assemble, an index past the end failed in numpy indexing, and a
+    # negative one wrapped round to the last node
+    cross = build_rectangle(1.0, 2, 2)
+    with pytest.raises(ValueError, match=match):
+        CrossSectionMesh(cross.nodes, elements(cross.elements))
 
 
 def test_clockwise_element_rejected_at_mesh():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -32,22 +33,22 @@ def load(forms):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        pl.ExperimentConfig(gamma=-2.0)
-    with pytest.raises(ValueError):
-        pl.ExperimentConfig(delta=-0.1)
-    with pytest.raises(ValueError):
-        pl.ExperimentConfig(momentum_variant="bogus")
-    with pytest.raises(ValueError):
-        pl.ExperimentConfig(n_grid=(8, 12, 16))
-    # a regime outside stretch, bend, rod; no order, or one without a
+    # a regime outside stretch, bend, rod or none; no order, or one without a
     # norm; no load, which would leave every row inconclusive; a box that
-    # is not positive; a grid entry that is not a positive integer
-    for bad in ({"regimes": ("rods",)}, {"orders": ()}, {"orders": (0, 3)},
-                {"n_loads": 0}, {"length": -6.0}, {"length": 0.0},
+    # is not positive; a grid entry that is not a positive integer; and a
+    # value of the wrong type, which must not run into an empty report or a
+    # TypeError partway through a study. The error names the field.
+    for bad in ({"gamma": -2.0}, {"delta": -0.1}, {"momentum_variant": "bogus"},
+                {"n_grid": (8, 12, 16)}, {"regimes": ("rods",)}, {"regimes": ()},
+                {"orders": ()}, {"orders": (0, 3)}, {"orders": (True,)},
+                {"n_loads": 0}, {"n_loads": 2.5}, {"n_loads": True}, {"seed": -1},
+                {"slope_margin": -1.0}, {"gamma": "0"}, {"s_inf": 1},
+                {"length": -6.0}, {"length": 0.0},
                 {"n_grid": (8, 12, 16, 0)}, {"n_grid": (8, 12, 16, -24)},
                 {"n_grid": (8, 12, 16, 24.5)}, {"n_grid": (8, 12, 16, True)}):
-        with pytest.raises(ValueError):
+        (field, value), = bad.items()
+        want = "^%s must be .*, not %s$" % (field, re.escape(repr(value)))
+        with pytest.raises(ValueError, match=want):
             pl.ExperimentConfig(**bad)
 
 
@@ -235,7 +236,7 @@ def test_stretch_rates_small(forms):
     cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), regimes=("stretch",),
                               orders=(0, 2), n_loads=1)
     rep = pl.rate_experiment(cfg, forms)
-    assert rep.conclusive()
+    assert all(r["conclusive"] for r in rep.rows)
     for r in rep.rows:
         assert r["slope_fit"] >= r["slope_theory"] - 0.2
     rows = rep.csv_rows()
