@@ -73,9 +73,6 @@ class FiberOps:
     def embed_matrix(self, regime):
         return self.E[:, _slots(regime)]
 
-    def embed(self, m, regime):
-        return self.embed_matrix(regime) @ np.asarray(m, dtype=complex)
-
     def momentum(self, f, regime):
         """Force-and-momentum vector, the exact adjoint of embed."""
         E = self.embed_matrix(regime)

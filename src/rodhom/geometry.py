@@ -13,16 +13,22 @@ _CELLS = ("an integer >= 2", lambda v: is_integer(v) and v >= 2)
 class CrossSectionMesh:
     """Structured quadrilateral mesh of a centered, area-1 cross-section.
 
-    nodes: (n_nodes, 2) coordinates; elements: (n_elem, 4) indices into
-    nodes, counterclockwise. Anything else raises ValueError.
+    nodes: (n_nodes, 2) coordinates; elements: (n_elem, 4) integer-valued
+    indices into nodes, counterclockwise. Anything else raises ValueError.
     """
 
     def __init__(self, nodes, elements):
         self.nodes = np.asarray(nodes, dtype=float)
-        self.elements = e = np.asarray(elements, dtype=int)
+        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
+            raise ValueError("nodes must be an (n_nodes, 2) array of coordinates, "
+                             "not one of shape %s" % (self.nodes.shape,))
+        raw = np.asarray(elements)
+        self.elements = e = raw.astype(int)
         if e.ndim != 2 or e.shape[1] != 4:
             raise ValueError("elements must be an (n_elem, 4) array of node indices, "
                              "not one of shape %s" % (e.shape,))
+        if not np.array_equal(e, raw):
+            raise ValueError("element node indices must be integers")
         if e.size and not 0 <= e.min() <= e.max() < self.n_nodes:
             raise ValueError("element node indices must lie in [0, %d)" % self.n_nodes)
         # det of the bilinear map is affine in each reference coordinate, so

@@ -1,12 +1,13 @@
-"""End-to-end resolvent comparisons on the periodic line.
-
-The reference operator is the Gelfand pullback of the fiberwise resolvents
-(t K(chi) + M)^-1 M with t = eps^-(gamma+2). The limit operator applies, per
-longitudinal frequency theta, the small Hermitian symbol t * G(eps
-theta)^H A_rod G(eps theta) + C between the momentum map and its adjoint
-embedding; first- and second-order corrections are pulled back fiberwise from
-the approximation chains. Rate experiments fit log-log slopes of the worst
-error over a seeded load family against the expected exponents.
+"""End-to-end resolvent comparisons on the periodic line, in the Gelfand
+picture: every operator compared acts fiber by fiber on (..., N, n_dof)
+stacks of fibers. The reference is (t K(chi) + M)^-1 M with t =
+eps^-(gamma+2); the leading approximant applies the Hermitian symbol
+t G(chi)^H A_rod G(chi) + C between the momentum map E(chi)^H M and the
+embedding E(chi); the corrections are the chain terms u1 and u0^(1) of each
+fiber. Rate experiments transform each load once and fit log-log slopes of
+the worst error over a seeded load family against the expected exponents.
+limit_resolvent keeps the line form of the leading approximant, per
+longitudinal frequency, for the band-limiter ablation.
 """
 
 import csv
@@ -84,12 +85,7 @@ def _limit_matrix(forms, chi, t, regime):
     chi-independent weight C of the limit operator (identity for bending);
     one matrix per entry of chi, stacked along the leading axes."""
     slots = hz._REGIME_SLOTS[regime]
-    if regime == "bend":
-        C = np.eye(2)
-    elif regime == "stretch":
-        C = forms.moments.C_stretch
-    else:
-        C = forms.moments.C_rod
+    C = np.eye(2) if regime == "bend" else getattr(forms.moments, "C_" + regime)
     return t * hz.chi_tensor(forms, chi)[..., slots, slots] + C
 
 
@@ -111,53 +107,57 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     return f.like(np.fft.ifft(mhat @ E0.T + tilt * (mhat @ E1.T), axis=0))
 
 
+def fiber_limit(forms, chis, t, regime, F, momentum_variant="eps"):
+    """Leading-order approximant E(chi) S(chi)^-1 E(chi)^H M f on every fiber
+    f of F (..., N, n_dof), fiber k at chis[k], with S the symbol of
+    _limit_matrix: one stacked symbol solve, no fiber loop. With
+    momentum_variant "zero" the embedding is E0 alone."""
+    s = hz._REGIME_SLOTS[regime]
+    E0, E1 = forms.E0[:, s], forms.E1[:, s]
+    tilt = (np.zeros_like(chis) if momentum_variant == "zero" else chis)[:, None]
+    # E^H M f = (M conj E)^T f, as M is real symmetric
+    mom = F @ (forms.M @ E0) + tilt * (F @ (forms.M @ E1.conj()))
+    m = np.linalg.solve(_limit_matrix(forms, chis, t, regime), mom[..., None])[..., 0]
+    return m @ E0.T + tilt * (m @ E1.T)
+
+
 def fiber_pullback_resolvent(forms, f, gamma, regime):
-    """The same leading-order operator built fiberwise (momentum, symbol
-    solve, embedding per Gelfand fiber); must agree with limit_resolvent to
-    solver precision."""
-    t = f.eps ** (-(gamma + 2.0))
+    """The leading-order operator built fiberwise: the Gelfand transform,
+    fiber_limit on every fiber, the inverse transform. It must agree with
+    limit_resolvent to solver precision."""
     b = tr.gelfand(f)
-    out = np.zeros_like(b.values)
-    for k in range(len(b.chis)):
-        chi = float(b.chis[k])
-        ops = fiber.FiberOps(forms, chi)
-        mom = ops.momentum(b.fiber(k), regime)
-        mhat = np.linalg.solve(_limit_matrix(forms, chi, t, regime), mom)
-        u = ops.embed(mhat, regime)
-        out[k] = u.reshape(b.n_y, -1)
-    return tr.gelfand_inverse(b.like(out))
+    u = fiber_limit(forms, b.chis, f.eps ** (-(gamma + 2.0)), regime, b.fibers())
+    return tr.gelfand_inverse(b.like(u))
 
 
-def corrector_fields(forms, f, gamma, regime):
-    """First- and second-order correction fields (the chain terms u1 and
-    u0^(1), pulled back fiber by fiber)."""
-    t = f.eps ** (-(gamma + 2.0))
-    b = tr.gelfand(f)
-    v1 = np.zeros_like(b.values)
-    v2 = np.zeros_like(b.values)
-    for k in range(len(b.chis)):
-        chi = float(b.chis[k])
+def fiber_correctors(forms, chis, t, regime, F):
+    """First- and second-order correction fields, the chain terms u1 and
+    u0^(1), on every fiber of F (..., N, n_dof): one corrector chain per
+    fiber of each leading index, fiber k at chis[k]."""
+    u1, u01 = np.zeros_like(F), np.zeros_like(F)
+    for idx in np.ndindex(F.shape[:-1]):
+        chi = float(chis[idx[-1]])
         if chi == 0.0:
             # both correction operators carry the coefficient scaling G(chi)
             # and vanish identically on the zero fiber
             continue
-        ch = fiber.build_chain(forms, chi, t, _CHAIN_REGIME[regime],
-                               b.fiber(k), scaling="none", depth="correctors")
-        v1[k] = ch.terms["u1"].reshape(b.n_y, -1)
-        v2[k] = ch.terms["u0_1"].reshape(b.n_y, -1)
-    return (tr.gelfand_inverse(b.like(v1)), tr.gelfand_inverse(b.like(v2)))
+        ch = fiber.build_chain(forms, chi, t, _CHAIN_REGIME[regime], F[idx],
+                               scaling="none", depth="correctors")
+        u1[idx], u01[idx] = ch.terms["u1"], ch.terms["u0_1"]
+    return u1, u01
 
 
 class LineResolvent:
-    """Reference resolvent on the line: Gelfand, fiberwise (t K(chi)+M)^-1 M,
-    inverse Gelfand.
+    """Reference resolvent (t K(chi) + M)^-1 M on the fibers of the line at
+    one eps.
 
     K(-chi) = conj K(chi) and M is real, so fiber -chi is solved as
-    conj((t K(chi) + M)^-1 M conj f) with the factorisation of fiber |chi|;
-    the result is bitwise that of factorising K(-chi). One cached
-    factorisation per |chi| serves N/2 + 1 of the N fibers, and the operator
-    does not depend on the regime, so one instance serves every load at its
-    eps.
+    conj((t K(chi) + M)^-1 M conj f) with the factorisation of fiber |chi|,
+    in the same multi-column solve as fiber +chi (for one field, bitwise the
+    per-fiber factorisations; a stack rounds as the wider solve does). One
+    cached factorisation per |chi| serves N/2 + 1 of the N fibers, and the
+    operator does not depend on the regime, so one instance serves every
+    load at its eps.
     """
 
     def __init__(self, forms, eps, gamma):
@@ -166,23 +166,27 @@ class LineResolvent:
         self.t = eps ** (-(gamma + 2.0))
         self._solvers = {}
 
-    def _solve(self, chi, f):
-        key = abs(chi)
-        if key not in self._solvers:
-            self._solvers[key] = fem.ResolventSolver(self.forms, key, self.t)
-        solver = self._solvers[key]
-        if chi < 0:
-            return np.conj(solver.solve(np.conj(f)))
-        return solver.solve(f)
+    def solve(self, chis, F):
+        """(t K(chi) + M)^-1 M f on every fiber f of F (..., N, n_dof), fiber
+        k at chis[k]: one solve per |chi|, whose columns are the +chi fibers
+        and the conjugated -chi fibers of every leading index."""
+        out = np.empty_like(F)
+        for key in np.unique(np.abs(chis)):
+            k = np.flatnonzero(np.abs(chis) == key)
+            flip = (chis[k] < 0)[:, None]
+            cols = np.where(flip, F[..., k, :].conj(), F[..., k, :])
+            if key not in self._solvers:
+                self._solvers[key] = fem.ResolventSolver(self.forms, float(key), self.t)
+            X = self._solvers[key].solve(cols.reshape(-1, cols.shape[-1]).T).T.reshape(cols.shape)
+            out[..., k, :] = np.where(flip, X.conj(), X)
+        return out
 
     def apply(self, f):
+        """The resolvent of a line field: Gelfand, solve, inverse Gelfand."""
         if abs(f.eps - self.eps) > 1e-14:
             raise tr.AlignmentError("field eps does not match the solver")
         b = tr.gelfand(f)
-        out = np.zeros_like(b.values)
-        for k in range(len(b.chis)):
-            out[k] = self._solve(float(b.chis[k]), b.fiber(k)).reshape(b.n_y, -1)
-        return tr.gelfand_inverse(b.like(out))
+        return tr.gelfand_inverse(b.like(self.solve(b.chis, b.fibers())))
 
 
 def line_inner(forms, a, b):
@@ -190,21 +194,19 @@ def line_inner(forms, a, b):
     (the one the fiberwise resolvents are exactly self-adjoint in): the sum
     of the fiber products, from one product of M with b's whole bundle."""
     ba, bb = tr.gelfand(a), tr.gelfand(b)
-    K = len(bb.chis)
-    MB = forms.M @ bb.values.reshape(K, -1).T
-    return complex(np.vdot(ba.values.reshape(K, -1).T, MB) / bb.n_y)
+    return complex(np.vdot(ba.fibers().T, forms.M @ bb.fibers().T) / bb.n_y)
 
 
-def line_error_norm(forms, e, kind="l2", component=None):
-    """L2 or eps-scaled H1 norm of a line field (component '12', '3', or
-    'all'/None; see fem.COMPONENTS): the Gelfand transform is unitary, so it
-    is the fiber norm of the whole bundle, each fiber at its own chi."""
-    b = tr.gelfand(e)
-    U = b.values.reshape(len(b.chis), -1)
+def line_error_norm(forms, b, kind="l2", component=None):
+    """L2 or eps-scaled H1 norm of a line field given by its Gelfand bundle b
+    (component '12', '3', or 'all'/None; see fem.COMPONENTS): the transform
+    is unitary, so it is the fiber norm of the whole bundle, each fiber at
+    its own chi, and an error formed fiber by fiber needs no inverse one."""
+    U = b.fibers()
     if kind == "l2":
         tot = forms.norm_sq_l2(U, component)
     else:
-        tot = forms.norm_sq_h1(U, component, chi=b.chis, eps=e.eps)
+        tot = forms.norm_sq_h1(U, component, chi=b.chis, eps=b.eps)
     return float(np.sqrt(tot / b.n_y))
 
 
@@ -341,42 +343,37 @@ def rate_experiment(cfg, forms):
     The out-of-line load scaling (s_eps_delta / s_inf) applies to the
     bending regime only, matching the statements being tested.
 
-    The reference resolvent does not depend on the regime, so eps is the
-    outer loop: one LineResolvent per eps serves the loads of every regime,
-    and only one eps holds live factorisations at a time.
+    Each load is transformed once, and a regime's loads are stacked as
+    (n_loads, N, n_dof) fibers: the approximant of order 0 is fiber_limit,
+    order 1 adds u1 and order 2 u0^(1) (fiber_correctors), the reference is
+    one solve per |chi| for all loads, and each error is measured on its
+    bundle. eps is the outer loop: one LineResolvent per eps serves the
+    loads of every regime, and only one eps holds factorisations at a time.
     """
     _require_rod_symmetry(forms, cfg.regimes)
-    n_y = forms.mesh.n_y
-    cross = forms.mesh.cross
     eps_list = [cfg.length / N for N in cfg.n_grid]
     errs = [{(o, c): [] for o in cfg.orders for c in _COMPONENTS[regime]}
             for regime in cfg.regimes]
     for N, eps in zip(cfg.n_grid, eps_list):
         R = LineResolvent(forms, eps, cfg.gamma)
         for regime, regime_errs in zip(cfg.regimes, errs):
-            comps = _COMPONENTS[regime]
-            loads = make_loads(cross, n_y, N, eps, regime,
+            loads = make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
                                n_loads=cfg.n_loads, seed=cfg.seed)
-            worst = {key: 0.0 for key in regime_errs}
-            for f in loads:
-                g = _scaled_load(cfg, f) if regime == "bend" else f
-                ref = R.apply(g)
-                a0 = limit_resolvent(forms, g, cfg.gamma, regime,
-                                     momentum_variant=cfg.momentum_variant)
-                if any(o >= 1 for o in cfg.orders):
-                    u1, u01 = corrector_fields(forms, g, cfg.gamma, regime)
-                for o in cfg.orders:
-                    approx = a0.values.copy()
-                    if o >= 1:
-                        approx = approx + u1.values
-                    if o >= 2:
-                        approx = approx + u01.values
-                    e = g.like(ref.values - approx)
-                    for c in comps:
-                        worst[(o, c)] = max(worst[(o, c)], line_error_norm(
-                            forms, e, kind=_ORDER_NORM[o], component=c))
-            for key, seq in regime_errs.items():
-                seq.append(worst[key])
+            bundles = [tr.gelfand(_scaled_load(cfg, f) if regime == "bend" else f)
+                       for f in loads]
+            chis = bundles[0].chis
+            F = np.stack([b.fibers() for b in bundles])
+            ref = R.solve(chis, F)
+            approx = [fiber_limit(forms, chis, R.t, regime, F, cfg.momentum_variant)]
+            if max(cfg.orders) >= 1:
+                u1, u01 = fiber_correctors(forms, chis, R.t, regime, F)
+                approx += [approx[0] + u1, approx[0] + u1 + u01]
+            for o in cfg.orders:
+                e = ref - approx[o]
+                for c in _COMPONENTS[regime]:
+                    regime_errs[(o, c)].append(max(
+                        line_error_norm(forms, b.like(ei), _ORDER_NORM[o], c)
+                        for b, ei in zip(bundles, e)))
     return RateReport(rows=[
         _rate_row(regime, c, o, cfg.flags(), eps_list, seq,
                   theory_slope(regime, c, o, cfg.gamma, cfg.delta, cfg.momentum_variant),
@@ -441,21 +438,14 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
 def xi_ablation(cfg, forms):
     """Size of the smoothing step: distance between the leading approximants
     with and without the band-limiter, expected to vanish at rate gamma+2."""
-    n_y = forms.mesh.n_y
-    cross = forms.mesh.cross
-    eps_list, diffs = [], []
-    for N in cfg.n_grid:
-        eps = cfg.length / N
-        eps_list.append(eps)
-        loads = make_loads(cross, n_y, N, eps, "rod",
+    eps_list, diffs = [cfg.length / N for N in cfg.n_grid], []
+    for N, eps in zip(cfg.n_grid, eps_list):
+        loads = make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, "rod",
                            n_loads=cfg.n_loads, seed=cfg.seed)
-        worst = 0.0
-        for f in loads:
-            a1 = limit_resolvent(forms, f, cfg.gamma, "rod", use_xi=True)
-            a0 = limit_resolvent(forms, f, cfg.gamma, "rod", use_xi=False)
-            worst = max(worst, line_error_norm(
-                forms, f.like(a1.values - a0.values), kind="l2"))
-        diffs.append(worst)
+        diffs.append(max(line_error_norm(forms, tr.gelfand(f.like(
+            limit_resolvent(forms, f, cfg.gamma, "rod", use_xi=True).values
+            - limit_resolvent(forms, f, cfg.gamma, "rod", use_xi=False).values)))
+            for f in loads))
     return RateReport(rows=[_rate_row("rod", "all", 0, "ablation=xi," + cfg.flags(), eps_list,
                                       diffs, cfg.gamma + 2.0, 2 * cfg.slope_margin)])
 

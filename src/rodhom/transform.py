@@ -72,8 +72,13 @@ class FiberBundle:
         """Product-mesh dof vector of fiber k (y-major, matching ProductMesh)."""
         return self.values[k].reshape(-1)
 
+    def fibers(self):
+        """The product-mesh dof vectors of every fiber, as an (N, n_dof) array."""
+        return self.values.reshape(len(self.chis), -1)
+
     def like(self, values):
-        return FiberBundle(values, self.chis, self.eps)
+        """A bundle at the same chis and eps; values may be laid out as fibers()."""
+        return FiberBundle(np.reshape(values, self.values.shape), self.chis, self.eps)
 
 
 def _twiddle(chis, y):

@@ -1,12 +1,14 @@
 """Second constructions of the line/fiber transforms: the quasiperiodic
 (Floquet) picture, the fiberwise Parseval norm, the line error norm and inner
 product fiber by fiber, the spectral longitudinal derivative, the fiber-mean
-form of the band-limiter and the real-domain momenta. Oracles for the Gelfand
-transform, the line norms and the band-limiter of the library.
+form of the band-limiter, the real-domain momenta and the rate study in the
+line picture. Oracles for the Gelfand transform, the line norms, the
+band-limiter and the Gelfand-picture rate study of the library.
 Validation-only; not part of the library."""
 
 import numpy as np
 
+from rodhom import fiber, pipeline as pl
 from rodhom.geometry import cross_mass
 from rodhom.transform import FiberBundle, LineField, _twiddle, chi_values, gelfand, gelfand_inverse
 
@@ -120,3 +122,48 @@ def momentum_real(lf, which, cross):
     if which == "rod":
         return np.hstack([bend, stretch])
     raise ValueError(which)
+
+
+def corrector_fields_loop(forms, f, t, regime):
+    """The first- and second-order correction fields of a line load: the
+    chain terms u1 and u0^(1) of each fiber, pulled back to the line."""
+    b = gelfand(f)
+    v1, v2 = np.zeros_like(b.values), np.zeros_like(b.values)
+    for k, chi in enumerate(b.chis):
+        if chi == 0.0:
+            continue
+        ch = fiber.build_chain(forms, float(chi), t, pl._CHAIN_REGIME[regime], b.fiber(k),
+                               scaling="none", depth="correctors")
+        v1[k] = ch.terms["u1"].reshape(b.n_y, -1)
+        v2[k] = ch.terms["u0_1"].reshape(b.n_y, -1)
+    return gelfand_inverse(b.like(v1)).values, gelfand_inverse(b.like(v2)).values
+
+
+def rate_errors_loop(cfg, forms):
+    """pipeline.rate_experiment's worst error per eps in the line picture,
+    one load at a time: the reference through LineResolvent.apply, the
+    leading approximant through the frequency form limit_resolvent, the
+    corrections pulled back to the line, and each error transformed again
+    for its norm. Returns {(regime, component, order): [error per eps]}."""
+    out = {}
+    for N in cfg.n_grid:
+        eps = cfg.length / N
+        R = pl.LineResolvent(forms, eps, cfg.gamma)
+        for regime in cfg.regimes:
+            worst = {}
+            for f in pl.make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
+                                   n_loads=cfg.n_loads, seed=cfg.seed):
+                g = pl._scaled_load(cfg, f) if regime == "bend" else f
+                ref = R.apply(g).values
+                a0 = pl.limit_resolvent(forms, g, cfg.gamma, regime,
+                                        momentum_variant=cfg.momentum_variant).values
+                u1, u01 = corrector_fields_loop(forms, g, R.t, regime)
+                approx = {0: a0, 1: a0 + u1, 2: a0 + u1 + u01}
+                for o in cfg.orders:
+                    e = g.like(ref - approx[o])
+                    for c in pl._COMPONENTS[regime]:
+                        err = line_error_norm_loop(forms, e, pl._ORDER_NORM[o], c)
+                        worst[(regime, c, o)] = max(worst.get((regime, c, o), 0.0), err)
+            for key, err in worst.items():
+                out.setdefault(key, []).append(err)
+    return out

@@ -41,14 +41,28 @@ def test_degenerate_counts_rejected():
     (lambda e: e.ravel(), "shape"),
     (lambda e: np.where(e == 4, 9, e), r"\[0, 9\)"),
     (lambda e: np.where(e == 0, -1, e), r"\[0, 9\)"),
-], ids=["triangles", "flat", "index_past_end", "negative_index"])
+    (lambda e: e + 0.4, "integers"),
+], ids=["triangles", "flat", "index_past_end", "negative_index", "fractional_index"])
 def test_malformed_elements_rejected_at_mesh(elements, match):
     # without the check, triangles built and then failed inside cross_mass
-    # and fem.assemble, an index past the end failed in numpy indexing, and a
-    # negative one wrapped round to the last node
+    # and fem.assemble, an index past the end failed in numpy indexing, a
+    # negative one wrapped round to the last node, and a fractional one was
+    # truncated to an index of the original mesh
     cross = build_rectangle(1.0, 2, 2)
     with pytest.raises(ValueError, match=match):
         CrossSectionMesh(cross.nodes, elements(cross.elements))
+
+
+@pytest.mark.parametrize("nodes", [
+    lambda x: np.column_stack([x, np.zeros(len(x))]),
+    lambda x: x.ravel(),
+], ids=["three_columns", "flat"])
+def test_malformed_nodes_rejected_at_mesh(nodes):
+    # without the check, a third column was ignored by the quadrature but
+    # compared by the symmetry check
+    cross = build_rectangle(1.0, 2, 2)
+    with pytest.raises(ValueError, match="nodes must be an \\(n_nodes, 2\\) array"):
+        CrossSectionMesh(nodes(cross.nodes), cross.elements)
 
 
 def test_clockwise_element_rejected_at_mesh():
