@@ -36,8 +36,21 @@ Every sparse LU goes through factorize and is Hermitian positive definite:
 K_ss with four dofs pinned (QuotientSolver), the resolvents t K(chi) + M and
 the shift-invert matrices K(chi) - sigma M (sigma < 0), each in SuperLU's
 symmetric mode with every pivot checked to be positive.
+
+The fibers of a chi sweep are independent problems, so map_fibers runs them
+on a thread pool, one worker per available core: the eigensolves of
+fiber.spectrum_scaling and the reference factorisations and solves of
+pipeline.fiber_rate_study. SuperLU's factorisation and solves and ARPACK
+release the GIL, so on two cores two fibers' LUs are built and alive at
+once. Each task makes the same sequential calls on its own matrices as a
+serial loop does, so every result is bitwise that of a serial run. A SuperLU
+object must be freed on the thread that built it: scipy 1.17 leaks an LU
+freed on another thread (about 300 MB of allocations for one 3,888-dof
+shift-invert LU), so no LU built in a task outlives it.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -359,7 +372,7 @@ def smallest_eigs(forms, chi, k):
     scale = float(np.abs(K.diagonal()).mean())
     sigma = -1e-8 * scale
     lu = factorize(K - sigma * forms.M)
-    OPinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=complex)
+    OPinv = spla.LinearOperator(K.shape, matvec=lambda x: lu.solve(x), dtype=complex)
     # fixed start vector: ARPACK's default is random, which makes the
     # achieved residuals (and bit-stability) run-dependent
     v0 = np.ones(forms.mesh.n_dof)
@@ -368,8 +381,30 @@ def smallest_eigs(forms, chi, k):
                                 which="LM", v0=v0, OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc))
+    finally:
+        # eigsh leaves OPinv in a reference cycle; emptying the closure cell
+        # frees the LU here, on the thread that built it (see the module
+        # docstring), not wherever the cyclic collector next runs
+        del lu
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def map_fibers(fn, chis):
+    """[fn(chi) for chi in chis], with the calls spread over a thread pool of
+    one worker per core available to the process (at most one per chi).
+    Results come back in the order of chis, and the first failing call's
+    exception is raised here. A single chi or a single core runs serially on
+    the calling thread. The pool lives for this call only, so no worker
+    outlives it or keeps what fn refers to alive."""
+    chis = list(chis)
+    # the cores this process may run on; every core where the OS cannot say
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    workers = min(len(affinity(0)), len(chis))
+    if workers <= 1:
+        return [fn(chi) for chi in chis]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chis))
 
 
 def parity_project(v, which, pairing):

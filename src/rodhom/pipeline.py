@@ -402,24 +402,34 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     error rows (L2 and H1) and fitted H1 slopes against the regime
     thresholds.
 
-    chi is the outer loop: each chi factorises (t K(chi) + M) once per
-    coupling, shared by the regimes with the same power. Rows come out
-    regime by regime, in the order of loads.
+    Each chi factorises (t K(chi) + M) once per coupling, shared by the
+    regimes with the same power, and solves the reference of every regime;
+    the chis of the grid do so concurrently (see fem.map_fibers). The
+    chains and their error rows are built on the calling thread, chi by
+    chi. Rows come out regime by regime, in the order of loads.
     """
     _require_rod_symmetry(forms, loads)
-    rows = {regime: [] for regime in loads}
-    errs = {k: [] for k in FIBER_THRESHOLDS}
-    for chi in chi_grid:
-        solvers = {}
+
+    def coupling(regime, chi):
+        return chi ** (-4 if regime in ("bend", "general_chi4") else -2)
+
+    def references(chi):
+        solvers, refs = {}, {}
         for regime, f in loads.items():
-            split = regime in ("bend", "general_chi4")
-            t = chi ** (-4 if split else -2)
+            t = coupling(regime, chi)
             if t not in solvers:
                 solvers[t] = fem.ResolventSolver(forms, chi, t)
-            ch = fiber.build_chain(forms, chi, t, regime, f)
-            ref = solvers[t].solve(fiber.apply_load_scaling(
+            refs[regime] = solvers[t].solve(fiber.apply_load_scaling(
                 f, fiber._DEFAULT_SCALING[regime], chi))
-            for row in fiber.error_report(forms, ch, ref, componentwise=split):
+        return refs
+
+    rows = {regime: [] for regime in loads}
+    errs = {k: [] for k in FIBER_THRESHOLDS}
+    for chi, refs in zip(chi_grid, fem.map_fibers(references, chi_grid)):
+        for regime, f in loads.items():
+            split = regime in ("bend", "general_chi4")
+            ch = fiber.build_chain(forms, chi, coupling(regime, chi), regime, f)
+            for row in fiber.error_report(forms, ch, refs[regime], componentwise=split):
                 rows[regime].append({"regime": regime, **row})
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     slopes = []

@@ -1,0 +1,48 @@
+"""The chi sweeps of the cell studies as plain serial loops, one chi after
+another on the calling thread: oracles for fiber.spectrum_scaling and
+pipeline.fiber_rate_study, whose fibers run concurrently.
+Validation-only; not part of the library."""
+
+from rodhom import fem, fiber, pipeline as pl
+
+
+def use_two_cores(monkeypatch):
+    """Make fem.map_fibers see two cores, so the sweep runs on its pool
+    whatever the machine has."""
+    monkeypatch.setattr(fem.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def spectrum_scaling_loop(forms, chi_grid, k=5):
+    """The eigenvalues of spectrum_scaling, one eigensolve per chi in turn."""
+    return [fem.smallest_eigs(forms, chi, k)[0] for chi in chi_grid]
+
+
+def fiber_rate_study_loop(forms, loads, chi_grid=pl.CHI_SWEEP):
+    """fiber_rate_study with each chi's factorisations, chains, reference
+    solves and error rows made in turn."""
+    rows = {regime: [] for regime in loads}
+    errs = {k: [] for k in pl.FIBER_THRESHOLDS}
+    for chi in chi_grid:
+        solvers = {}
+        for regime, f in loads.items():
+            split = regime in ("bend", "general_chi4")
+            t = chi ** (-4 if split else -2)
+            if t not in solvers:
+                solvers[t] = fem.ResolventSolver(forms, chi, t)
+            ch = fiber.build_chain(forms, chi, t, regime, f)
+            ref = solvers[t].solve(fiber.apply_load_scaling(
+                f, fiber._DEFAULT_SCALING[regime], chi))
+            for row in fiber.error_report(forms, ch, ref, componentwise=split):
+                rows[regime].append({"regime": regime, **row})
+                errs[(regime, row["component"], row["order"])].append(row["err_h1"])
+    slopes = []
+    for (regime, tag, order), seq in errs.items():
+        if not seq:
+            continue
+        slope = fiber.fit_slope(chi_grid, seq)
+        thr = pl.FIBER_THRESHOLDS[(regime, tag, order)]
+        slopes.append({"regime": regime, "component": tag, "order": order,
+                       "slope_fit": slope, "slope_threshold": thr,
+                       "passed": bool(slope >= thr)})
+    return {"rows": [r for regime in loads for r in rows[regime]],
+            "slopes": slopes}

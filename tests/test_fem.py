@@ -1,4 +1,6 @@
 import gc
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -14,6 +16,7 @@ from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 from support_embedding import nodal_field
 from support_quadrature import (cross_mass_loop, gauss_points, graded_square, strain_matrices,
                                 total_area)
+from support_sweep import use_two_cores
 
 
 def dense_saddle_solve(forms, load):
@@ -347,3 +350,69 @@ def test_resolvent_energy_bound(forms):
     assert np.vdot(u, Mu).real <= np.vdot(f, Mf).real * (1 + 1e-10)
     r = 10.0 * (forms.K(0.3) @ u) + Mu - Mf
     assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(Mf)
+
+
+@pytest.fixture()
+def two_cores(monkeypatch):
+    use_two_cores(monkeypatch)
+
+
+def test_map_fibers_keeps_input_order(two_cores):
+    # more items than workers, and the earlier ones finish last
+    items = list(range(7))
+
+    def task(i):
+        time.sleep(0.005 * (len(items) - i))
+        return i, threading.current_thread()
+
+    out = fem.map_fibers(task, items)
+    assert [i for i, _ in out] == items
+    assert threading.current_thread() not in {thread for _, thread in out}
+
+
+@pytest.mark.parametrize("items, cores", [([0.3], {0, 1}), ([0.1, 0.3], {0})])
+def test_map_fibers_serial_on_calling_thread(monkeypatch, items, cores):
+    # one item, or one core: no pool, every call on the caller
+    monkeypatch.setattr(fem.os, "sched_getaffinity", lambda pid: cores, raising=False)
+    threads = fem.map_fibers(lambda chi: threading.current_thread(), items)
+    assert threads == [threading.current_thread()] * len(items)
+
+
+def test_map_fibers_raises_at_caller(forms, two_cores):
+    # K(0.3) - 10 M is indefinite (see test_factorize_rejects_indefinite_hermitian);
+    # the other fibers' matrices are positive definite. Each LU is dropped on
+    # its worker, the thread that built it
+    def task(chi):
+        return fem.factorize(forms.K(chi) - (10.0 if chi == 0.3 else -1.0) * forms.M).shape
+
+    assert len(fem.map_fibers(task, [0.1, 0.5])) == 2
+    with pytest.raises(fem.SingularSystem, match="not positive definite"):
+        fem.map_fibers(task, [0.1, 0.3, 0.5])
+
+
+def test_smallest_eigs_frees_its_lu_on_its_thread(forms, monkeypatch, two_cores):
+    # scipy leaks a SuperLU freed on another thread, and eigsh keeps its
+    # operator in a reference cycle: each eigensolve must free its LU itself,
+    # before it returns, with no help from the cyclic collector
+    events = []
+    splu = fem.spla.splu
+
+    class Tracked:
+        def __init__(self, lu):
+            self.lu = lu
+            events.append(("built", threading.current_thread()))
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def __del__(self):
+            events.append(("freed", threading.current_thread()))
+
+    monkeypatch.setattr(fem.spla, "splu", lambda *args, **kwargs: Tracked(splu(*args, **kwargs)))
+    gc.disable()
+    try:
+        fem.map_fibers(lambda chi: fem.smallest_eigs(forms, chi, 3), [0.2, 0.4])
+    finally:
+        gc.enable()
+    built = sorted(t.ident for e, t in events if e == "built")
+    assert len(built) == 2 and built == sorted(t.ident for e, t in events if e == "freed")

@@ -9,6 +9,7 @@ from rodhom.material import MaterialProfile, make_isotropic
 from support_contour import ContourTooClose, _contour, contour_quadrature_check
 from support_embedding import (C_bend, C_rod_chi, const_hat, cross_embedding_columns, nodal_field,
                                s_rod, w_bend)
+from support_sweep import spectrum_scaling_loop, use_two_cores
 
 CHI_SWEEP = [0.4, 0.283, 0.2, 0.141, 0.1, 0.0707, 0.05]
 
@@ -141,6 +142,16 @@ def test_spectrum_homogeneous_limit():
     ratio = rows[0]["ratio_bend"]
     target = np.linalg.eigvalsh(rt.A_bend)
     assert np.max(np.abs(ratio - target) / target) < 0.15
+
+
+def test_spectrum_scaling_matches_serial_loop(setup, monkeypatch):
+    # the concurrent eigensolves give the serial loop's eigenvalues bitwise
+    forms, *_ = setup
+    use_two_cores(monkeypatch)
+    chi_grid = [0.4, 0.2, 0.1]
+    rows = fiber.spectrum_scaling(forms, chi_grid, k=5)
+    assert [r["chi"] for r in rows] == chi_grid
+    assert np.array_equal([r["eigs"] for r in rows], spectrum_scaling_loop(forms, chi_grid))
 
 
 def test_chain_zero_load(setup):

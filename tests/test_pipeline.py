@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rodhom.homogenize import rod_tensor
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
 from support_embedding import cross_embedding_columns, limit_resolvent_loop
+from support_sweep import fiber_rate_study_loop, use_two_cores
 from support_transform import line_error_norm_loop, line_inner_loop, rate_errors_loop
 
 NY = 8
@@ -378,18 +380,54 @@ def test_rate_experiment_factorises_once_per_eps(forms, factorisations):
     assert rep.rows == single[0].rows + single[1].rows
 
 
-def test_fiber_rate_study_shares_couplings(forms, factorisations):
-    # bend shares chi^-4 with general_chi4, stretch chi^-2 with general_chi2;
-    # rows stay regime-major, as the single-regime studies concatenated
+@pytest.fixture(scope="module")
+def fiber_loads(forms):
+    """One load per regime of the fiber-rate study, parity-projected for
+    stretch and bend."""
     _, pairing = is_centrally_symmetric(forms.mesh.cross)
     rng = np.random.default_rng(4)
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    loads = {"stretch": fem.project_symmetry(f, "stretch", forms.mesh, pairing),
-             "bend": fem.project_symmetry(f, "bend", forms.mesh, pairing),
-             "general_chi2": f, "general_chi4": f}
+    return {"stretch": fem.project_symmetry(f, "stretch", forms.mesh, pairing),
+            "bend": fem.project_symmetry(f, "bend", forms.mesh, pairing),
+            "general_chi2": f, "general_chi4": f}
+
+
+def test_fiber_rate_study_shares_couplings(forms, fiber_loads, factorisations):
+    # bend shares chi^-4 with general_chi4, stretch chi^-2 with general_chi2;
+    # rows stay regime-major, as the single-regime studies concatenated
+    loads = fiber_loads
     chi_grid = (0.4, 0.2)
     study = pl.fiber_rate_study(forms, loads, chi_grid)
     assert len(factorisations) == 2 * len(chi_grid)
     single = [pl.fiber_rate_study(forms, {r: g}, chi_grid) for r, g in loads.items()]
     assert study["rows"] == [row for s in single for row in s["rows"]]
     assert study["slopes"] == [row for s in single for row in s["slopes"]]
+
+
+def test_fiber_rate_study_matches_serial_loop(forms, fiber_loads, monkeypatch):
+    # the concurrent reference solves give the serial loop's rows and slopes
+    # bitwise
+    use_two_cores(monkeypatch)
+    chi_grid = (0.4, 0.2, 0.1)
+    study = pl.fiber_rate_study(forms, fiber_loads, chi_grid)
+    oracle = fiber_rate_study_loop(forms, fiber_loads, chi_grid)
+    assert study["rows"] == oracle["rows"]
+    assert study["slopes"] == oracle["slopes"]
+
+
+def test_fiber_rate_study_chains_on_calling_thread(forms, fiber_loads, monkeypatch):
+    # a wrapper of build_chain may keep unlocked state, so every chain is
+    # built on the caller, chi by chi
+    use_two_cores(monkeypatch)
+    calls = []
+    build_chain = pl.fiber.build_chain
+
+    def recorded(forms, chi, t, regime, f, **kwargs):
+        calls.append((chi, regime, threading.current_thread()))
+        return build_chain(forms, chi, t, regime, f, **kwargs)
+
+    monkeypatch.setattr(pl.fiber, "build_chain", recorded)
+    chi_grid = (0.4, 0.2, 0.1)
+    pl.fiber_rate_study(forms, fiber_loads, chi_grid)
+    assert calls == [(chi, regime, threading.current_thread())
+                     for chi in chi_grid for regime in fiber_loads]
