@@ -3,6 +3,7 @@ studies, driven by a JSON config and writing CSV/JSON reports."""
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +17,10 @@ from .geometry import ProductMesh, build_rectangle, is_centrally_symmetric
 from .homogenize import rod_tensor
 from .material import profile_from_json
 
+# the ExperimentConfig fields a config file sets; a command sets the others
+_EXPERIMENT_KEYS = ("gamma", "delta", "length", "n_grid", "regimes", "n_loads", "seed",
+                    "slope_margin")
+
 DEFAULT_CONFIG = {
     "material": {"layers": [
         {"from": -0.5, "to": 0.0, "model": {"isotropic": {"lambda": 1.0, "mu": 1.0}}},
@@ -23,14 +28,9 @@ DEFAULT_CONFIG = {
     ]},
     "geometry": {"cross_section": {"rectangle": {"aspect": 1.0, "nx": 4, "ny": 4}},
                  "n_y": 8},
-    "gamma": 0.0,
-    "delta": 0.0,
-    "length": 6.0,
-    "n_grid": [8, 12, 16, 24, 32],
-    "regimes": ["stretch", "bend", "rod"],
-    "n_loads": 5,
-    "seed": 0,
-    "slope_margin": 0.1,
+    # the ExperimentConfig defaults, tuples as JSON lists
+    **{f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+       for f in dataclasses.fields(pl.ExperimentConfig) if f.name in _EXPERIMENT_KEYS},
     "chi_grid": list(pl.CHI_SWEEP),
 }
 
@@ -56,14 +56,6 @@ def _merge(base, user, where=""):
             base[key] = val
 
 
-# chi_grid is the one value no library constructor receives; the others are
-# checked by the objects load_config builds from them
-_VALUES = {
-    "chi_grid": ("a list of at least 2 positive numbers",
-                 lambda v: is_list_of(v, 2, POSITIVE[1])),
-}
-
-
 @contextlib.contextmanager
 def _config_key(where):
     """Reword a constructor's "<field> must be ..." as config key where + field."""
@@ -84,10 +76,7 @@ def _mesh(cfg):
 
 def _experiment_config(cfg, orders):
     with _config_key(""):
-        return pl.ExperimentConfig(
-            gamma=cfg["gamma"], delta=cfg["delta"], length=cfg["length"],
-            n_grid=cfg["n_grid"], regimes=cfg["regimes"], orders=orders,
-            n_loads=cfg["n_loads"], seed=cfg["seed"], slope_margin=cfg["slope_margin"])
+        return pl.ExperimentConfig(orders=orders, **{k: cfg[k] for k in _EXPERIMENT_KEYS})
 
 
 def load_config(path):
@@ -100,8 +89,10 @@ def load_config(path):
     if path is not None:
         with open(path) as fh:
             _merge(cfg, json.load(fh))
-    for key, (want, ok) in _VALUES.items():
-        require("config key " + key, cfg[key], want, ok)
+    # chi_grid is the one value no library constructor receives; the others
+    # are checked by the objects built from them here
+    require("config key chi_grid", cfg["chi_grid"], "a list of at least 2 positive numbers",
+            lambda v: is_list_of(v, 2, POSITIVE[1]))
     _experiment_config(cfg, (0,))
     _mesh(cfg)
     profile_from_json(cfg["material"])
@@ -188,10 +179,11 @@ def _fiber_loads(cfg, forms):
     rng = np.random.default_rng(cfg["seed"])
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
     fn = f / np.sqrt(forms.norm_sq_l2(f))
-    loads = {"general_chi2": fn, "general_chi4": fn}
-    if symmetric:
-        for regime in ("stretch", "bend"):
-            fr = fem.project_symmetry(f, regime, forms.mesh, pairing)
+    # the regimes with a parity after the others, on a symmetric cross-section only
+    loads = {regime: fn for regime, spec in fiber.CHAIN_REGIMES.items() if not spec.parity}
+    for regime, spec in fiber.CHAIN_REGIMES.items():
+        if spec.parity and symmetric:
+            fr = fem.project_symmetry(f, spec.parity, forms.mesh, pairing)
             loads[regime] = fr / np.sqrt(forms.norm_sq_l2(fr))
     return loads
 
@@ -222,7 +214,7 @@ def cmd_validate(cfg, forms, outdir):
     f = pl.make_loads(forms.mesh.cross, forms.mesh.n_y, cfg["n_grid"][-1], eps,
                       "rod", n_loads=1, seed=cfg["seed"])[0]
     worst = 0.0
-    for regime in ("rod", "stretch", "bend"):
+    for regime in pl.REGIMES:
         a = pl.limit_resolvent(forms, f, cfg["gamma"], regime)
         b = pl.fiber_pullback_resolvent(forms, f, cfg["gamma"], regime)
         worst = max(worst, float(np.max(np.abs(a.values - b.values))

@@ -245,10 +245,6 @@ class AssembledForms:
 
     # -- solvers ----------------------------------------------------------
 
-    def kernel_residuals(self, load):
-        """|<rigid motion, load>| for the four rigid-motion fields."""
-        return np.abs(self.kernel_fields @ np.asarray(load, dtype=complex))
-
     @cached_property
     def quotient(self):
         return QuotientSolver(self)
@@ -314,21 +310,21 @@ class QuotientSolver:
         self.free = np.setdiff1d(np.arange(Z.shape[1]), pins)
         self.lu = factorize(forms.K_ss[self.free][:, self.free])
 
-    def solve(self, load, t=1.0, check=True):
-        """u with t K_ss u = load on the rigid-motion quotient; with check, a
-        load whose kernel residual exceeds KERNEL_TOLERANCE of its norm is
-        rejected."""
+    def solve(self, load, t=1.0):
+        """u with t K_ss u = load on the rigid-motion quotient, and the load's
+        worst kernel residual max |<rigid motion, load>|, which must not exceed
+        KERNEL_TOLERANCE of its norm (IncompatibleLoad)."""
         load = np.asarray(load, dtype=complex)
         res = self.kernel @ load
         worst, scale = np.max(np.abs(res)), np.linalg.norm(load)
-        if check and scale > 0 and worst > KERNEL_TOLERANCE * scale:
+        if scale > 0 and worst > KERNEL_TOLERANCE * scale:
             raise IncompatibleLoad("load has kernel residual %.3e relative" % (worst / scale))
         f = (load - self.MZ @ (self.G_inv @ res))[self.free]
         sol = self.lu.solve(np.column_stack([f.real, f.imag]))
         u = np.zeros(load.shape, dtype=complex)
         u[self.free] = sol[:, 0] + 1j * sol[:, 1]
         u -= self.kernel.T @ (self.G_inv @ (self.MZ.T @ u))
-        return u / t
+        return u / t, float(worst)
 
 
 def assemble(profile, mesh):

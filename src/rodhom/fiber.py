@@ -3,20 +3,23 @@ the asymptotic approximation chains and their error reports.
 
 Chains follow the four regimes (stretch, bend, general_chi2, general_chi4)
 with a free positive prefactor t standing in for chi^-2 / chi^-4 (or
-eps^-(gamma+2) in the eps-parametrised studies). Bend has its own recursion;
-stretch, general_chi2 and general_chi4 run one recursion on the slots of the
-regime, ending at chi^-2 or running on to the chi^-4 refinements. Every
-corrector solve goes through the forms' quotient solver, one cached LU; the
+eps^-(gamma+2) in the eps-parametrised studies); CHAIN_REGIMES holds the
+facts of each. Bend has its own recursion; stretch, general_chi2 and
+general_chi4 run one recursion on the slots of the regime, ending at chi^-2
+(p = 2) or running on to the chi^-4 refinements (p = 4). Every corrector
+solve goes through the forms' quotient solver, one cached LU; the
 solvability residual of each right-hand side against the rigid motions is
 recorded, since each one is an exact identity of the discrete construction.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fem, homogenize as hz
+from .checks import require
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +70,11 @@ class FiberOps:
         translations for bend, the Lambda data of the slots otherwise."""
         if regime == "bend":
             return (*self.forms.bend_tests, np.full(2, -1j * self.chi))
-        s = _slots(regime)
+        s = _chain_regime(regime).slots
         return self.forms.Ls[:, s], self.forms.Lx[:, s], np.conj(self.g[s])
 
     def embed_matrix(self, regime):
-        return self.E[:, _slots(regime)]
+        return self.E[:, _chain_regime(regime).slots]
 
     def momentum(self, f, regime):
         """Force-and-momentum vector, the exact adjoint of embed."""
@@ -79,18 +82,8 @@ class FiberOps:
         return E.conj().T @ (self.forms.M @ np.asarray(f, dtype=complex))
 
     def gram(self, regime):
-        s = _slots(regime)
+        s = _chain_regime(regime).slots
         return self.C[s, s]
-
-
-def _slots(regime):
-    """The coefficient slots of a regime, as a column slice: the general
-    regimes use all four (the rod slots)."""
-    return hz._REGIME_SLOTS[regime if regime in ("stretch", "bend") else "rod"]
-
-
-_DEFAULT_SCALING = {"stretch": "none", "general_chi2": "none",
-                    "bend": "s_abs_chi", "general_chi4": "s_abs_chi"}
 
 
 def apply_load_scaling(values, tag, chi=None, eps=None, delta=None):
@@ -139,17 +132,15 @@ def rayleigh_bounds(forms, chi):
     def quotient(v):
         return float((np.vdot(v, K @ v) / np.vdot(v, M @ v)).real)
 
-    # the bend columns of E, then the stretch columns
-    E = ops.E
-    qb = max(quotient(E[:, i]) for i in (0, 1))
-    qs = max(quotient(E[:, i]) for i in (2, 3))
+    qb = max(quotient(v) for v in ops.embed_matrix("bend").T)
+    qs = max(quotient(v) for v in ops.embed_matrix("stretch").T)
 
     # fields M-orthogonal to both embedded spaces
     rng = np.random.default_rng(11)
     qmin = np.inf
     for _ in range(5):
         v = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-        v = v - E @ np.linalg.solve(ops.C, E.conj().T @ (M @ v))
+        v = v - ops.E @ np.linalg.solve(ops.C, ops.E.conj().T @ (M @ v))
         qmin = min(qmin, quotient(v))
     return {"bend_quotient": qb, "stretch_quotient": qs, "orthogonal_min": qmin}
 
@@ -179,7 +170,8 @@ class _ChainBuilder:
     slots, the coupling t, and the chain being built."""
 
     def __init__(self, ops, t, regime, depth="full"):
-        s = _slots(regime)
+        self.spec = _chain_regime(regime)
+        s = self.spec.slots
         self.ops, self.forms, self.chi, self.t = ops, ops.forms, ops.chi, t
         self.regime, self.depth = regime, depth
         self.E, self.S, self.B1, self.lam = (X[:, s] for X in (ops.E, ops.S, ops.B1, ops.lam))
@@ -201,8 +193,8 @@ class _ChainBuilder:
 
     def solve(self, name, b):
         # every right-hand side is kernel-orthogonal by construction
-        u = self.forms.quotient.solve(b, t=self.t)
-        self.chain.residuals.append((name, float(np.max(self.forms.kernel_residuals(b)))))
+        u, residual = self.forms.quotient.solve(b, t=self.t)
+        self.chain.residuals.append((name, residual))
         self.chain.terms[name] = u
         return u
 
@@ -231,22 +223,16 @@ def build_chain(forms, chi, t, regime, f, scaling=None, depth="full"):
     """Run the corrector recursion of the given regime.
 
     f is the unscaled load; scaling defaults to the regime's natural tag
-    (S_|chi| for bend and general_chi4, none otherwise) and the recursion is
-    run on the scaled load. depth="correctors" stops once the first
-    refinement coefficients (and with them the terms u1 and u0_1) are known,
-    skipping the deeper solves. Returns a Chain with the computed terms,
-    coefficient vectors, and the kernel residual of every corrector
-    right-hand side.
+    (ChainRegime.scaling) and the recursion is run on the scaled load.
+    depth="correctors" stops once the first refinement coefficients (and
+    with them the terms u1 and u0_1) are known, skipping the deeper solves.
+    Returns a Chain with the computed terms, coefficient vectors, and the
+    kernel residual of every corrector right-hand side. A regime not in
+    CHAIN_REGIMES raises ValueError before anything is solved.
     """
     cb = _ChainBuilder(FiberOps(forms, chi), t, regime, depth)
-    tag = scaling if scaling is not None else _DEFAULT_SCALING[regime]
-    g = apply_load_scaling(f, tag, chi)
-    if regime == "bend":
-        _chain_bend(cb, g)
-    elif regime in ("stretch", "general_chi2", "general_chi4"):
-        _chain_general(cb, g)
-    else:
-        raise ValueError(regime)
+    g = apply_load_scaling(f, cb.spec.scaling if scaling is None else scaling, chi)
+    cb.spec.recursion(cb, g)
     return cb.chain
 
 
@@ -287,7 +273,7 @@ def _chain_bend(cb, g):
 def _chain_general(cb, g):
     """The recursion of stretch, general_chi2 and general_chi4 on the slots
     of the regime. On the stretch slots T has no columns, so the terms of the
-    in-plane translations vanish; every regime but general_chi4 ends at the
+    in-plane translations vanish; a chi^-2 coupling (p = 2) ends at the
     chi^-2 order."""
     t, M, S, T = cb.t, cb.forms.M, cb.S, cb.T
     fbar = T.T @ (M @ g)   # int g1, int g2
@@ -304,7 +290,7 @@ def _chain_general(cb, g):
 
     b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam @ m1 + cb.shift2(u1))
             - M @ (S @ m1) - M @ (T @ m[:T.shape[1]]) + M @ (T @ fbar))
-    if cb.regime != "general_chi4":
+    if cb.spec.power == 2:
         cb.solve("u2_1", b2_1 - M @ u1)
         return
     u2_1 = cb.solve("u2_1", b2_1)
@@ -327,6 +313,34 @@ def _chain_general(cb, g):
     m3 = np.linalg.lstsq(kern @ B, -(kern @ b0), rcond=1e-10)[0]
     cb.coefficients(3, m3)
     cb.solve("u2_3", b0 + B @ m3)
+
+
+class ChainRegime(NamedTuple):
+    """The facts of a chain regime, from which the rest is worked out."""
+    slots: slice          # its rod slots, of the order m1..m4
+    power: int            # p of its coupling t = chi^-p
+    parity: str | None    # the fem.parity_project part of its loads, if any
+    recursion: Callable   # its corrector recursion, on the state of a chain
+
+    @property
+    def scaling(self):
+        """The natural load scaling: S_|chi| exactly when p = 4."""
+        return "s_abs_chi" if self.power == 4 else "none"
+
+
+CHAIN_REGIMES = {
+    "stretch": ChainRegime(slice(2, 4), 2, "stretch", _chain_general),
+    "bend": ChainRegime(slice(0, 2), 4, "bend", _chain_bend),
+    "general_chi2": ChainRegime(slice(0, 4), 2, None, _chain_general),
+    "general_chi4": ChainRegime(slice(0, 4), 4, None, _chain_general),
+}
+
+
+def _chain_regime(name):
+    """The facts of the chain regime called name; ValueError for any other."""
+    require("regime", name, "one of " + ", ".join(CHAIN_REGIMES),
+            lambda v: isinstance(v, str) and v in CHAIN_REGIMES)
+    return CHAIN_REGIMES[name]
 
 
 def error_report(forms, chain, reference, componentwise=False):

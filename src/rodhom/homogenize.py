@@ -33,15 +33,11 @@ def g_scaling(chi):
     return np.stack([ic ** 2, ic ** 2, ic, ic], axis=-1)
 
 
-# regimes select which coefficient slots are active
-_REGIME_SLOTS = {"bend": slice(0, 2), "stretch": slice(2, 4), "rod": slice(0, 4)}
-
-
 def solve_cell(forms, m):
     """Corrector u with int A(sym-grad u + J_m) : conj(sym-grad v) = 0 for
     all periodic v, posed on the rigid-motion quotient; m holds the
     (possibly complex) coefficients of the data J_m."""
-    return forms.quotient.solve(-forms.Ls @ np.asarray(m))
+    return forms.quotient.solve(-forms.Ls @ np.asarray(m))[0]
 
 
 def cell_basis(forms):
@@ -81,7 +77,7 @@ def chi_tensor(forms, chi):
     """The Hermitian 4x4 effective matrix G(chi)^H A_rod G(chi) at
     quasimomentum chi, in the rod slot order, for a scalar chi or stacked
     along the leading axes for an array of them; a regime takes the block of
-    its slots. The cell problems with Lambda data are exactly the J-basis
+    its slots (fiber.CHAIN_REGIMES). The cell problems with Lambda data are exactly the J-basis
     ones scaled by G(chi), so no cell problem is solved here (the tests
     compare a direct solve, tests/support_cell.py)."""
     g = g_scaling(chi)

@@ -13,7 +13,7 @@ longitudinal frequency, for the band-limiter ablation.
 import csv
 import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -22,17 +22,28 @@ from .checks import POSITIVE, is_integer, is_list_of, is_number, require
 from .geometry import cross_mass, is_centrally_symmetric
 from .material import check_rod_material_symmetry
 
-_CHAIN_REGIME = {"rod": "general_chi2", "stretch": "stretch", "bend": "bend"}
-_COMPONENTS = {"rod": ("12", "3"), "stretch": ("all",), "bend": ("12", "3")}
-REGIMES = ("stretch", "bend", "rod")
+
+class LineRegime(NamedTuple):
+    chain: str          # the chain regime of its fibers, whose facts it takes
+    components: tuple   # the error components it reports
+
+    @property
+    def facts(self):
+        return fiber.CHAIN_REGIMES[self.chain]
+
+
+LINE_REGIMES = {"stretch": LineRegime("stretch", ("all",)),
+                "bend": LineRegime("bend", ("12", "3")),
+                "rod": LineRegime("general_chi2", ("12", "3"))}
+REGIMES = tuple(LINE_REGIMES)
 _ORDER_NORM = {0: "l2", 1: "h1", 2: "l2"}
 
 
 # what each ExperimentConfig field must be
 _NONNEGATIVE = ("a number >= 0", lambda v: is_number(v) and v >= 0)
 _RULES = {
-    "gamma": ("a number > -2", lambda v: is_number(v) and v > -2),
-    "delta": _NONNEGATIVE,
+    "gamma": ("a number > -2", lambda v: is_number(v) and v > -2),  # definite symbols
+    "delta": _NONNEGATIVE,   # a bounded load scaling
     "length": POSITIVE,
     "n_grid": ("a list of at least 4 positive integers",
                lambda v: is_list_of(v, 4, lambda n: is_integer(n) and n > 0)),
@@ -51,16 +62,12 @@ _RULES = {
 @dataclass
 class ExperimentConfig:
     """Knobs of a rate study. A field breaking its rule in _RULES raises
-    ValueError "<field> must be <want>, not <value>". The rules: gamma > -2
-    (positive definite symbols), delta >= 0 (bounded load scaling), length >
-    0, n_grid >= 4 positive integers, regimes and orders nonempty selections
-    of REGIMES and of 0, 1, 2, integers n_loads >= 1 and seed >= 0,
-    momentum_variant "eps" or "zero", s_inf a bool, slope_margin >= 0."""
+    ValueError "<field> must be <want>, not <value>"."""
     gamma: float = 0.0
     delta: float = 0.0
     length: float = 6.0
     n_grid: tuple = (8, 12, 16, 24, 32)
-    regimes: tuple = ("stretch", "bend", "rod")
+    regimes: tuple = REGIMES
     orders: tuple = (0,)
     n_loads: int = 5
     seed: int = 0
@@ -80,12 +87,20 @@ class ExperimentConfig:
             self.momentum_variant, self.s_inf, self.gamma, self.delta)
 
 
+def _line_regime(name):
+    """The line regime called name; ValueError for any other."""
+    require("regime", name, "one of " + ", ".join(LINE_REGIMES),
+            lambda v: isinstance(v, str) and v in LINE_REGIMES)
+    return LINE_REGIMES[name]
+
+
 def _limit_matrix(forms, chi, t, regime):
     """t * G(chi)^H A G(chi) + C restricted to the regime slots, with the
-    chi-independent weight C of the limit operator (identity for bending);
-    one matrix per entry of chi, stacked along the leading axes."""
-    slots = hz._REGIME_SLOTS[regime]
-    C = np.eye(2) if regime == "bend" else getattr(forms.moments, "C_" + regime)
+    chi-independent weight C of the limit operator, the slots' block of the
+    moment weight C_rod (the identity for bending); one matrix per entry of
+    chi, stacked along the leading axes."""
+    slots = _line_regime(regime).facts.slots
+    C = forms.moments.C_rod[slots, slots]
     return t * hz.chi_tensor(forms, chi)[..., slots, slots] + C
 
 
@@ -94,7 +109,7 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     momentum map, the symbol solve and the adjoint embedding at chi = eps
     theta, all frequencies at once. With momentum_variant "zero" the
     embedding is E0 alone. E0 and E1 are the first slab of the forms' tiles."""
-    n, slots = 3 * forms.mesh.cross.n_nodes, hz._REGIME_SLOTS[regime]
+    n, slots = 3 * forms.mesh.cross.n_nodes, _line_regime(regime).facts.slots
     E0, E1 = forms.E0[:n, slots], forms.E1[:n, slots]
     t = f.eps ** (-(gamma + 2.0))
     g = tr.xi_smoothing(f) if use_xi else f
@@ -112,7 +127,7 @@ def fiber_limit(forms, chis, t, regime, F, momentum_variant="eps"):
     f of F (..., N, n_dof), fiber k at chis[k], with S the symbol of
     _limit_matrix: one stacked symbol solve, no fiber loop. With
     momentum_variant "zero" the embedding is E0 alone."""
-    s = hz._REGIME_SLOTS[regime]
+    s = _line_regime(regime).facts.slots
     E0, E1 = forms.E0[:, s], forms.E1[:, s]
     tilt = (np.zeros_like(chis) if momentum_variant == "zero" else chis)[:, None]
     # E^H M f = (M conj E)^T f, as M is real symmetric
@@ -134,6 +149,7 @@ def fiber_correctors(forms, chis, t, regime, F):
     """First- and second-order correction fields, the chain terms u1 and
     u0^(1), on every fiber of F (..., N, n_dof): one corrector chain per
     fiber of each leading index, fiber k at chis[k]."""
+    chain = _line_regime(regime).chain
     u1, u01 = np.zeros_like(F), np.zeros_like(F)
     for idx in np.ndindex(F.shape[:-1]):
         chi = float(chis[idx[-1]])
@@ -141,8 +157,7 @@ def fiber_correctors(forms, chis, t, regime, F):
             # both correction operators carry the coefficient scaling G(chi)
             # and vanish identically on the zero fiber
             continue
-        ch = fiber.build_chain(forms, chi, t, _CHAIN_REGIME[regime], F[idx],
-                               scaling="none", depth="correctors")
+        ch = fiber.build_chain(forms, chi, t, chain, F[idx], scaling="none", depth="correctors")
         u1[idx], u01[idx] = ch.terms["u1"], ch.terms["u0_1"]
     return u1, u01
 
@@ -213,15 +228,16 @@ def line_error_norm(forms, b, kind="l2", component=None):
 def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
     """Seeded band-limited loads: random cross profiles on the low line
     modes |j| <= 2 plus short-scale modes at j = +-N (weight 0.5),
-    parity-projected for the invariant regimes and unit-normalised.
+    parity-projected for the regimes with a parity and unit-normalised.
 
     The random draws depend only on (seed, load index), so the same family
     is sampled consistently on every eps grid.
     """
+    parity = _line_regime(regime).facts.parity
     d = 3 * cross.n_nodes
     Mw = cross_mass(cross)
     sym, pairing = is_centrally_symmetric(cross)
-    if regime in ("stretch", "bend") and not sym:
+    if parity and not sym:
         raise ValueError("parity projection needs a centrally symmetric cross-section")
     S = N * n_y
     p = np.arange(S) // n_y
@@ -236,8 +252,8 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
         for sign in (1, -1):
             c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vals += 0.5 * np.outer(np.exp(2j * np.pi * sign * y), c)
-        if regime in ("stretch", "bend"):
-            vals = fem.parity_project(vals.reshape(S, -1, 3), regime, pairing).reshape(S, d)
+        if parity:
+            vals = fem.parity_project(vals.reshape(S, -1, 3), parity, pairing).reshape(S, d)
         lf = tr.LineField(vals, eps, n_y)
         nrm = np.sqrt(tr.line_norm_sq(lf, Mw))
         loads.append(lf.like(lf.values / nrm))
@@ -248,6 +264,7 @@ def theory_slope(regime, component, order, gamma, delta=0.0, momentum_variant="e
     """Expected decay exponent of the error in eps for the given regime,
     component selection and approximation order (0: L2, 1: H1 with the first
     correction, 2: L2 with both corrections)."""
+    _line_regime(regime)
     g2 = gamma + 2.0
     pref = min(g2 / 4.0 - delta, 0.0) if regime == "bend" else 0.0
     if order == 0:
@@ -294,16 +311,10 @@ class RateReport:
         return all(r["passed"] for r in self.rows)
 
     def csv_rows(self):
-        out = []
-        for r in self.rows:
-            for eps, err in zip(r["eps"], r["errs"]):
-                out.append({"regime": r["regime"], "component": r["component"],
-                            "order": r["order"], "flags": r["flags"],
-                            "eps": eps, "err": err,
-                            "slope_fit": r["slope_fit"],
-                            "slope_theory": r["slope_theory"],
-                            "pass": int(r["passed"])})
-        return out
+        return [{"regime": r["regime"], "component": r["component"], "order": r["order"],
+                 "flags": r["flags"], "eps": eps, "err": err, "slope_fit": r["slope_fit"],
+                 "slope_theory": r["slope_theory"], "pass": int(r["passed"])}
+                for r in self.rows for eps, err in zip(r["eps"], r["errs"])]
 
     def write_csv(self, path):
         write_csv(path, self.csv_rows())
@@ -327,13 +338,12 @@ def _scaled_load(cfg, g):
     return g.like(fiber.apply_load_scaling(g.values, tag, eps=g.eps, delta=cfg.delta))
 
 
-def _require_rod_symmetry(forms, regimes):
-    """The stretch and bend regimes rest on the parity split, which holds
-    only for materials with rod symmetry in every layer."""
-    if ({"stretch", "bend"} & set(regimes)
-            and not all(check_rod_material_symmetry(t) for _, _, t in forms.profile.layers)):
-        raise ValueError("the stretch and bend regimes need rod material symmetry "
-                         "in every layer (see check_rod_material_symmetry)")
+def _require_rod_symmetry(forms, split):
+    """The regimes in split, those to run that have a parity, rest on the
+    parity split, which needs rod material symmetry in every layer."""
+    if split and not all(check_rod_material_symmetry(t) for _, _, t in forms.profile.layers):
+        raise ValueError("the regimes that split by parity (%s) need rod material symmetry "
+                         "in every layer (see check_rod_material_symmetry)" % ", ".join(split))
 
 
 def rate_experiment(cfg, forms):
@@ -350,9 +360,9 @@ def rate_experiment(cfg, forms):
     bundle. eps is the outer loop: one LineResolvent per eps serves the
     loads of every regime, and only one eps holds factorisations at a time.
     """
-    _require_rod_symmetry(forms, cfg.regimes)
+    _require_rod_symmetry(forms, [r for r in cfg.regimes if LINE_REGIMES[r].facts.parity])
     eps_list = [cfg.length / N for N in cfg.n_grid]
-    errs = [{(o, c): [] for o in cfg.orders for c in _COMPONENTS[regime]}
+    errs = [{(o, c): [] for o in cfg.orders for c in LINE_REGIMES[regime].components}
             for regime in cfg.regimes]
     for N, eps in zip(cfg.n_grid, eps_list):
         R = LineResolvent(forms, eps, cfg.gamma)
@@ -370,7 +380,7 @@ def rate_experiment(cfg, forms):
                 approx += [approx[0] + u1, approx[0] + u1 + u01]
             for o in cfg.orders:
                 e = ref - approx[o]
-                for c in _COMPONENTS[regime]:
+                for c in LINE_REGIMES[regime].components:
                     regime_errs[(o, c)].append(max(
                         line_error_norm(forms, b.like(ei), _ORDER_NORM[o], c)
                         for b, ei in zip(bundles, e)))
@@ -384,23 +394,22 @@ def rate_experiment(cfg, forms):
 
 CHI_SWEEP = (0.4, 0.283, 0.2, 0.141, 0.1, 0.0707, 0.05)
 
-FIBER_THRESHOLDS = {
-    ("stretch", "all", 0): 0.9, ("stretch", "all", 1): 1.8,
-    ("bend", "12", 0): 0.9, ("bend", "3", 0): 1.8,
-    ("bend", "12", 1): 1.8, ("bend", "3", 1): 2.6,
-    ("general_chi2", "all", 0): 0.9, ("general_chi2", "all", 1): 1.8,
-    ("general_chi4", "12", 0): 0.9, ("general_chi4", "3", 0): 1.8,
-    ("general_chi4", "12", 1): 1.8, ("general_chi4", "3", 1): 2.6,
-}
+# the H1 slope floors of fiber_rate_study by (component, order) for each
+# coupling power p; a chain regime takes those of its p
+_FIBER_FLOORS = {2: {("all", 0): 0.9, ("all", 1): 1.8},
+                 4: {("12", 0): 0.9, ("3", 0): 1.8, ("12", 1): 1.8, ("3", 1): 2.6}}
+FIBER_THRESHOLDS = {(regime, c, order): floor for regime, spec in fiber.CHAIN_REGIMES.items()
+                    for (c, order), floor in _FIBER_FLOORS[spec.power].items()}
 
 
 def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
-    """Chi-sweep of the chain approximants at one fiber family, with the
-    natural coupling t = chi^-2 (torsion/extension regimes) or chi^-4.
+    """Chi-sweep of the chain approximants at one fiber family, with each
+    regime's natural coupling t = chi^-p and load scaling.
 
-    loads maps each regime to a product-mesh load field. Returns per-chi
-    error rows (L2 and H1) and fitted H1 slopes against the regime
-    thresholds.
+    loads maps each chain regime to a product-mesh load field; another name
+    raises ValueError before anything is solved. Returns per-chi error rows
+    (L2 and H1, by component for p = 4) and fitted H1 slopes against the
+    regime thresholds.
 
     Each chi factorises (t K(chi) + M) once per coupling, shared by the
     regimes with the same power, and solves the reference of every regime;
@@ -408,34 +417,30 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     chains and their error rows are built on the calling thread, chi by
     chi. Rows come out regime by regime, in the order of loads.
     """
-    _require_rod_symmetry(forms, loads)
-
-    def coupling(regime, chi):
-        return chi ** (-4 if regime in ("bend", "general_chi4") else -2)
+    specs = {regime: fiber._chain_regime(regime) for regime in loads}
+    _require_rod_symmetry(forms, [r for r, spec in specs.items() if spec.parity])
 
     def references(chi):
         solvers, refs = {}, {}
         for regime, f in loads.items():
-            t = coupling(regime, chi)
+            t = chi ** -specs[regime].power
             if t not in solvers:
                 solvers[t] = fem.ResolventSolver(forms, chi, t)
             refs[regime] = solvers[t].solve(fiber.apply_load_scaling(
-                f, fiber._DEFAULT_SCALING[regime], chi))
+                f, specs[regime].scaling, chi))
         return refs
 
     rows = {regime: [] for regime in loads}
-    errs = {k: [] for k in FIBER_THRESHOLDS}
+    errs = {k: [] for k in FIBER_THRESHOLDS if k[0] in loads}
     for chi, refs in zip(chi_grid, fem.map_fibers(references, chi_grid)):
         for regime, f in loads.items():
-            split = regime in ("bend", "general_chi4")
-            ch = fiber.build_chain(forms, chi, coupling(regime, chi), regime, f)
-            for row in fiber.error_report(forms, ch, refs[regime], componentwise=split):
+            p = specs[regime].power
+            ch = fiber.build_chain(forms, chi, chi ** -p, regime, f)
+            for row in fiber.error_report(forms, ch, refs[regime], componentwise=p == 4):
                 rows[regime].append({"regime": regime, **row})
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     slopes = []
     for (regime, tag, order), seq in errs.items():
-        if not seq:
-            continue
         slope = fiber.fit_slope(chi_grid, seq)
         thr = FIBER_THRESHOLDS[(regime, tag, order)]
         slopes.append({"regime": regime, "component": tag, "order": order,
@@ -468,15 +473,11 @@ def ablation_experiment(cfg, forms):
     # the derivative-free momenta lose accuracy through the near-zero
     # fibers; doubling the box keeps the whole grid below the chi^4
     # suppression crossover so the weaker rate is actually visible
-    m0_cfg = dataclasses.replace(cfg, regimes=("bend",), orders=(0,),
-                                 momentum_variant="zero",
-                                 length=2 * cfg.length)
-    for row in rate_experiment(m0_cfg, forms).rows:
-        row["flags"] = "ablation=momentum_zero," + row["flags"]
-        report.rows.append(row)
-    sinf_cfg = dataclasses.replace(cfg, regimes=("bend",), orders=(0,),
-                                   s_inf=True)
-    for row in rate_experiment(sinf_cfg, forms).rows:
-        row["flags"] = "ablation=s_inf," + row["flags"]
-        report.rows.append(row)
+    variants = {"momentum_zero": dict(momentum_variant="zero", length=2 * cfg.length),
+                "s_inf": dict(s_inf=True)}
+    for name, change in variants.items():
+        variant = dataclasses.replace(cfg, regimes=("bend",), orders=(0,), **change)
+        for row in rate_experiment(variant, forms).rows:
+            row["flags"] = "ablation=%s,%s" % (name, row["flags"])
+            report.rows.append(row)
     return report

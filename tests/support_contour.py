@@ -46,7 +46,8 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     power = 2 if regime in ("stretch", "general_chi2") else 4
     sc = chi ** power
     ops = fiber.FiberOps(forms, chi)
-    s = fiber._slots(regime)
+    s = {"stretch": slice(2, 4), "bend": slice(0, 2),
+         "general_chi2": slice(0, 4), "general_chi4": slice(0, 4)}[regime]
     A, C = ops.A[s, s], ops.C[s, s]
     g = fiber.apply_load_scaling(f, "none" if power == 2 else "s_abs_chi", chi)
     mom = ops.momentum(g, regime)
@@ -88,18 +89,27 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     # r(t) = t P m + Q m + S f and compare against the double-resolvent
     # contour formula
     cb = fiber._ChainBuilder(ops, t, "stretch")
-    quotient = forms.quotient
     E = cb.E
     nb = E.shape[1]
-    zero = np.zeros(forms.mesh.n_dof)
+    n = forms.mesh.n_dof
+    zero = np.zeros(n)
+    # each affine piece on its own is not kernel-orthogonal, which the
+    # library's quotient solver rejects; the dense saddle system
+    # [[K_ss, (Z M)^T], [Z M, 0]] with the rigid motions Z solves any load on
+    # the rigid-motion quotient
+    ZM = forms.kernel_fields @ forms.M
+    saddle = sla.lu_factor(np.block([[forms.K_ss.toarray(), ZM.T], [ZM, np.zeros((4, 4))]]))
+
+    def solve(b):
+        return sla.lu_solve(saddle, np.concatenate([b, np.zeros(4)]))[:n]
 
     def Shat(h):
-        return -cb.moments(quotient.solve(forms.M @ h, check=False), zero)
+        return -cb.moments(solve(forms.M @ h), zero)
 
     Phat = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):
         u1 = cb.B1[:, r]
-        w = quotient.solve(cb.shift(u1) + cb.lam[:, r], check=False)
+        w = solve(cb.shift(u1) + cb.lam[:, r])
         Phat[:, r] = cb.moments(w, -u1)
     Q = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):

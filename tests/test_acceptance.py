@@ -149,15 +149,15 @@ def test_05_exact_identities(forms):
 
     ops = fiber.FiberOps(forms, 0.3)
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    for which, nd in [("stretch", 2), ("bend", 2), ("rod", 4)]:
+    for which, nd in [("stretch", 2), ("bend", 2), ("general_chi2", 4)]:
         mvec = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
         lhs = np.vdot(f, forms.M @ (ops.embed_matrix(which) @ mvec))
         rhs = np.vdot(ops.momentum(f, which), mvec)
         ok = ok and abs(lhs - rhs) < 1e-12 * max(abs(rhs), 1)
-    ok = ok and np.max(np.abs(ops.gram("rod") - C_rod_chi(md, 0.3))) < 1e-12
+    ok = ok and np.max(np.abs(ops.gram("general_chi2") - C_rod_chi(md, 0.3))) < 1e-12
 
     bb = tr.gelfand(lf)
-    moms = np.array([fiber.FiberOps(forms, bb.chis[k]).momentum(bb.fiber(k), "rod")
+    moms = np.array([fiber.FiberOps(forms, bb.chis[k]).momentum(bb.fiber(k), "general_chi2")
                      for k in range(N)])
     lifted = tr.FiberBundle(np.broadcast_to(moms[:, None, :], (N, NY, 4)).copy(),
                             bb.chis, EPS)
@@ -231,7 +231,7 @@ def test_10_kernel_residuals(forms, fiber_loads):
         for chi in (0.4, 0.2, 0.1):
             ch = fiber.build_chain(forms, chi, chi ** power, regime, f)
             nf = np.linalg.norm(fiber.apply_load_scaling(
-                f, fiber._DEFAULT_SCALING[regime], chi))
+                f, "s_abs_chi" if power == -4 else "none", chi))
             for _, res in ch.residuals:
                 worst = max(worst, res / nf)
     _report(10, "kernel residuals", worst <= 1e-8)

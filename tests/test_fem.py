@@ -120,7 +120,7 @@ def test_form_properties_on_random_cells(n, bow, stretch, shear, interface, seed
     w = [1, 1j] @ np.random.default_rng(seed).standard_normal((2, forms.mesh.n_dof))
     load = forms.K_ss @ w
     want = dense_saddle_solve(forms, load)
-    assert np.linalg.norm(forms.quotient.solve(load) - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(forms.quotient.solve(load)[0] - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_energy_identity():
@@ -207,8 +207,8 @@ def test_positive_semidefinite(forms):
 
 
 def test_saddle_zero_load(forms):
-    u = forms.quotient.solve(np.zeros(forms.mesh.n_dof))
-    assert np.linalg.norm(u) == 0
+    u, residual = forms.quotient.solve(np.zeros(forms.mesh.n_dof))
+    assert np.linalg.norm(u) == 0 and residual == 0
 
 
 def test_saddle_consistency(forms):
@@ -221,7 +221,7 @@ def test_saddle_consistency(forms):
     w -= B @ np.linalg.solve(G, B.T @ (forms.M @ w))
     t = 2.5
     load = t * (forms.K_ss @ w)
-    u = forms.quotient.solve(load, t=t)
+    u = forms.quotient.solve(load, t=t)[0]
     assert np.linalg.norm(u - w) < 1e-8 * np.linalg.norm(w)
     # solution satisfies the constraints
     assert np.max(np.abs(forms.kernel_fields @ (forms.M @ u))) < 1e-10 * np.linalg.norm(w)
@@ -235,18 +235,18 @@ def test_saddle_rejects_incompatible_load(forms):
 
 def test_saddle_complex_load_matches_dense_solve(forms):
     # the real LU solves the real and imaginary parts as two columns; for a
-    # compatible load, and for an incompatible one solved unchecked, the
-    # result must be the complex solve of the saddle matrix
+    # compatible load the result must be the complex solve of the saddle
+    # matrix, and the residual returned the load's worst kernel residual
     rng = np.random.default_rng(11)
     n = forms.mesh.n_dof
     B = forms.kernel_fields.T
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    compatible = f - forms.M @ (B @ np.linalg.solve(B.T @ (forms.M @ B), B.T @ f))
-    for load, check in ((compatible, True), (f, False)):
-        want = dense_saddle_solve(forms, load)
-        got = forms.quotient.solve(load, check=check)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.max(np.abs(forms.kernel_fields @ (forms.M @ got))) <= 1e-10 * np.linalg.norm(load)
+    load = f - forms.M @ (B @ np.linalg.solve(B.T @ (forms.M @ B), B.T @ f))
+    want = dense_saddle_solve(forms, load)
+    got, residual = forms.quotient.solve(load)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.max(np.abs(forms.kernel_fields @ (forms.M @ got))) <= 1e-10 * np.linalg.norm(load)
+    assert residual == np.max(np.abs(forms.kernel_fields @ load))
 
 
 def test_resolvent_backward_error(forms):

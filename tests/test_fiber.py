@@ -55,7 +55,7 @@ def test_embed_momentum_adjoint(setup):
     ops = fiber.FiberOps(forms, 0.3)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    for which, nd in [("stretch", 2), ("bend", 2), ("rod", 4)]:
+    for which, nd in [("stretch", 2), ("bend", 2), ("general_chi2", 4)]:
         d = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
         lhs = np.vdot(f, forms.M @ (ops.embed_matrix(which) @ d))
         rhs = np.vdot(ops.momentum(f, which), d)
@@ -67,7 +67,7 @@ def test_gram_matches_analytic(setup):
     md = compute_moments(forms.mesh.cross)
     for chi in [0.3, 0.05]:
         ops = fiber.FiberOps(forms, chi)
-        assert np.max(np.abs(ops.gram("rod") - C_rod_chi(md, chi))) < 1e-12
+        assert np.max(np.abs(ops.gram("general_chi2") - C_rod_chi(md, chi))) < 1e-12
         assert np.max(np.abs(ops.gram("bend") - C_bend(md, chi))) < 1e-12
         assert np.max(np.abs(ops.gram("stretch") - md.C_stretch)) < 1e-12
 
@@ -81,14 +81,14 @@ def test_embedding_properties(setup, chi, m):
     forms, *_, f = setup
     x1, x2 = forms.mesh.node_coords()[:, 0], forms.mesh.node_coords()[:, 1]
     ops = fiber.FiberOps(forms, chi)
-    u = ops.embed_matrix("rod") @ m
+    u = ops.embed_matrix("general_chi2") @ m
     want = const_hat(x1, m[0], m[1]) + s_rod(x1, x2, chi, m)
     assert np.max(np.abs(u - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
     lhs = np.vdot(f, forms.M @ u)
-    rhs = np.vdot(ops.momentum(f, "rod"), m)
+    rhs = np.vdot(ops.momentum(f, "general_chi2"), m)
     assert abs(lhs - rhs) <= 1e-12 * max(np.sqrt(forms.norm_sq_l2(u)), 1.0)
     C = C_rod_chi(compute_moments(forms.mesh.cross), chi)
-    assert np.max(np.abs(ops.gram("rod") - C)) <= 1e-12 * np.max(np.abs(C))
+    assert np.max(np.abs(ops.gram("general_chi2") - C)) <= 1e-12 * np.max(np.abs(C))
 
 
 def test_chain_blocks_match_nodal_fields(setup):
@@ -104,8 +104,7 @@ def test_chain_blocks_match_nodal_fields(setup):
                           (forms.E0[:, :2] @ m[:2], const_hat(x1, m[0], m[1]))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         E0, E1 = fem.embedding_blocks(forms.mesh.cross)
-        for key in ("bend", "stretch", "rod"):
-            s = hz._REGIME_SLOTS[key]
+        for key, s in (("bend", slice(0, 2)), ("stretch", slice(2, 4)), ("rod", slice(0, 4))):
             for variant, got in (("eps", (E0 + chi * E1)[:, s]), ("zero", E0[:, s])):
                 want = cross_embedding_columns(forms.mesh.cross, chi, key, variant)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -253,7 +252,7 @@ def test_chain_rates(setup):
         for chi in CHI_SWEEP:
             ch = fiber.build_chain(forms, chi, chi ** pw, regime, loads[regime])
             ref = fem.ResolventSolver(forms, chi, chi ** pw).solve(fiber.apply_load_scaling(
-                loads[regime], fiber._DEFAULT_SCALING[regime], chi))
+                loads[regime], "s_abs_chi" if comp else "none", chi))
             for row in fiber.error_report(forms, ch, ref, componentwise=comp):
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     for key, floor in thresholds.items():
@@ -327,8 +326,7 @@ def test_load_scaling_tags():
 
 def test_embed_matrix_tiles_cross_embedding(setup):
     forms = setup[0]
-    keys = {"bend": "bend", "stretch": "stretch", "rod": "rod",
-            "general_chi2": "rod", "general_chi4": "rod"}
+    keys = {"bend": "bend", "stretch": "stretch", "general_chi2": "rod", "general_chi4": "rod"}
     for chi in (0.0, 0.3, -2.1):
         ops = fiber.FiberOps(forms, chi)
         for regime, key in keys.items():

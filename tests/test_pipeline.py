@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from rodhom import fem, pipeline as pl, transform as tr
+from rodhom import fem, fiber, pipeline as pl, transform as tr
 from rodhom.geometry import (ProductMesh, build_rectangle, compute_moments,
                              cross_mass, is_centrally_symmetric)
 from rodhom.homogenize import rod_tensor
@@ -218,6 +218,57 @@ def test_parity_regimes_require_rod_symmetry(monkeypatch):
     assert all(np.all(np.isfinite(r["errs"])) for r in rows)
     out = pl.fiber_rate_study(forms, {"general_chi2": f, "general_chi4": f}, chi_grid=(0.4, 0.2))
     assert len(out["rows"]) == 2 * 2 * (1 + 2)   # chi, order, components
+
+
+def _unfactorised_forms(monkeypatch):
+    """Fresh forms on a small cell, with every sparse LU made to fail: a
+    call that reaches a factorisation raises AssertionError."""
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("factorised before the regime check")
+
+    monkeypatch.setattr(fem.spla, "splu", no_factorisation)
+    return forms
+
+
+@pytest.mark.parametrize("name", ["rods", "general_chi2"])
+def test_line_functions_reject_unknown_regime(name, monkeypatch):
+    # an unknown name, and a chain regime's, fail with the table's names
+    # before anything is factorised
+    forms = _unfactorised_forms(monkeypatch)
+    f = pl.make_loads(forms.mesh.cross, 4, 8, 0.75, "rod", n_loads=1)[0]
+    b = tr.gelfand(f)
+    calls = [lambda: pl.make_loads(forms.mesh.cross, 4, 8, 0.75, name, n_loads=1),
+             lambda: pl.limit_resolvent(forms, f, 0.0, name),
+             lambda: pl.fiber_limit(forms, b.chis, 1.0, name, b.fibers()),
+             lambda: pl.fiber_pullback_resolvent(forms, f, 0.0, name),
+             lambda: pl.fiber_correctors(forms, b.chis, 1.0, name, b.fibers()),
+             lambda: pl.theory_slope(name, "all", 0, 0.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                "regime must be one of stretch, bend, rod, not %r" % name)):
+            call()
+
+
+@pytest.mark.parametrize("name", ["chi4", "rod"])
+def test_chain_functions_reject_unknown_regime(name, monkeypatch):
+    # an unknown name, and a line regime's, fail with the table's names
+    # before anything is factorised
+    forms = _unfactorised_forms(monkeypatch)
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
+    ops = fiber.FiberOps(forms, 0.3)
+    calls = [lambda: fiber.build_chain(forms, 0.3, 0.3 ** -2, name, f),
+             lambda: pl.fiber_rate_study(forms, {"general_chi2": f, name: f}),
+             lambda: ops.embed_matrix(name),
+             lambda: ops.momentum(f, name),
+             lambda: ops.gram(name),
+             lambda: ops.test_fields(name)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                "regime must be one of stretch, bend, general_chi2, general_chi4, not %r" % name)):
+            call()
 
 
 def test_intertwined_case(forms):
