@@ -15,6 +15,14 @@ def is_list_of(v, least, ok):
     return isinstance(v, (list, tuple)) and len(v) >= least and all(map(ok, v))
 
 
+def is_increasing(v):
+    return all(a < b for a, b in zip(v, v[1:]))
+
+
+def is_distinct(v):
+    return len(set(v)) == len(v)
+
+
 POSITIVE = ("a positive number", lambda v: is_number(v) and v > 0)
 
 

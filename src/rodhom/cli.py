@@ -91,8 +91,9 @@ def load_config(path):
             _merge(cfg, json.load(fh))
     # chi_grid is the one value no library constructor receives; the others
     # are checked by the objects built from them here
-    require("config key chi_grid", cfg["chi_grid"], "a list of at least 2 positive numbers",
-            lambda v: is_list_of(v, 2, POSITIVE[1]))
+    require("config key chi_grid", cfg["chi_grid"],
+            "a list of positive numbers, at least 2 of them distinct",
+            lambda v: is_list_of(v, 2, POSITIVE[1]) and len(set(v)) >= 2)
     _experiment_config(cfg, (0,))
     _mesh(cfg)
     profile_from_json(cfg["material"])

@@ -12,7 +12,6 @@ solvability residual of each right-hand side against the rigid motions is
 recorded, since each one is an exact identity of the discrete construction.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -27,63 +26,60 @@ from .checks import require
 
 
 class FiberOps:
-    """The operator set of one fiber chi: the embedding E(chi) = E0 + chi E1
-    of the rod coefficients (see fem.embedding_blocks) and the blocks the
-    chains build from it, as n_dof x 4 column blocks or 4x4 matrices in the
-    rod slot order (m1, m2, m3, m4). A regime uses the columns of its slots.
-    The blocks that need the cell basis or M are built on first use."""
+    """The operator set of one fiber chi in one chain regime: the embedding
+    E(chi) = E0 + chi E1 of the rod coefficients (see fem.embedding_blocks)
+    on the regime's rod slots, and the blocks the chains build from it, as
+    column blocks or square matrices over those slots. A regime not in
+    CHAIN_REGIMES raises ValueError. The blocks that need the cell basis or
+    M are built on first use."""
 
-    def __init__(self, forms, chi):
-        self.forms = forms
-        self.chi = chi
-        self.g = hz.g_scaling(chi)
-        self.E = forms.E0 + chi * forms.E1
+    def __init__(self, forms, chi, regime):
+        self.spec = _chain_regime(regime)
+        s = self.spec.slots
+        self.forms, self.chi, self.regime = forms, chi, regime
+        g = hz.g_scaling(chi)
+        # each block is the slots' columns of its four-slot block, so it
+        # rounds as it does on all four slots
+        self.E = (forms.E0 + chi * forms.E1)[:, s]
         # E without the in-plane translations E0[:, :2]: the tilt chi E1 of the
         # bend columns, then the torsion and extension columns of E0
-        self.S = np.hstack([chi * forms.E1[:, :2], forms.E0[:, 2:]])
+        self.S = np.hstack([chi * forms.E1[:, :2], forms.E0[:, 2:]])[:, s]
+        # the in-plane translations among the slots (none for stretch)
+        self.T = forms.E0[:, :2][:, s]
+        # the loads int A Lambda_{chi,m} : conj(i chi X v) of the Lambda data,
+        # m -> lam m with lam = -i chi Lx G(chi)
+        self.lam = (-1j * chi * forms.Lx * g)[:, s]
+        # test columns Ts, Tx and weights c of the coefficient projection,
+        # whose moments are c (Ts^T u + i chi Tx^T v): i chi B_x of the
+        # in-plane translations for bend, the Lambda data of the slots otherwise
+        if regime == "bend":
+            self.tests = (*forms.bend_tests, np.full(2, -1j * chi))
+        else:
+            self.tests = (forms.Ls[:, s], forms.Lx[:, s], np.conj(g[s]))
 
     @cached_property
     def C(self):
-        """The Gram matrix E^H M E."""
-        return self.E.conj().T @ (self.forms.M @ self.E)
+        """The slots' block of the Gram matrix E^H M E of all four slots."""
+        E = self.forms.E0 + self.chi * self.forms.E1
+        s = self.spec.slots
+        return (E.conj().T @ (self.forms.M @ E))[s, s]
 
     @cached_property
     def A(self):
         """The Galerkin effective matrix G(chi)^H A_rod G(chi), through the
         exact chi-scaling of the J-basis cell solutions."""
-        return hz.chi_tensor(self.forms, self.chi)
+        s = self.spec.slots
+        return hz.chi_tensor(self.forms, self.chi)[s, s]
 
     @cached_property
     def B1(self):
         """The first-order corrector map m -> B1 m: the cell basis times G(chi)."""
-        return hz.cell_basis(self.forms).T * self.g
+        g = hz.g_scaling(self.chi)
+        return (hz.cell_basis(self.forms).T * g)[:, self.spec.slots]
 
-    @cached_property
-    def lam(self):
-        """The loads int A Lambda_{chi,m} : conj(i chi X v) of the Lambda data,
-        m -> lam m with lam = -i chi Lx G(chi)."""
-        return -1j * self.chi * self.forms.Lx * self.g
-
-    def test_fields(self, regime):
-        """Test columns Ts, Tx and weights c of the coefficient projection,
-        whose moments are c (Ts^T u + i chi Tx^T v): i chi B_x of the in-plane
-        translations for bend, the Lambda data of the slots otherwise."""
-        if regime == "bend":
-            return (*self.forms.bend_tests, np.full(2, -1j * self.chi))
-        s = _chain_regime(regime).slots
-        return self.forms.Ls[:, s], self.forms.Lx[:, s], np.conj(self.g[s])
-
-    def embed_matrix(self, regime):
-        return self.E[:, _chain_regime(regime).slots]
-
-    def momentum(self, f, regime):
-        """Force-and-momentum vector, the exact adjoint of embed."""
-        E = self.embed_matrix(regime)
-        return E.conj().T @ (self.forms.M @ np.asarray(f, dtype=complex))
-
-    def gram(self, regime):
-        s = _chain_regime(regime).slots
-        return self.C[s, s]
+    def momentum(self, f):
+        """Force-and-momentum vector, the exact adjoint of E."""
+        return self.E.conj().T @ (self.forms.M @ np.asarray(f, dtype=complex))
 
 
 def apply_load_scaling(values, tag, chi=None, eps=None, delta=None):
@@ -125,19 +121,19 @@ def spectrum_scaling(forms, chi_grid, k=5):
 def rayleigh_bounds(forms, chi):
     """Max Rayleigh quotients over the embedded bend/stretch test spaces, and
     the min over a sample orthogonal to both."""
-    ops = FiberOps(forms, chi)
     K = forms.K(chi)
     M = forms.M
 
     def quotient(v):
         return float((np.vdot(v, K @ v) / np.vdot(v, M @ v)).real)
 
-    qb = max(quotient(v) for v in ops.embed_matrix("bend").T)
-    qs = max(quotient(v) for v in ops.embed_matrix("stretch").T)
+    qb = max(quotient(v) for v in FiberOps(forms, chi, "bend").E.T)
+    qs = max(quotient(v) for v in FiberOps(forms, chi, "stretch").E.T)
 
     # fields M-orthogonal to both embedded spaces
     rng = np.random.default_rng(11)
     qmin = np.inf
+    ops = FiberOps(forms, chi, "general_chi4")
     for _ in range(5):
         v = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
         v = v - ops.E @ np.linalg.solve(ops.C, ops.E.conj().T @ (M @ v))
@@ -149,14 +145,19 @@ def rayleigh_bounds(forms, chi):
 # approximation chains
 
 
-@dataclass
 class Chain:
-    regime: str
-    chi: float
-    t: float
-    m: dict = field(default_factory=dict)       # m, m1, m2, m3 as present
-    terms: dict = field(default_factory=dict)   # u0, u1, ..., keyed by name
-    residuals: list = field(default_factory=list)  # (step, absolute kernel residual)
+    """One corrector chain on the operator set ops of a (fiber, regime), with
+    coupling t. The recursion of the regime fills in the coefficient vectors
+    m (m, m1, m2, m3 as present), the terms (u0, u1, ..., keyed by name) and
+    the absolute kernel residual of every corrector right-hand side, as
+    (step, residual). depth="correctors" stops the recursion once the first
+    refinement coefficients are known."""
+
+    def __init__(self, ops, t, depth="full"):
+        self.ops, self.t, self.depth = ops, t, depth
+        self.regime, self.chi = ops.regime, ops.chi
+        self.symbol = t * ops.A + ops.C
+        self.m, self.terms, self.residuals = {}, {}, []
 
     def order0(self):
         return self.terms["u0"]
@@ -164,59 +165,40 @@ class Chain:
     def order1(self):
         return self.terms["u0"] + self.terms["u0_1"] + self.terms["u1"]
 
-
-class _ChainBuilder:
-    """The state of one chain: the fiber's blocks restricted to the regime's
-    slots, the coupling t, and the chain being built."""
-
-    def __init__(self, ops, t, regime, depth="full"):
-        self.spec = _chain_regime(regime)
-        s = self.spec.slots
-        self.ops, self.forms, self.chi, self.t = ops, ops.forms, ops.chi, t
-        self.regime, self.depth = regime, depth
-        self.E, self.S, self.B1, self.lam = (X[:, s] for X in (ops.E, ops.S, ops.B1, ops.lam))
-        # the in-plane translations among the regime's slots (none for stretch)
-        self.T = ops.forms.E0[:, :2][:, s]
-        self.symbol = t * ops.A[s, s] + ops.C[s, s]
-        self.test_s, self.test_x, self.test_c = ops.test_fields(regime)
-        self.chain = Chain(regime=regime, chi=ops.chi, t=t)
-
     # elastic terms of the right-hand sides, as dual vectors (v -> ...)
-    def shift(self, u):
+    def _shift(self, u):
         """int A sym-grad u : conj(i chi X v) + int A i chi X u : conj(sym-grad v),
         which is chi K_sx u."""
-        return self.chi * (self.forms.K_sx @ u)
+        return self.chi * (self.ops.forms.K_sx @ u)
 
-    def shift2(self, u):
+    def _shift2(self, u):
         """int A i chi X u : conj(i chi X v), which is chi^2 K_xx u."""
-        return self.chi ** 2 * (self.forms.K_xx @ u)
+        return self.chi ** 2 * (self.ops.forms.K_xx @ u)
 
-    def solve(self, name, b):
+    def _solve(self, name, b):
         # every right-hand side is kernel-orthogonal by construction
-        u, residual = self.forms.quotient.solve(b, t=self.t)
-        self.chain.residuals.append((name, residual))
-        self.chain.terms[name] = u
+        u, residual = self.ops.forms.quotient.solve(b, t=self.t)
+        self.residuals.append((name, residual))
+        self.terms[name] = u
         return u
 
-    def msolve(self, rhs):
+    def _msolve(self, rhs):
         return np.linalg.solve(self.symbol, rhs)
 
-    def coefficients(self, k, m):
+    def _coefficients(self, k, m):
         """Record the coefficient vector of refinement k and its terms E m and
         B1 m: m, u0, u1 for k = 0, then mk, u0_k, u1_k; returns B1 m."""
         tag = "_%d" % k if k else ""
-        self.chain.m["m%d" % k if k else "m"] = m
-        self.chain.terms["u0" + tag] = self.E @ m
-        u1 = self.chain.terms["u1" + tag] = self.B1 @ m
+        self.m["m%d" % k if k else "m"] = m
+        self.terms["u0" + tag] = self.ops.E @ m
+        u1 = self.terms["u1" + tag] = self.ops.B1 @ m
         return u1
 
-    def moments(self, u, v):
-        """int A(sym-grad u + i chi X v) : conj(T) for each test field T of
-        the coefficient projection."""
-        return self.test_c * (self.test_s.T @ u + 1j * self.chi * (self.test_x.T @ v))
-
-    def project_m(self, u, v):
-        return -self.t * self.moments(u, v)
+    def _project_m(self, u, v):
+        """-t times the moments int A(sym-grad u + i chi X v) : conj(T) over
+        the test fields T of the coefficient projection."""
+        Ts, Tx, c = self.ops.tests
+        return -self.t * (c * (Ts.T @ u + 1j * self.chi * (Tx.T @ v)))
 
 
 def build_chain(forms, chi, t, regime, f, scaling=None, depth="full"):
@@ -226,93 +208,95 @@ def build_chain(forms, chi, t, regime, f, scaling=None, depth="full"):
     (ChainRegime.scaling) and the recursion is run on the scaled load.
     depth="correctors" stops once the first refinement coefficients (and
     with them the terms u1 and u0_1) are known, skipping the deeper solves.
-    Returns a Chain with the computed terms, coefficient vectors, and the
+    Returns the Chain with the computed terms, coefficient vectors, and the
     kernel residual of every corrector right-hand side. A regime not in
     CHAIN_REGIMES raises ValueError before anything is solved.
     """
-    cb = _ChainBuilder(FiberOps(forms, chi), t, regime, depth)
-    g = apply_load_scaling(f, cb.spec.scaling if scaling is None else scaling, chi)
-    cb.spec.recursion(cb, g)
-    return cb.chain
+    ch = Chain(FiberOps(forms, chi, regime), t, depth)
+    spec = ch.ops.spec
+    spec.recursion(ch, apply_load_scaling(f, spec.scaling if scaling is None else scaling, chi))
+    return ch
 
 
-def _chain_bend(cb, g):
-    t, M, S, T = cb.t, cb.forms.M, cb.S, cb.T
+def _chain_bend(ch, g):
+    ops, t = ch.ops, ch.t
+    M, S, T = ops.forms.M, ops.S, ops.T
     plane = (g.reshape(-1, 3) * [1, 1, 0]).reshape(-1)   # the in-plane part of g
 
-    m = cb.msolve(cb.ops.momentum(g, "bend"))
-    u1 = cb.coefficients(0, m)
-    b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ (S @ m) + M @ (g - plane)
-    u2 = cb.solve("u2", b2)
+    m = ch._msolve(ops.momentum(g))
+    u1 = ch._coefficients(0, m)
+    b2 = -t * (ch._shift(u1) + ops.lam @ m) - M @ (S @ m) + M @ (g - plane)
+    u2 = ch._solve("u2", b2)
 
-    b3 = -t * (cb.shift(u2) + cb.shift2(u1)) - M @ (T @ m) + M @ plane
-    u3 = cb.solve("u3", b3)
+    b3 = -t * (ch._shift(u2) + ch._shift2(u1)) - M @ (T @ m) + M @ plane
+    u3 = ch._solve("u3", b3)
 
-    m1 = cb.msolve(cb.project_m(u3, u2))
-    u1_1 = cb.coefficients(1, m1)
-    if cb.depth == "correctors":
+    m1 = ch._msolve(ch._project_m(u3, u2))
+    u1_1 = ch._coefficients(1, m1)
+    if ch.depth == "correctors":
         return
 
-    b2_1 = -t * (cb.shift(u1_1) + cb.lam @ m1) - M @ (S @ m1)
-    u2_1 = cb.solve("u2_1", b2_1)
+    b2_1 = -t * (ch._shift(u1_1) + ops.lam @ m1) - M @ (S @ m1)
+    u2_1 = ch._solve("u2_1", b2_1)
 
-    b3_1 = -t * (cb.shift(u2_1 + u3) + cb.shift2(u1_1 + u2)) - M @ (T @ m1)
-    u3_1 = cb.solve("u3_1", b3_1)
+    b3_1 = -t * (ch._shift(u2_1 + u3) + ch._shift2(u1_1 + u2)) - M @ (T @ m1)
+    u3_1 = ch._solve("u3_1", b3_1)
 
-    m2 = cb.msolve(cb.project_m(u3_1, u2_1 + u3))
-    u1_2 = cb.coefficients(2, m2)
+    m2 = ch._msolve(ch._project_m(u3_1, u2_1 + u3))
+    u1_2 = ch._coefficients(2, m2)
 
-    b2_2 = -t * (cb.shift(u1_2) + cb.lam @ m2) - M @ (S @ m2)
-    u2_2 = cb.solve("u2_2", b2_2)
+    b2_2 = -t * (ch._shift(u1_2) + ops.lam @ m2) - M @ (S @ m2)
+    u2_2 = ch._solve("u2_2", b2_2)
 
-    b3_2 = (-t * (cb.shift(u2_2 + u3_1) + cb.shift2(u1_2 + u2_1 + u3))
+    b3_2 = (-t * (ch._shift(u2_2 + u3_1) + ch._shift2(u1_2 + u2_1 + u3))
             - M @ (T @ m2) - M @ u1)
-    cb.solve("u3_2", b3_2)
+    ch._solve("u3_2", b3_2)
 
 
-def _chain_general(cb, g):
+def _chain_general(ch, g):
     """The recursion of stretch, general_chi2 and general_chi4 on the slots
     of the regime. On the stretch slots T has no columns, so the terms of the
     in-plane translations vanish; a chi^-2 coupling (p = 2) ends at the
     chi^-2 order."""
-    t, M, S, T = cb.t, cb.forms.M, cb.S, cb.T
+    ops, t = ch.ops, ch.t
+    M, S, T = ops.forms.M, ops.S, ops.T
     fbar = T.T @ (M @ g)   # int g1, int g2
 
-    m = cb.msolve(cb.ops.momentum(g, cb.regime))
-    u1 = cb.coefficients(0, m)
-    b2 = -t * (cb.shift(u1) + cb.lam @ m) - M @ (S @ m) + M @ (g - T @ fbar)
-    u2 = cb.solve("u2", b2)
+    m = ch._msolve(ops.momentum(g))
+    u1 = ch._coefficients(0, m)
+    b2 = -t * (ch._shift(u1) + ops.lam @ m) - M @ (S @ m) + M @ (g - T @ fbar)
+    u2 = ch._solve("u2", b2)
 
-    m1 = cb.msolve(cb.project_m(u2, u1))
-    u1_1 = cb.coefficients(1, m1)
-    if cb.depth == "correctors":
+    m1 = ch._msolve(ch._project_m(u2, u1))
+    u1_1 = ch._coefficients(1, m1)
+    if ch.depth == "correctors":
         return
 
-    b2_1 = (-t * (cb.shift(u2 + u1_1) + cb.lam @ m1 + cb.shift2(u1))
+    b2_1 = (-t * (ch._shift(u2 + u1_1) + ops.lam @ m1 + ch._shift2(u1))
             - M @ (S @ m1) - M @ (T @ m[:T.shape[1]]) + M @ (T @ fbar))
-    if cb.spec.power == 2:
-        cb.solve("u2_1", b2_1 - M @ u1)
+    if ops.spec.power == 2:
+        ch._solve("u2_1", b2_1 - M @ u1)
         return
-    u2_1 = cb.solve("u2_1", b2_1)
+    u2_1 = ch._solve("u2_1", b2_1)
 
-    m2 = cb.msolve(cb.project_m(u2_1, u1_1 + u2))
-    u1_2 = cb.coefficients(2, m2)
+    m2 = ch._msolve(ch._project_m(u2_1, u1_1 + u2))
+    u1_2 = ch._coefficients(2, m2)
 
-    b2_2 = (-t * (cb.shift(u1_2 + u2_1) + cb.lam @ m2 + cb.shift2(u2 + u1_1))
+    b2_2 = (-t * (ch._shift(u1_2 + u2_1) + ops.lam @ m2 + ch._shift2(u2 + u1_1))
             - M @ (T @ m1[:2]) - M @ (S @ m2))
-    u2_2 = cb.solve("u2_2", b2_2)
+    u2_2 = ch._solve("u2_2", b2_2)
 
     # third refinement: the next right-hand side is affine in the closing
     # coefficient vector, b0 + B m3, and m3 is fixed by requiring it to
     # annihilate the rigid motions. Z = kern B has rank 2: this order does not
     # fix the bend slots of m3, which span its null space, so take the
     # minimum-norm solution with a rank cut-off
-    b0 = -t * (cb.shift(u2_2) + cb.shift2(u2_1 + u1_2)) - M @ (T @ m2[:2]) - M @ u1
-    B = -t * (cb.chi * (cb.forms.K_sx @ cb.B1) + cb.lam) - M @ S
-    kern = cb.forms.kernel_fields
+    b0 = -t * (ch._shift(u2_2) + ch._shift2(u2_1 + u1_2)) - M @ (T @ m2[:2]) - M @ u1
+    B = -t * (ch.chi * (ops.forms.K_sx @ ops.B1) + ops.lam) - M @ S
+    kern = ops.forms.kernel_fields
     m3 = np.linalg.lstsq(kern @ B, -(kern @ b0), rcond=1e-10)[0]
-    cb.coefficients(3, m3)
-    cb.solve("u2_3", b0 + B @ m3)
+    ch._coefficients(3, m3)
+    ch._solve("u2_3", b0 + B @ m3)
 
 
 class ChainRegime(NamedTuple):

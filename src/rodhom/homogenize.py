@@ -5,7 +5,8 @@ the torsion rate and the stretching rate. The associated strain data are the
 J-matrices; their chi-scaled versions are Lambda^bend = (i chi)^2 J^bend and
 Lambda^stretch = i chi J^stretch, which we realise through the diagonal
 scaling G(chi) = diag((i chi)^2, (i chi)^2, i chi, i chi). So the first-order
-corrector map at a fiber is the cell basis times G(chi) (fiber.FiberOps.B1).
+corrector map at a fiber is the cell basis times G(chi); fiber.FiberOps.B1
+holds its columns on the slots of a chain regime.
 """
 
 from dataclasses import dataclass

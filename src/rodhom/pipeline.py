@@ -18,7 +18,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import fem, fiber, homogenize as hz, transform as tr
-from .checks import POSITIVE, is_integer, is_list_of, is_number, require
+from .checks import POSITIVE, is_distinct, is_increasing, is_integer, is_list_of, is_number, require
 from .geometry import cross_mass, is_centrally_symmetric
 from .material import check_rod_material_symmetry
 
@@ -45,12 +45,13 @@ _RULES = {
     "gamma": ("a number > -2", lambda v: is_number(v) and v > -2),  # definite symbols
     "delta": _NONNEGATIVE,   # a bounded load scaling
     "length": POSITIVE,
-    "n_grid": ("a list of at least 4 positive integers",
-               lambda v: is_list_of(v, 4, lambda n: is_integer(n) and n > 0)),
-    "regimes": ("a nonempty list drawn from %s" % ", ".join(REGIMES),
-                lambda v: is_list_of(v, 1, lambda r: r in REGIMES)),
-    "orders": ("a nonempty list drawn from 0, 1, 2",
-               lambda v: is_list_of(v, 1, lambda o: is_integer(o) and 0 <= o <= 2)),
+    "n_grid": ("a strictly increasing list of at least 4 positive integers",
+               lambda v: is_list_of(v, 4, lambda n: is_integer(n) and n > 0) and is_increasing(v)),
+    "regimes": ("a nonempty list of distinct names from %s" % ", ".join(REGIMES),
+                lambda v: is_list_of(v, 1, lambda r: r in REGIMES) and is_distinct(v)),
+    "orders": ("a nonempty list of distinct orders from 0, 1, 2",
+               lambda v: is_list_of(v, 1, lambda o: is_integer(o) and 0 <= o <= 2)
+               and is_distinct(v)),
     "n_loads": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
     "seed": ("a nonnegative integer", lambda v: is_integer(v) and v >= 0),
     "momentum_variant": ("'eps' or 'zero'", lambda v: v in ("eps", "zero")),

@@ -45,12 +45,10 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     t = eps ** (-(gamma + 2))
     power = 2 if regime in ("stretch", "general_chi2") else 4
     sc = chi ** power
-    ops = fiber.FiberOps(forms, chi)
-    s = {"stretch": slice(2, 4), "bend": slice(0, 2),
-         "general_chi2": slice(0, 4), "general_chi4": slice(0, 4)}[regime]
-    A, C = ops.A[s, s], ops.C[s, s]
+    ops = fiber.FiberOps(forms, chi, regime)
+    A, C = ops.A, ops.C
     g = fiber.apply_load_scaling(f, "none" if power == 2 else "s_abs_chi", chi)
-    mom = ops.momentum(g, regime)
+    mom = ops.momentum(g)
 
     Asc = A / sc  # O(1) pencil
     eigs = sla.eigvalsh(Asc, C)
@@ -76,7 +74,7 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
         np.linalg.norm(m_contour - m_oracle) / np.linalg.norm(m_direct))
 
     # first-order corrector is B1 applied to the same coefficients
-    B1 = ops.B1[:, s]
+    B1 = ops.B1
     u1_direct = B1 @ m_direct
     u1_contour = B1 @ m_contour
     nrm = np.linalg.norm(u1_direct)
@@ -88,8 +86,7 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     # refined coefficient m^(1): build the affine pieces P-hat, Q, S-hat of
     # r(t) = t P m + Q m + S f and compare against the double-resolvent
     # contour formula
-    cb = fiber._ChainBuilder(ops, t, "stretch")
-    E = cb.E
+    E, Ts, Tx, c = ops.E, *ops.tests
     nb = E.shape[1]
     n = forms.mesh.n_dof
     zero = np.zeros(n)
@@ -103,14 +100,18 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     def solve(b):
         return sla.lu_solve(saddle, np.concatenate([b, np.zeros(4)]))[:n]
 
+    def moments(u, v):
+        # int A(sym-grad u + i chi X v) : conj(T) over the projection's test fields T
+        return c * (Ts.T @ u + 1j * chi * (Tx.T @ v))
+
     def Shat(h):
-        return -cb.moments(solve(forms.M @ h), zero)
+        return -moments(solve(forms.M @ h), zero)
 
     Phat = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):
-        u1 = cb.B1[:, r]
-        w = solve(cb.shift(u1) + cb.lam[:, r])
-        Phat[:, r] = cb.moments(w, -u1)
+        u1 = B1[:, r]
+        w = solve(chi * (forms.K_sx @ u1) + ops.lam[:, r])
+        Phat[:, r] = moments(w, -u1)
     Q = np.zeros((nb, nb), dtype=complex)
     for r in range(nb):
         Q[:, r] = -Shat(E[:, r])

@@ -146,6 +146,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("resolvent-rates", {"regimes": ["rods"]}, "regimes"),
     ("fiber-rates", {"n_grid": [8, 12]}, "n_grid"),
     ("fiber-rates", {"chi_grid": [0.4, 0.0, 0.2, 0.1]}, "chi_grid"),
+    ("fiber-rates", {"chi_grid": [0.1, 0.1]}, "chi_grid"),
     ("homogenize", {"geometry": {"n_y": "8"}}, "geometry.n_y"),
     ("resolvent-rates", {"seed": -1}, "seed"),
     ("resolvent-rates", {"slope_margin": -0.5}, "slope_margin"),
@@ -153,8 +154,8 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("homogenize", {"geometry": {"n_y": 8.7}}, "geometry.n_y"),
     ("homogenize", {"geometry": {"cross_section": {"rectangle": {"nx": 2.5}}}},
      "geometry.cross_section.rectangle.nx"),
-], ids=["regime", "n_grid", "chi_grid", "n_y", "seed", "slope_margin", "n_loads",
-        "n_y_fraction", "nx_fraction"])
+], ids=["regime", "n_grid", "chi_grid", "chi_grid_repeated", "n_y", "seed", "slope_margin",
+        "n_loads", "n_y_fraction", "nx_fraction"])
 def test_config_values_checked_before_assembly(tmp_path, monkeypatch, command, cfg, key):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before the config check")

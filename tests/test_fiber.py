@@ -36,29 +36,29 @@ def setup():
 
 def test_momentum_examples(setup):
     forms, *_ = setup
-    ops = fiber.FiberOps(forms, 0.1)
+    stretch, bend = fiber.FiberOps(forms, 0.1, "stretch"), fiber.FiberOps(forms, 0.1, "bend")
     md = compute_moments(forms.mesh.cross)
     x1, x2, _ = forms.mesh.node_coords().T
     zero, one = np.zeros_like(x1), np.ones_like(x1)
-    mom = ops.momentum(nodal_field(x2, -x1, one), "stretch")
+    mom = stretch.momentum(nodal_field(x2, -x1, one))
     assert np.allclose(mom, [md.c1 + md.c2, 1.0], atol=1e-12)
 
     e1 = nodal_field(one, zero, zero)
-    assert np.allclose(ops.momentum(e1, "bend"), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(bend.momentum(e1), [1.0, 0.0], atol=1e-12)
 
     f3 = nodal_field(zero, zero, x1)
-    assert np.allclose(ops.momentum(f3, "bend"), [0.1j * md.c1, 0.0], atol=1e-12)
+    assert np.allclose(bend.momentum(f3), [0.1j * md.c1, 0.0], atol=1e-12)
 
 
 def test_embed_momentum_adjoint(setup):
     forms, *_ = setup
-    ops = fiber.FiberOps(forms, 0.3)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
     for which, nd in [("stretch", 2), ("bend", 2), ("general_chi2", 4)]:
+        ops = fiber.FiberOps(forms, 0.3, which)
         d = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
-        lhs = np.vdot(f, forms.M @ (ops.embed_matrix(which) @ d))
-        rhs = np.vdot(ops.momentum(f, which), d)
+        lhs = np.vdot(f, forms.M @ (ops.E @ d))
+        rhs = np.vdot(ops.momentum(f), d)
         assert abs(lhs - rhs) < 1e-12 * max(abs(rhs), 1)
 
 
@@ -66,10 +66,9 @@ def test_gram_matches_analytic(setup):
     forms, *_ = setup
     md = compute_moments(forms.mesh.cross)
     for chi in [0.3, 0.05]:
-        ops = fiber.FiberOps(forms, chi)
-        assert np.max(np.abs(ops.gram("general_chi2") - C_rod_chi(md, chi))) < 1e-12
-        assert np.max(np.abs(ops.gram("bend") - C_bend(md, chi))) < 1e-12
-        assert np.max(np.abs(ops.gram("stretch") - md.C_stretch)) < 1e-12
+        for regime, C in (("general_chi2", C_rod_chi(md, chi)), ("bend", C_bend(md, chi)),
+                          ("stretch", md.C_stretch)):
+            assert np.max(np.abs(fiber.FiberOps(forms, chi, regime).C - C)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -80,15 +79,15 @@ def test_embedding_properties(setup, chi, m):
     # and the Gram matrix is the analytic one
     forms, *_, f = setup
     x1, x2 = forms.mesh.node_coords()[:, 0], forms.mesh.node_coords()[:, 1]
-    ops = fiber.FiberOps(forms, chi)
-    u = ops.embed_matrix("general_chi2") @ m
+    ops = fiber.FiberOps(forms, chi, "general_chi2")
+    u = ops.E @ m
     want = const_hat(x1, m[0], m[1]) + s_rod(x1, x2, chi, m)
     assert np.max(np.abs(u - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
     lhs = np.vdot(f, forms.M @ u)
-    rhs = np.vdot(ops.momentum(f, "general_chi2"), m)
+    rhs = np.vdot(ops.momentum(f), m)
     assert abs(lhs - rhs) <= 1e-12 * max(np.sqrt(forms.norm_sq_l2(u)), 1.0)
     C = C_rod_chi(compute_moments(forms.mesh.cross), chi)
-    assert np.max(np.abs(ops.gram("general_chi2") - C)) <= 1e-12 * np.max(np.abs(C))
+    assert np.max(np.abs(ops.C - C)) <= 1e-12 * np.max(np.abs(C))
 
 
 def test_chain_blocks_match_nodal_fields(setup):
@@ -97,7 +96,7 @@ def test_chain_blocks_match_nodal_fields(setup):
     x1, x2 = forms.mesh.node_coords()[:, 0], forms.mesh.node_coords()[:, 1]
     rng = np.random.default_rng(5)
     for chi in (0.4, -0.3):
-        ops = fiber.FiberOps(forms, chi)
+        ops = fiber.FiberOps(forms, chi, "general_chi4")
         m = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         for got, want in ((ops.S[:, :2] @ m[:2], w_bend(x1, x2, chi, m)),
                           (ops.S @ m, s_rod(x1, x2, chi, m)),
@@ -328,7 +327,26 @@ def test_embed_matrix_tiles_cross_embedding(setup):
     forms = setup[0]
     keys = {"bend": "bend", "stretch": "stretch", "general_chi2": "rod", "general_chi4": "rod"}
     for chi in (0.0, 0.3, -2.1):
-        ops = fiber.FiberOps(forms, chi)
         for regime, key in keys.items():
             E = np.tile(cross_embedding_columns(forms.mesh.cross, chi, key), (forms.mesh.n_y, 1))
-            assert np.max(np.abs(ops.embed_matrix(regime) - E)) <= 1e-15 * np.max(np.abs(E))
+            got = fiber.FiberOps(forms, chi, regime).E
+            assert np.max(np.abs(got - E)) <= 1e-15 * np.max(np.abs(E))
+
+
+def test_fiber_ops_blocks_are_slot_blocks(setup):
+    # the operator set of a regime holds the four-slot blocks on its slots,
+    # equal to the last bit
+    forms = setup[0]
+    slots = {"stretch": slice(2, 4), "bend": slice(0, 2),
+             "general_chi2": slice(0, 4), "general_chi4": slice(0, 4)}
+    for chi in (0.3, -0.05):
+        full = fiber.FiberOps(forms, chi, "general_chi4")
+        for regime, s in slots.items():
+            ops = fiber.FiberOps(forms, chi, regime)
+            for name in ("E", "S", "T", "B1", "lam"):
+                assert np.array_equal(getattr(ops, name), getattr(full, name)[:, s]), name
+            for name in ("A", "C"):
+                assert np.array_equal(getattr(ops, name), getattr(full, name)[s, s]), name
+            if regime != "bend":   # bend projects on its own test fields
+                for got, want in zip(ops.tests, full.tests):
+                    assert np.array_equal(got, want[..., s])

@@ -37,9 +37,12 @@ def load(forms):
 def test_config_validation():
     # a regime outside stretch, bend, rod or none; no order, or one without a
     # norm; no load, which would leave every row inconclusive; a box that
-    # is not positive; a grid entry that is not a positive integer; and a
-    # value of the wrong type, which must not run into an empty report or a
-    # TypeError partway through a study. The error names the field.
+    # is not positive; a grid entry that is not a positive integer; a grid
+    # that does not refine, which fits a meaningless slope or reads the floor
+    # at the wrong eps; a repeated order, which fails in the slope fit after
+    # every solve, or a repeated regime, which runs and reports it twice; and
+    # a value of the wrong type, which must not run into an empty report or
+    # a TypeError partway through a study. The error names the field.
     for bad in ({"gamma": -2.0}, {"delta": -0.1}, {"momentum_variant": "bogus"},
                 {"n_grid": (8, 12, 16)}, {"regimes": ("rods",)}, {"regimes": ()},
                 {"orders": ()}, {"orders": (0, 3)}, {"orders": (True,)},
@@ -47,7 +50,9 @@ def test_config_validation():
                 {"slope_margin": -1.0}, {"gamma": "0"}, {"s_inf": 1},
                 {"length": -6.0}, {"length": 0.0},
                 {"n_grid": (8, 12, 16, 0)}, {"n_grid": (8, 12, 16, -24)},
-                {"n_grid": (8, 12, 16, 24.5)}, {"n_grid": (8, 12, 16, True)}):
+                {"n_grid": (8, 12, 16, 24.5)}, {"n_grid": (8, 12, 16, True)},
+                {"n_grid": (8, 8, 8, 8)}, {"n_grid": (32, 24, 16, 12, 8)},
+                {"orders": (0, 0)}, {"regimes": ("rod", "rod")}):
         (field, value), = bad.items()
         want = "^%s must be .*, not %s$" % (field, re.escape(repr(value)))
         with pytest.raises(ValueError, match=want):
@@ -258,13 +263,9 @@ def test_chain_functions_reject_unknown_regime(name, monkeypatch):
     forms = _unfactorised_forms(monkeypatch)
     rng = np.random.default_rng(6)
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    ops = fiber.FiberOps(forms, 0.3)
     calls = [lambda: fiber.build_chain(forms, 0.3, 0.3 ** -2, name, f),
              lambda: pl.fiber_rate_study(forms, {"general_chi2": f, name: f}),
-             lambda: ops.embed_matrix(name),
-             lambda: ops.momentum(f, name),
-             lambda: ops.gram(name),
-             lambda: ops.test_fields(name)]
+             lambda: fiber.FiberOps(forms, 0.3, name)]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(
                 "regime must be one of stretch, bend, general_chi2, general_chi4, not %r" % name)):
