@@ -4,8 +4,10 @@ stacks of fibers. The reference is (t K(chi) + M)^-1 M with t =
 eps^-(gamma+2); the leading approximant applies the Hermitian symbol
 t G(chi)^H A_rod G(chi) + C between the momentum map E(chi)^H M and the
 embedding E(chi); the corrections are the chain terms u1 and u0^(1) of each
-fiber. Rate experiments transform each load once and fit log-log slopes of
-the worst error over a seeded load family against the expected exponents.
+fiber. Rate experiments transform each load once, keep only the fibers the
+seeded load family reaches (|j| <= LOAD_BAND; the others hold none of it)
+and fit log-log slopes of the worst error over the family, measured on
+those fibers, against the expected exponents.
 limit_resolvent keeps the line form of the leading approximant, per
 longitudinal frequency, for the band-limiter ablation.
 """
@@ -37,6 +39,11 @@ LINE_REGIMES = {"stretch": LineRegime("stretch", ("all",)),
                 "rod": LineRegime("general_chi2", ("12", "3"))}
 REGIMES = tuple(LINE_REGIMES)
 _ORDER_NORM = {0: "l2", 1: "h1", 2: "l2"}
+
+# make_loads fills the line modes |j| <= LOAD_BAND (its short-scale modes
+# land on chi = 0), so its loads reach the fibers chi = 2 pi j / N of those j
+# and hold only FFT rounding on every other fiber
+LOAD_BAND = 2
 
 
 # what each ExperimentConfig field must be
@@ -123,12 +130,19 @@ def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"
     return f.like(np.fft.ifft(mhat @ E0.T + tilt * (mhat @ E1.T), axis=0))
 
 
+def _require_aligned(chis, F):
+    """AlignmentError unless chis holds one chi per fiber of F (..., N, n_dof)."""
+    if np.ndim(F) < 2 or np.shape(chis) != np.shape(F)[-2:-1]:
+        raise tr.AlignmentError("chis %s for fibers %s" % (np.shape(chis), np.shape(F)))
+
+
 def fiber_limit(forms, chis, t, regime, F, momentum_variant="eps"):
     """Leading-order approximant E(chi) S(chi)^-1 E(chi)^H M f on every fiber
     f of F (..., N, n_dof), fiber k at chis[k], with S the symbol of
     _limit_matrix: one stacked symbol solve, no fiber loop. With
     momentum_variant "zero" the embedding is E0 alone."""
     s = _line_regime(regime).facts.slots
+    _require_aligned(chis, F)
     E0, E1 = forms.E0[:, s], forms.E1[:, s]
     tilt = (np.zeros_like(chis) if momentum_variant == "zero" else chis)[:, None]
     # E^H M f = (M conj E)^T f, as M is real symmetric
@@ -151,6 +165,7 @@ def fiber_correctors(forms, chis, t, regime, F):
     u0^(1), on every fiber of F (..., N, n_dof): one corrector chain per
     fiber of each leading index, fiber k at chis[k]."""
     chain = _line_regime(regime).chain
+    _require_aligned(chis, F)
     u1, u01 = np.zeros_like(F), np.zeros_like(F)
     for idx in np.ndindex(F.shape[:-1]):
         chi = float(chis[idx[-1]])
@@ -186,6 +201,7 @@ class LineResolvent:
         """(t K(chi) + M)^-1 M f on every fiber f of F (..., N, n_dof), fiber
         k at chis[k]: one solve per |chi|, whose columns are the +chi fibers
         and the conjugated -chi fibers of every leading index."""
+        _require_aligned(chis, F)
         out = np.empty_like(F)
         for key in np.unique(np.abs(chis)):
             k = np.flatnonzero(np.abs(chis) == key)
@@ -217,7 +233,9 @@ def line_error_norm(forms, b, kind="l2", component=None):
     """L2 or eps-scaled H1 norm of a line field given by its Gelfand bundle b
     (component '12', '3', or 'all'/None; see fem.COMPONENTS): the transform
     is unitary, so it is the fiber norm of the whole bundle, each fiber at
-    its own chi, and an error formed fiber by fiber needs no inverse one."""
+    its own chi, and an error formed fiber by fiber needs no inverse one.
+    For a bundle of some of the fibers only (rate_experiment keeps those
+    its loads reach), it is the norm of the field's part on those fibers."""
     U = b.fibers()
     if kind == "l2":
         tot = forms.norm_sq_l2(U, component)
@@ -228,7 +246,7 @@ def line_error_norm(forms, b, kind="l2", component=None):
 
 def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
     """Seeded band-limited loads: random cross profiles on the low line
-    modes |j| <= 2 plus short-scale modes at j = +-N (weight 0.5),
+    modes |j| <= LOAD_BAND plus short-scale modes at j = +-N (weight 0.5),
     parity-projected for the regimes with a parity and unit-normalised.
 
     The random draws depend only on (seed, load index), so the same family
@@ -247,7 +265,7 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
     for i in range(n_loads):
         rng = np.random.default_rng([seed, i])
         vals = np.zeros((S, d), dtype=complex)
-        for j in range(-2, 3):
+        for j in range(-LOAD_BAND, LOAD_BAND + 1):
             c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vals += np.outer(np.exp(2j * np.pi * j * (p + y) / N), c)
         for sign in (1, -1):
@@ -354,12 +372,15 @@ def rate_experiment(cfg, forms):
     The out-of-line load scaling (s_eps_delta / s_inf) applies to the
     bending regime only, matching the statements being tested.
 
-    Each load is transformed once, and a regime's loads are stacked as
-    (n_loads, N, n_dof) fibers: the approximant of order 0 is fiber_limit,
-    order 1 adds u1 and order 2 u0^(1) (fiber_correctors), the reference is
-    one solve per |chi| for all loads, and each error is measured on its
-    bundle. eps is the outer loop: one LineResolvent per eps serves the
-    loads of every regime, and only one eps holds factorisations at a time.
+    Each load is transformed once and cut to the fibers the family reaches,
+    |j| <= LOAD_BAND; the others hold only FFT rounding and none of the
+    load, so the errors are the norms over the reached fibers. A regime's
+    loads are stacked as (n_loads, reached fibers, n_dof): the
+    approximant of order 0 is fiber_limit, order 1 adds u1 and order 2
+    u0^(1) (fiber_correctors), the reference is one solve per |chi| for all
+    loads, and each error is measured on its bundle. eps is the outer loop:
+    one LineResolvent per eps serves the loads of every regime, and only one
+    eps holds factorisations, one per reached |chi|, at a time.
     """
     _require_rod_symmetry(forms, [r for r in cfg.regimes if LINE_REGIMES[r].facts.parity])
     eps_list = [cfg.length / N for N in cfg.n_grid]
@@ -367,11 +388,13 @@ def rate_experiment(cfg, forms):
             for regime in cfg.regimes]
     for N, eps in zip(cfg.n_grid, eps_list):
         R = LineResolvent(forms, eps, cfg.gamma)
+        reached = np.abs(np.rint(np.fft.fftfreq(N) * N)) <= LOAD_BAND
         for regime, regime_errs in zip(cfg.regimes, errs):
             loads = make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
                                n_loads=cfg.n_loads, seed=cfg.seed)
             bundles = [tr.gelfand(_scaled_load(cfg, f) if regime == "bend" else f)
                        for f in loads]
+            bundles = [tr.FiberBundle(b.values[reached], b.chis[reached], eps) for b in bundles]
             chis = bundles[0].chis
             F = np.stack([b.fibers() for b in bundles])
             ref = R.solve(chis, F)

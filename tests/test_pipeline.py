@@ -13,7 +13,8 @@ from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
 from support_embedding import cross_embedding_columns, limit_resolvent_loop
 from support_sweep import fiber_rate_study_loop, use_two_cores
-from support_transform import line_error_norm_loop, line_inner_loop, rate_errors_loop
+from support_transform import (bundle_norm_sq, line_error_norm_loop, line_inner_loop,
+                               rate_errors_loop)
 
 NY = 8
 
@@ -198,6 +199,74 @@ def test_make_loads_parity_is_project_symmetry(forms):
             p = f.like([fem.project_symmetry(v, regime, forms.mesh, pairing) for v in f.values])
             want = p.values / np.sqrt(tr.line_norm_sq(p, Mw))
             assert np.max(np.abs(g.values - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("regime", pl.REGIMES)
+def test_loads_reach_only_the_band(forms, regime):
+    # every load of the family, on every N of the default grid, puts all but
+    # FFT rounding (at most 4.0e-16 of its norm) on the fibers
+    # |j| <= LOAD_BAND that rate_experiment keeps
+    cfg = pl.ExperimentConfig()
+    Mw = cross_mass(forms.mesh.cross)
+    for N in cfg.n_grid:
+        for f in pl.make_loads(forms.mesh.cross, NY, N, cfg.length / N, regime,
+                               n_loads=cfg.n_loads, seed=cfg.seed):
+            b = tr.gelfand(f)
+            out = np.abs(np.rint(b.chis * N / (2 * np.pi))) > pl.LOAD_BAND
+            rest = tr.FiberBundle(b.values[out], b.chis[out], b.eps)
+            assert np.sqrt(bundle_norm_sq(rest, Mw) / bundle_norm_sq(b, Mw)) <= 1e-13
+
+
+def test_rate_experiment_builds_chains_on_the_band(forms, monkeypatch):
+    # one chain per load on each nonzero fiber of the band, |j| = 1 .. LOAD_BAND
+    cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), orders=(0, 1, 2), n_loads=2)
+    calls = {}
+    build_chain = pl.fiber.build_chain
+
+    def counted(forms, chi, t, regime, f, **kwargs):
+        calls.setdefault((t, regime), []).append(chi)
+        return build_chain(forms, chi, t, regime, f, **kwargs)
+
+    monkeypatch.setattr(pl.fiber, "build_chain", counted)
+    pl.rate_experiment(cfg, forms)
+    assert len(calls) == len(cfg.n_grid) * len(cfg.regimes)
+    for (t, _), chis in calls.items():
+        N = round(cfg.length * t ** 0.5)     # t = eps^-2 at gamma = 0
+        modes = sorted(set(np.rint(np.array(chis) * N / (2 * np.pi)).astype(int)))
+        assert len(chis) == cfg.n_loads * 2 * pl.LOAD_BAND
+        assert modes == [j for j in range(-pl.LOAD_BAND, pl.LOAD_BAND + 1) if j != 0]
+
+
+@pytest.fixture(params=["fewer", "one", "more"])
+def misaligned(forms, request):
+    """A bundle's fibers, with quasimomenta that do not match them one to
+    one: the first five, the first alone, or one too many."""
+    b = tr.gelfand(pl.make_loads(forms.mesh.cross, NY, 8, 0.75, "rod", n_loads=1, seed=3)[0])
+    chis = {"fewer": b.chis[:5], "one": b.chis[:1], "more": np.append(b.chis, 0.1)}
+    return chis[request.param], b.fibers()
+
+
+def test_line_resolvent_rejects_misaligned_chis(forms, misaligned, monkeypatch):
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("factorised before the alignment check")
+
+    monkeypatch.setattr(fem.spla, "splu", no_factorisation)
+    with pytest.raises(tr.AlignmentError):
+        pl.LineResolvent(forms, 0.75, 0.0).solve(*misaligned)
+
+
+def test_fiber_limit_rejects_misaligned_chis(forms, misaligned):
+    with pytest.raises(tr.AlignmentError):
+        pl.fiber_limit(forms, misaligned[0], 0.75 ** -2, "rod", misaligned[1])
+
+
+def test_fiber_correctors_rejects_misaligned_chis(forms, misaligned, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("built a chain before the alignment check")
+
+    monkeypatch.setattr(pl.fiber, "build_chain", no_chain)
+    with pytest.raises(tr.AlignmentError):
+        pl.fiber_correctors(forms, misaligned[0], 0.75 ** -2, "rod", misaligned[1])
 
 
 def test_parity_regimes_require_rod_symmetry(monkeypatch):
@@ -423,10 +492,12 @@ def test_line_resolvent_shares_conjugate_fibers(forms, factorisations):
 
 
 def test_rate_experiment_factorises_once_per_eps(forms, factorisations):
+    # one factorisation per |chi| the loads reach, |j| = 0 .. LOAD_BAND, at
+    # each eps, shared by the regimes
     cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), regimes=("stretch", "bend"),
                               n_loads=1)
     rep = pl.rate_experiment(cfg, forms)
-    assert len(factorisations) == sum(N // 2 + 1 for N in cfg.n_grid)
+    assert len(factorisations) == len(cfg.n_grid) * (pl.LOAD_BAND + 1)
     single = [pl.rate_experiment(dataclasses.replace(cfg, regimes=(r,)), forms)
               for r in cfg.regimes]
     assert rep.rows == single[0].rows + single[1].rows
