@@ -27,16 +27,30 @@ from .material import check_rod_material_symmetry
 
 class LineRegime(NamedTuple):
     chain: str          # the chain regime of its fibers, whose facts it takes
-    components: tuple   # the error components it reports
+    out_of_line: bool   # its loads take the out-of-line scaling (s_eps_delta / s_inf)
+    rates: dict         # (component, order) -> terms (a, b) of its exponent, see theory_slope
+    zero_momentum: dict  # the rates momentum_variant "zero" replaces
 
     @property
     def facts(self):
         return fiber.CHAIN_REGIMES[self.chain]
 
+    @property
+    def components(self):   # the error components it reports
+        return tuple(dict.fromkeys(c for c, _ in self.rates))
 
-LINE_REGIMES = {"stretch": LineRegime("stretch", ("all",)),
-                "bend": LineRegime("bend", ("12", "3")),
-                "rod": LineRegime("general_chi2", ("12", "3"))}
+
+LINE_REGIMES = {
+    "stretch": LineRegime("stretch", False, {
+        ("all", 0): ((0.5, 0),), ("all", 1): ((1, -1), (0.5, 0)), ("all", 2): ((1, 0),)}, {}),
+    "bend": LineRegime("bend", True, {
+        ("12", 0): ((0.25, 0),), ("12", 1): ((0.25, 0), (0.5, -1)), ("12", 2): ((0.5, 0),),
+        ("3", 0): ((0.5, 0),), ("3", 1): ((0.5, 0), (0.75, -1)), ("3", 2): ((0.75, 0),)},
+        {("3", 0): ((0.25, 0),)}),
+    "rod": LineRegime("general_chi2", False, {
+        ("12", 0): ((0.25, 0),), ("12", 1): ((0.25, 0),), ("12", 2): ((0.5, 0),),
+        ("3", 0): ((0.5, 0),), ("3", 1): ((0.5, 0),), ("3", 2): ((0.75, 0),)}, {}),
+}
 REGIMES = tuple(LINE_REGIMES)
 _ORDER_NORM = {0: "l2", 1: "h1", 2: "l2"}
 
@@ -70,7 +84,8 @@ _RULES = {
 @dataclass
 class ExperimentConfig:
     """Knobs of a rate study. A field breaking its rule in _RULES raises
-    ValueError "<field> must be <want>, not <value>"."""
+    ValueError "<field> must be <want>, not <value>"; so do s_inf and
+    momentum_variant "zero" with a regime that is not out_of_line."""
     gamma: float = 0.0
     delta: float = 0.0
     length: float = 6.0
@@ -87,6 +102,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, (want, ok) in _RULES.items():
             require(name, getattr(self, name), want, ok)
+        # rate_experiment scales only out_of_line loads, and only those have zero_momentum rates
+        scaled = [r for r in REGIMES if LINE_REGIMES[r].out_of_line]
+        for name, plain in (("s_inf", False), ("momentum_variant", "eps")):
+            require(name, getattr(self, name), "%r unless the regimes are among %s" % (
+                plain, ", ".join(scaled)), lambda v: v == plain or set(self.regimes) <= set(scaled))
 
     def flags(self):
         # xi=1: the band-limiter is always on; the reference tables key
@@ -282,36 +302,16 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
 def theory_slope(regime, component, order, gamma, delta=0.0, momentum_variant="eps"):
     """Expected decay exponent of the error in eps for the given regime,
     component selection and approximation order (0: L2, 1: H1 with the first
-    correction, 2: L2 with both corrections)."""
-    _line_regime(regime)
+    correction, 2: L2 with both corrections): the least a (gamma + 2) + b over
+    the terms of its row in LINE_REGIMES, plus min((gamma + 2) / 4 - delta, 0)
+    for an out_of_line regime. ValueError for a pair the regime does not report."""
+    line = _line_regime(regime)
+    rates = {**line.rates, **line.zero_momentum} if momentum_variant == "zero" else line.rates
+    require("(component, order) of %s" % regime, (component, order),
+            "one of " + ", ".join(map(repr, rates)), lambda k: k in rates)
     g2 = gamma + 2.0
-    pref = min(g2 / 4.0 - delta, 0.0) if regime == "bend" else 0.0
-    if order == 0:
-        if regime == "stretch":
-            return g2 / 2.0
-        if regime == "rod":
-            return g2 / 4.0 if component == "12" else g2 / 2.0
-        if component == "12":
-            return g2 / 4.0 + pref
-        rate = g2 / 4.0 if momentum_variant == "zero" else g2 / 2.0
-        return rate + pref
-    if order == 1:
-        if regime == "stretch":
-            return min(gamma + 1.0, g2 / 2.0)
-        if regime == "rod":
-            return g2 / 4.0 if component == "12" else g2 / 2.0
-        if component == "12":
-            return min(g2 / 4.0, gamma / 2.0) + pref
-        return min(g2 / 2.0, (3.0 * gamma + 2.0) / 4.0) + pref
-    if order == 2:
-        if regime == "stretch":
-            return g2
-        if regime == "rod":
-            return g2 / 2.0 if component == "12" else 3.0 * g2 / 4.0
-        if component == "12":
-            return g2 / 2.0 + pref
-        return 3.0 * g2 / 4.0 + pref
-    raise ValueError(order)
+    pref = min(0.25 * g2 - delta, 0.0) if line.out_of_line else 0.0
+    return min(a * g2 + b for a, b in rates[(component, order)]) + pref
 
 
 def write_csv(path, rows):
@@ -369,8 +369,7 @@ def rate_experiment(cfg, forms):
     """Worst-case error over the load family at every eps, per regime,
     order and component, with fitted against expected slopes.
 
-    The out-of-line load scaling (s_eps_delta / s_inf) applies to the
-    bending regime only, matching the statements being tested.
+    The out-of-line load scaling (s_eps_delta / s_inf) applies to out_of_line regimes only.
 
     Each load is transformed once and cut to the fibers the family reaches,
     |j| <= LOAD_BAND; the others hold only FFT rounding and none of the
@@ -392,8 +391,8 @@ def rate_experiment(cfg, forms):
         for regime, regime_errs in zip(cfg.regimes, errs):
             loads = make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
                                n_loads=cfg.n_loads, seed=cfg.seed)
-            bundles = [tr.gelfand(_scaled_load(cfg, f) if regime == "bend" else f)
-                       for f in loads]
+            scaled = LINE_REGIMES[regime].out_of_line
+            bundles = [tr.gelfand(_scaled_load(cfg, f) if scaled else f) for f in loads]
             bundles = [tr.FiberBundle(b.values[reached], b.chis[reached], eps) for b in bundles]
             chis = bundles[0].chis
             F = np.stack([b.fibers() for b in bundles])

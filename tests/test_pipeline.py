@@ -43,7 +43,10 @@ def test_config_validation():
     # at the wrong eps; a repeated order, which fails in the slope fit after
     # every solve, or a repeated regime, which runs and reports it twice; and
     # a value of the wrong type, which must not run into an empty report or
-    # a TypeError partway through a study. The error names the field.
+    # a TypeError partway through a study; and a bend-only variant with the
+    # default regimes, which would flag the rod and stretch rows s_inf=1 with
+    # unscaled loads, or fit momentum-zero rows against the plain rates. The
+    # error names the field.
     for bad in ({"gamma": -2.0}, {"delta": -0.1}, {"momentum_variant": "bogus"},
                 {"n_grid": (8, 12, 16)}, {"regimes": ("rods",)}, {"regimes": ()},
                 {"orders": ()}, {"orders": (0, 3)}, {"orders": (True,)},
@@ -53,7 +56,8 @@ def test_config_validation():
                 {"n_grid": (8, 12, 16, 0)}, {"n_grid": (8, 12, 16, -24)},
                 {"n_grid": (8, 12, 16, 24.5)}, {"n_grid": (8, 12, 16, True)},
                 {"n_grid": (8, 8, 8, 8)}, {"n_grid": (32, 24, 16, 12, 8)},
-                {"orders": (0, 0)}, {"regimes": ("rod", "rod")}):
+                {"orders": (0, 0)}, {"regimes": ("rod", "rod")},
+                {"s_inf": True}, {"momentum_variant": "zero"}):
         (field, value), = bad.items()
         want = "^%s must be .*, not %s$" % (field, re.escape(repr(value)))
         with pytest.raises(ValueError, match=want):
@@ -384,6 +388,66 @@ def test_theory_slope_table():
     # delta beyond (gamma+2)/4 starts eating into the bend rate
     assert pl.theory_slope("bend", "3", 0, 0.0, delta=1.0) == 0.5
     assert pl.theory_slope("bend", "3", 0, 2.0) == 2.0
+
+
+# the expected exponents written out by hand, per (regime, component) at
+# orders 0, 1, 2, and bend 3 at order 0 with momentum_variant "zero"
+SLOPES_BY_HAND = {
+    # gamma = -1: orders 1 of stretch and bend meet their second terms
+    (-1.0, 0.0): ({("stretch", "all"): (0.5, 0.0, 1.0), ("rod", "12"): (0.25, 0.25, 0.5),
+                   ("rod", "3"): (0.5, 0.5, 0.75), ("bend", "12"): (0.25, -0.5, 0.5),
+                   ("bend", "3"): (0.5, -0.25, 0.75)}, 0.25),
+    # delta = 1: bend loses (gamma+2)/4 - delta = -0.5 at every order
+    (0.0, 1.0): ({("stretch", "all"): (1.0, 1.0, 2.0), ("rod", "12"): (0.5, 0.5, 1.0),
+                  ("rod", "3"): (1.0, 1.0, 1.5), ("bend", "12"): (0.0, -0.5, 0.5),
+                  ("bend", "3"): (0.5, 0.0, 1.0)}, 0.0),
+}
+
+
+@pytest.mark.parametrize("gamma, delta", SLOPES_BY_HAND)
+def test_theory_slope_by_hand(gamma, delta):
+    want, zero = SLOPES_BY_HAND[(gamma, delta)]
+    assert set(want) == {(r, c) for r, line in pl.LINE_REGIMES.items() for c in line.components}
+    for (regime, c), slopes in want.items():
+        assert tuple(pl.theory_slope(regime, c, o, gamma, delta) for o in (0, 1, 2)) == slopes
+    assert pl.theory_slope("bend", "3", 0, gamma, delta, "zero") == zero
+
+
+def test_theory_slope_rejects_unreported_pair():
+    # a component the regime does not report, or an order past 2, names the
+    # regime's pairs instead of returning another row's exponent
+    for regime, component, order in (("rod", "all", 0), ("stretch", "12", 2),
+                                     ("bend", "3", 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                "(component, order) of %s must be one of (" % regime)):
+            pl.theory_slope(regime, component, order, 0.0)
+
+
+# rows of the (gamma, delta) study below that miss their pass line, by
+# (gamma, delta, seed); see CHANGES.md
+GAMMA_DELTA_MISFITS = {
+    # delta = 1 is the one point with a negative load prefactor: bend 3 at
+    # order 2 fits 0.857 against 1.0, and its local slopes stay at 0.84-0.92
+    # out to N = 64, so this is no coarse-grid dip
+    (0.0, 1.0, 0): {("bend", "3", 2)},
+    # the same bend row fits 0.831; rod 3 at order 2 fits 1.366 against 1.5,
+    # the dip load family 7 shows at gamma = 0 whatever delta is
+    (0.0, 1.0, 7): {("bend", "3", 2), ("rod", "3", 2)},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("gamma, delta", [(-1.0, 0.0), (-0.5, 0.0), (1.0, 0.0), (2.0, 0.0),
+                                          (2.0, 1.0), (0.0, 1.0)])
+def test_rate_experiment_gamma_delta(forms, gamma, delta, seed):
+    # the rate table's second terms (gamma = -1, -0.5) and its load
+    # prefactor (delta = 1) against fitted slopes, away from gamma = delta =
+    # 0, where the other rate studies run
+    cfg = pl.ExperimentConfig(gamma=gamma, delta=delta, orders=(0, 1, 2), seed=seed)
+    misfits = GAMMA_DELTA_MISFITS.get((gamma, delta, seed), set())
+    for r in pl.rate_experiment(cfg, forms).rows:
+        if (r["regime"], r["component"], r["order"]) not in misfits:
+            assert r["passed"], (r["regime"], r["component"], r["order"], r["slope_fit"])
 
 
 def test_stretch_rates_small(forms):
