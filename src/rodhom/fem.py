@@ -35,22 +35,11 @@ forms are cached properties of AssembledForms.
 Every sparse LU goes through factorize and is Hermitian positive definite:
 K_ss with four dofs pinned (QuotientSolver), the resolvents t K(chi) + M and
 the shift-invert matrices K(chi) - sigma M (sigma < 0), each in SuperLU's
-symmetric mode with every pivot checked to be positive.
-
-The fibers of a chi sweep are independent problems, so map_fibers runs them
-on a thread pool, one worker per available core: the eigensolves of
-fiber.spectrum_scaling and the reference factorisations and solves of
-pipeline.fiber_rate_study. SuperLU's factorisation and solves and ARPACK
-release the GIL, so on two cores two fibers' LUs are built and alive at
-once. Each task makes the same sequential calls on its own matrices as a
-serial loop does, so every result is bitwise that of a serial run. A SuperLU
-object must be freed on the thread that built it: scipy 1.17 leaks an LU
-freed on another thread (about 300 MB of allocations for one 3,888-dof
-shift-invert LU), so no LU built in a task outlives it.
+symmetric mode with every pivot checked to be positive, and each in one
+nested-dissection order of the mesh (AssembledForms.order). The fibers of a
+chi sweep are factorised one after another.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -216,6 +205,14 @@ class AssembledForms:
         T = self.E0[:, :2]
         self.bend_tests = (self.P @ T, self.K_xx @ T)
 
+    @cached_property
+    def order(self):
+        """The dof order of every LU: nested dissection of the graph of M1
+        (see _dissect), each node's three dofs together."""
+        graph = self.M1.tocoo()
+        nodes = _dissect(self.mesh.node_coords(), graph.row, graph.col)
+        return (3 * nodes[:, None] + np.arange(3)).ravel()
+
     def K(self, chi):
         if chi == 0:
             return self.K_ss.astype(complex)
@@ -270,6 +267,26 @@ class AssembledForms:
         return geometry.cross_mass(self.mesh.cross)
 
 
+def _dissect(x, i, j):
+    """Nested-dissection order of the nodes at coordinates x (n, d) joined by
+    the edges (i, j), given both ways: the nodes below the median of the
+    longest coordinate extent go left, and the others with an edge to the
+    left are the separator, ordered after both sides. A part of at most 8
+    nodes keeps its order: splitting it saves no fill on the meshes in use."""
+    if len(x) <= 8:
+        return np.arange(len(x))
+    c = x[:, np.argmax(x.max(axis=0) - x.min(axis=0))]
+    # the least coordinate goes left even where it is the median
+    left = (c < np.median(c)) | (c == c.min())
+    sep = np.bincount(i[left[j] & ~left[i]], minlength=len(x)) > 0
+
+    def ordered(part):
+        keep = part[i] & part[j]
+        local = np.cumsum(part) - 1
+        return np.flatnonzero(part)[_dissect(x[part], local[i[keep]], local[j[keep]])]
+    return np.concatenate([ordered(left), ordered(~(left | sep)), np.flatnonzero(sep)])
+
+
 # displacement columns of each component label of the error norms
 COMPONENTS = {None: slice(0, 3), "all": slice(0, 3), "12": slice(0, 2), "3": slice(2, 3)}
 
@@ -308,7 +325,9 @@ class QuotientSolver:
         self.G_inv = np.linalg.inv(Z @ self.MZ)
         pins = sla.qr(Z, mode="r", pivoting=True)[1][:4]
         self.free = np.setdiff1d(np.arange(Z.shape[1]), pins)
-        self.lu = factorize(forms.K_ss[self.free][:, self.free])
+        # forms.order restricted to the free dofs, as positions among them
+        order = np.searchsorted(self.free, forms.order[np.isin(forms.order, self.free)])
+        self.lu = factorize(forms.K_ss[self.free][:, self.free], order)
 
     def solve(self, load, t=1.0):
         """u with t K_ss u = load on the rigid-motion quotient, and the load's
@@ -332,20 +351,32 @@ def assemble(profile, mesh):
     return AssembledForms(profile, mesh)
 
 
-def factorize(A):
-    """Sparse LU of a Hermitian positive definite A in SuperLU's symmetric
-    mode: minimum degree on A^T + A and diagonal pivots. Unpivoted, an
-    indefinite A would give wrong solves, so a pivot (diagonal of U) whose
-    real part is not positive raises SingularSystem."""
+def factorize(A, order):
+    """Sparse LU of a Hermitian positive definite A in the given order (see
+    AssembledForms.order): SuperLU factorises A[order][:, order] as it is, in
+    its symmetric mode with diagonal pivots, and the OrderedLU returned
+    solves with A. Unpivoted, an indefinite A would give wrong solves, so a
+    pivot (diagonal of U) whose real part is not positive raises
+    SingularSystem."""
     try:
-        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+        lu = spla.splu(sp.csc_matrix(A[order][:, order]), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(str(exc))
     pivots = lu.U.diagonal().real
     if not np.all(pivots > 0):
         raise SingularSystem("matrix is not positive definite: pivot %.3e" % pivots.min())
-    return lu
+    return OrderedLU(lu, order)
+
+
+class OrderedLU:
+    """SuperLU's lu of A[order][:, order], solving A x = b in A's numbering."""
+
+    def __init__(self, lu, order):
+        self.lu, self.order, self.inverse = lu, order, np.argsort(order)
+
+    def solve(self, b):
+        return self.lu.solve(b[self.order])[self.inverse]
 
 
 class ResolventSolver:
@@ -354,7 +385,7 @@ class ResolventSolver:
 
     def __init__(self, forms, chi, t):
         self.forms = forms
-        self.lu = factorize(t * forms.K(chi) + forms.M)
+        self.lu = factorize(t * forms.K(chi) + forms.M, forms.order)
 
     def solve(self, load_field):
         return self.lu.solve(self.forms.M @ np.asarray(load_field, dtype=complex))
@@ -367,7 +398,7 @@ def smallest_eigs(forms, chi, k):
     K = forms.K(chi)
     scale = float(np.abs(K.diagonal()).mean())
     sigma = -1e-8 * scale
-    lu = factorize(K - sigma * forms.M)
+    lu = factorize(K - sigma * forms.M, forms.order)
     OPinv = spla.LinearOperator(K.shape, matvec=lambda x: lu.solve(x), dtype=complex)
     # fixed start vector: ARPACK's default is random, which makes the
     # achieved residuals (and bit-stability) run-dependent
@@ -378,29 +409,11 @@ def smallest_eigs(forms, chi, k):
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc))
     finally:
-        # eigsh leaves OPinv in a reference cycle; emptying the closure cell
-        # frees the LU here, on the thread that built it (see the module
-        # docstring), not wherever the cyclic collector next runs
+        # eigsh leaves OPinv in a reference cycle: free the LU here, so that a
+        # chi sweep holds one at a time, not all until the collector runs
         del lu
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
-
-
-def map_fibers(fn, chis):
-    """[fn(chi) for chi in chis], with the calls spread over a thread pool of
-    one worker per core available to the process (at most one per chi).
-    Results come back in the order of chis, and the first failing call's
-    exception is raised here. A single chi or a single core runs serially on
-    the calling thread. The pool lives for this call only, so no worker
-    outlives it or keeps what fn refers to alive."""
-    chis = list(chis)
-    # the cores this process may run on; every core where the OS cannot say
-    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-    workers = min(len(affinity(0)), len(chis))
-    if workers <= 1:
-        return [fn(chi) for chi in chis]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chis))
 
 
 def parity_project(v, which, pairing):

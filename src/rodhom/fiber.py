@@ -49,13 +49,6 @@ class FiberOps:
         # the loads int A Lambda_{chi,m} : conj(i chi X v) of the Lambda data,
         # m -> lam m with lam = -i chi Lx G(chi)
         self.lam = (-1j * chi * forms.Lx * g)[:, s]
-        # test columns Ts, Tx and weights c of the coefficient projection,
-        # whose moments are c (Ts^T u + i chi Tx^T v): i chi B_x of the
-        # in-plane translations for bend, the Lambda data of the slots otherwise
-        if regime == "bend":
-            self.tests = (*forms.bend_tests, np.full(2, -1j * chi))
-        else:
-            self.tests = (forms.Ls[:, s], forms.Lx[:, s], np.conj(g[s]))
 
     @cached_property
     def C(self):
@@ -105,11 +98,9 @@ def apply_load_scaling(values, tag, chi=None, eps=None, delta=None):
 
 def spectrum_scaling(forms, chi_grid, k=5):
     """lambda_1..lambda_k of (K(chi), M) over a chi grid, with the scaled
-    ratios the spectral-gap statements are about. The eigensolves of the
-    grid run concurrently (see fem.map_fibers)."""
-    # fem.smallest_eigs is looked up at each call, so a wrapper set on the
-    # module sees every eigensolve
-    eigs = fem.map_fibers(lambda chi: fem.smallest_eigs(forms, chi, k)[0], chi_grid)
+    ratios the spectral-gap statements are about: one eigensolve per chi, in
+    the order of the grid, each freeing its LU before the next."""
+    eigs = [fem.smallest_eigs(forms, chi, k)[0] for chi in chi_grid]
     return [{"chi": chi,
              "eigs": vals,
              "ratio_bend": vals[:2] / chi ** 4,
@@ -194,10 +185,11 @@ class Chain:
         u1 = self.terms["u1" + tag] = self.ops.B1 @ m
         return u1
 
-    def _project_m(self, u, v):
+    def _project_m(self, u, v, tests):
         """-t times the moments int A(sym-grad u + i chi X v) : conj(T) over
-        the test fields T of the coefficient projection."""
-        Ts, Tx, c = self.ops.tests
+        the recursion's test fields T, c (Ts^T u + i chi Tx^T v) for tests
+        (Ts, Tx, c)."""
+        Ts, Tx, c = tests
         return -self.t * (c * (Ts.T @ u + 1j * self.chi * (Tx.T @ v)))
 
 
@@ -222,6 +214,7 @@ def _chain_bend(ch, g):
     ops, t = ch.ops, ch.t
     M, S, T = ops.forms.M, ops.S, ops.T
     plane = (g.reshape(-1, 3) * [1, 1, 0]).reshape(-1)   # the in-plane part of g
+    tests = (*ops.forms.bend_tests, np.full(2, -1j * ch.chi))   # i chi B_x of T
 
     m = ch._msolve(ops.momentum(g))
     u1 = ch._coefficients(0, m)
@@ -231,7 +224,7 @@ def _chain_bend(ch, g):
     b3 = -t * (ch._shift(u2) + ch._shift2(u1)) - M @ (T @ m) + M @ plane
     u3 = ch._solve("u3", b3)
 
-    m1 = ch._msolve(ch._project_m(u3, u2))
+    m1 = ch._msolve(ch._project_m(u3, u2, tests))
     u1_1 = ch._coefficients(1, m1)
     if ch.depth == "correctors":
         return
@@ -242,7 +235,7 @@ def _chain_bend(ch, g):
     b3_1 = -t * (ch._shift(u2_1 + u3) + ch._shift2(u1_1 + u2)) - M @ (T @ m1)
     u3_1 = ch._solve("u3_1", b3_1)
 
-    m2 = ch._msolve(ch._project_m(u3_1, u2_1 + u3))
+    m2 = ch._msolve(ch._project_m(u3_1, u2_1 + u3, tests))
     u1_2 = ch._coefficients(2, m2)
 
     b2_2 = -t * (ch._shift(u1_2) + ops.lam @ m2) - M @ (S @ m2)
@@ -261,13 +254,15 @@ def _chain_general(ch, g):
     ops, t = ch.ops, ch.t
     M, S, T = ops.forms.M, ops.S, ops.T
     fbar = T.T @ (M @ g)   # int g1, int g2
+    s = ops.spec.slots   # the projection tests are the Lambda data of the slots
+    tests = (ops.forms.Ls[:, s], ops.forms.Lx[:, s], np.conj(hz.g_scaling(ch.chi)[s]))
 
     m = ch._msolve(ops.momentum(g))
     u1 = ch._coefficients(0, m)
     b2 = -t * (ch._shift(u1) + ops.lam @ m) - M @ (S @ m) + M @ (g - T @ fbar)
     u2 = ch._solve("u2", b2)
 
-    m1 = ch._msolve(ch._project_m(u2, u1))
+    m1 = ch._msolve(ch._project_m(u2, u1, tests))
     u1_1 = ch._coefficients(1, m1)
     if ch.depth == "correctors":
         return
@@ -279,7 +274,7 @@ def _chain_general(ch, g):
         return
     u2_1 = ch._solve("u2_1", b2_1)
 
-    m2 = ch._msolve(ch._project_m(u2_1, u1_1 + u2))
+    m2 = ch._msolve(ch._project_m(u2_1, u1_1 + u2, tests))
     u1_2 = ch._coefficients(2, m2)
 
     b2_2 = (-t * (ch._shift(u1_2 + u2_1) + ops.lam @ m2 + ch._shift2(u2 + u1_1))

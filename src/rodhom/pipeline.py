@@ -434,32 +434,24 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     (L2 and H1, by component for p = 4) and fitted H1 slopes against the
     regime thresholds.
 
-    Each chi factorises (t K(chi) + M) once per coupling, shared by the
-    regimes with the same power, and solves the reference of every regime;
-    the chis of the grid do so concurrently (see fem.map_fibers). The
-    chains and their error rows are built on the calling thread, chi by
-    chi. Rows come out regime by regime, in the order of loads.
+    Chi by chi, it factorises (t K(chi) + M) once per coupling, shared by
+    the regimes with the same power, and solves each regime's reference and
+    chain. Rows come out regime by regime, in the order of loads.
     """
     specs = {regime: fiber._chain_regime(regime) for regime in loads}
     _require_rod_symmetry(forms, [r for r, spec in specs.items() if spec.parity])
-
-    def references(chi):
-        solvers, refs = {}, {}
-        for regime, f in loads.items():
-            t = chi ** -specs[regime].power
-            if t not in solvers:
-                solvers[t] = fem.ResolventSolver(forms, chi, t)
-            refs[regime] = solvers[t].solve(fiber.apply_load_scaling(
-                f, specs[regime].scaling, chi))
-        return refs
-
     rows = {regime: [] for regime in loads}
     errs = {k: [] for k in FIBER_THRESHOLDS if k[0] in loads}
-    for chi, refs in zip(chi_grid, fem.map_fibers(references, chi_grid)):
+    for chi in chi_grid:
+        solvers = {}
         for regime, f in loads.items():
-            p = specs[regime].power
-            ch = fiber.build_chain(forms, chi, chi ** -p, regime, f)
-            for row in fiber.error_report(forms, ch, refs[regime], componentwise=p == 4):
+            spec = specs[regime]
+            t = chi ** -spec.power
+            if t not in solvers:
+                solvers[t] = fem.ResolventSolver(forms, chi, t)
+            ref = solvers[t].solve(fiber.apply_load_scaling(f, spec.scaling, chi))
+            ch = fiber.build_chain(forms, chi, t, regime, f)
+            for row in fiber.error_report(forms, ch, ref, componentwise=spec.power == 4):
                 rows[regime].append({"regime": regime, **row})
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     slopes = []

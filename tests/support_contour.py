@@ -5,7 +5,7 @@ resolvent family. Validation-only; not part of the library."""
 import numpy as np
 import scipy.linalg as sla
 
-from rodhom import fiber
+from rodhom import fiber, homogenize as hz
 
 
 class ContourTooClose(Exception):
@@ -86,7 +86,9 @@ def contour_quadrature_check(forms, chi, eps, gamma, f, regime="stretch", nodes=
     # refined coefficient m^(1): build the affine pieces P-hat, Q, S-hat of
     # r(t) = t P m + Q m + S f and compare against the double-resolvent
     # contour formula
-    E, Ts, Tx, c = ops.E, *ops.tests
+    # the projection's test columns for stretch: the Lambda data of its
+    # slots 3 and 4, weighted by conj G(chi)
+    E, Ts, Tx, c = ops.E, forms.Ls[:, 2:], forms.Lx[:, 2:], np.conj(hz.g_scaling(chi)[2:])
     nb = E.shape[1]
     n = forms.mesh.n_dof
     zero = np.zeros(n)

@@ -1,15 +1,9 @@
-"""The chi sweeps of the cell studies as plain serial loops, one chi after
-another on the calling thread: oracles for fiber.spectrum_scaling and
-pipeline.fiber_rate_study, whose fibers run concurrently.
+"""The chi sweeps of the cell studies written out as plain loops, one chi
+after another: oracles for fiber.spectrum_scaling and
+pipeline.fiber_rate_study that read neither regime table.
 Validation-only; not part of the library."""
 
 from rodhom import fem, fiber, pipeline as pl
-
-
-def use_two_cores(monkeypatch):
-    """Make fem.map_fibers see two cores, so the sweep runs on its pool
-    whatever the machine has."""
-    monkeypatch.setattr(fem.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def spectrum_scaling_loop(forms, chi_grid, k=5):

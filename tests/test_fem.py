@@ -1,11 +1,11 @@
 import gc
-import threading
-import time
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from rodhom import fem, homogenize as hz
@@ -16,7 +16,6 @@ from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 from support_embedding import nodal_field
 from support_quadrature import (cross_mass_loop, gauss_points, graded_square, strain_matrices,
                                 total_area)
-from support_sweep import use_two_cores
 
 
 def dense_saddle_solve(forms, load):
@@ -268,7 +267,65 @@ def test_factorize_rejects_indefinite_hermitian(forms):
     x = np.random.default_rng(13).standard_normal(forms.mesh.n_dof)
     assert np.linalg.norm(np.linalg.solve(A.toarray(), A @ x) - x) <= 1e-8 * np.linalg.norm(x)
     with pytest.raises(fem.SingularSystem, match="not positive definite"):
-        fem.factorize(A)
+        fem.factorize(A, forms.order)
+
+
+@pytest.fixture(scope="module", params=["rectangle", "curved_graded"])
+def any_forms(request, forms):
+    if request.param == "rectangle":
+        return forms
+    return fem.assemble(layered_profile(), ProductMesh(curved_graded_cross(), 4))
+
+
+def test_order_is_a_permutation_of_every_dof(any_forms):
+    order = any_forms.order
+    assert np.array_equal(np.sort(order), np.arange(any_forms.mesh.n_dof))
+    # each node's three dofs stay together, in their own order
+    nodes = order[::3] // 3
+    assert np.array_equal(order.reshape(-1, 3), 3 * nodes[:, None] + np.arange(3))
+
+
+def test_dissect_splits_when_most_nodes_share_the_least_coordinate():
+    # a path of 12 nodes whose first 7 share the least coordinate along the
+    # longest extent, so the median is that coordinate: they go left, node 7
+    # separates them from the rest, and the recursion ends
+    x = np.array([(0.0, 0.1 * k) for k in range(7)] + [(k, 0.0) for k in range(1, 6)])
+    i = np.concatenate([np.arange(11), np.arange(1, 12)])
+    j = np.concatenate([np.arange(1, 12), np.arange(11)])
+    assert fem._dissect(x, i, j).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 7]
+
+
+def test_ordered_lu_solves_match_spsolve(any_forms):
+    # a resolvent, the pinned K_ss of the quotient solver and a shift-invert
+    # matrix K(chi) - sigma M (sigma = -1), each factorised in forms.order, against
+    # SuperLU's own ordering; each has condition number about 1e4 or less,
+    # so two direct solves agree to 1e-12
+    forms = any_forms
+    chi = 0.3
+    free = forms.quotient.free
+    shifted = forms.K(chi) + forms.M
+    cases = [(10.0 * forms.K(chi) + forms.M, fem.ResolventSolver(forms, chi, 10.0).lu),
+             (forms.K_ss[free][:, free], forms.quotient.lu),
+             (shifted, fem.factorize(shifted, forms.order))]
+    rng = np.random.default_rng(14)
+    for A, lu in cases:
+        b = rng.standard_normal((A.shape[0], 2)) + 1j * rng.standard_normal((A.shape[0], 2))
+        if not np.iscomplexobj(A.data):
+            b = b.real
+        want = spla.spsolve(sp.csc_matrix(A), b)
+        for got, ref in ((lu.solve(b), want), (lu.solve(b[:, 0]), want[:, 0])):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_order_fills_less_than_minimum_degree():
+    # on the default cell, the nested dissection of the product mesh leaves
+    # fewer L+U entries than SuperLU's minimum degree on A^T + A
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 4, 4), 8))
+    A = 0.1 ** -4 * forms.K(0.1) + forms.M
+    mmd = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    lu = fem.factorize(A, forms.order).lu
+    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 @pytest.mark.parametrize("chi", [0.0, 0.3])
@@ -352,67 +409,32 @@ def test_resolvent_energy_bound(forms):
     assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(Mf)
 
 
-@pytest.fixture()
-def two_cores(monkeypatch):
-    use_two_cores(monkeypatch)
-
-
-def test_map_fibers_keeps_input_order(two_cores):
-    # more items than workers, and the earlier ones finish last
-    items = list(range(7))
-
-    def task(i):
-        time.sleep(0.005 * (len(items) - i))
-        return i, threading.current_thread()
-
-    out = fem.map_fibers(task, items)
-    assert [i for i, _ in out] == items
-    assert threading.current_thread() not in {thread for _, thread in out}
-
-
-@pytest.mark.parametrize("items, cores", [([0.3], {0, 1}), ([0.1, 0.3], {0})])
-def test_map_fibers_serial_on_calling_thread(monkeypatch, items, cores):
-    # one item, or one core: no pool, every call on the caller
-    monkeypatch.setattr(fem.os, "sched_getaffinity", lambda pid: cores, raising=False)
-    threads = fem.map_fibers(lambda chi: threading.current_thread(), items)
-    assert threads == [threading.current_thread()] * len(items)
-
-
-def test_map_fibers_raises_at_caller(forms, two_cores):
-    # K(0.3) - 10 M is indefinite (see test_factorize_rejects_indefinite_hermitian);
-    # the other fibers' matrices are positive definite. Each LU is dropped on
-    # its worker, the thread that built it
-    def task(chi):
-        return fem.factorize(forms.K(chi) - (10.0 if chi == 0.3 else -1.0) * forms.M).shape
-
-    assert len(fem.map_fibers(task, [0.1, 0.5])) == 2
-    with pytest.raises(fem.SingularSystem, match="not positive definite"):
-        fem.map_fibers(task, [0.1, 0.3, 0.5])
-
-
-def test_smallest_eigs_frees_its_lu_on_its_thread(forms, monkeypatch, two_cores):
-    # scipy leaks a SuperLU freed on another thread, and eigsh keeps its
-    # operator in a reference cycle: each eigensolve must free its LU itself,
-    # before it returns, with no help from the cyclic collector
+def test_smallest_eigs_frees_its_lu_on_its_thread(forms, monkeypatch):
+    # eigsh keeps its operator in a reference cycle: each eigensolve must
+    # free its LU itself, before it returns, with no help from the cyclic
+    # collector, or a chi sweep holds every fiber's shift-invert LU at once
     events = []
     splu = fem.spla.splu
 
     class Tracked:
         def __init__(self, lu):
             self.lu = lu
-            events.append(("built", threading.current_thread()))
+            events.append("built")
 
         def __getattr__(self, name):
             return getattr(self.lu, name)
 
         def __del__(self):
-            events.append(("freed", threading.current_thread()))
+            events.append("freed")
+
+    def eigs(chi):
+        fem.smallest_eigs(forms, chi, 3)
+        return list(events)
 
     monkeypatch.setattr(fem.spla, "splu", lambda *args, **kwargs: Tracked(splu(*args, **kwargs)))
     gc.disable()
     try:
-        fem.map_fibers(lambda chi: fem.smallest_eigs(forms, chi, 3), [0.2, 0.4])
+        seen = [eigs(chi) for chi in (0.2, 0.4)]
     finally:
         gc.enable()
-    built = sorted(t.ident for e, t in events if e == "built")
-    assert len(built) == 2 and built == sorted(t.ident for e, t in events if e == "freed")
+    assert seen == [["built", "freed"], ["built", "freed"] * 2]

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from rodhom.homogenize import rod_tensor
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
 from support_embedding import cross_embedding_columns, limit_resolvent_loop
-from support_sweep import fiber_rate_study_loop, use_two_cores
+from support_sweep import fiber_rate_study_loop
 from support_transform import (bundle_norm_sq, line_error_norm_loop, line_inner_loop,
                                rate_errors_loop)
 
@@ -591,30 +590,10 @@ def test_fiber_rate_study_shares_couplings(forms, fiber_loads, factorisations):
     assert study["slopes"] == [row for s in single for row in s["slopes"]]
 
 
-def test_fiber_rate_study_matches_serial_loop(forms, fiber_loads, monkeypatch):
-    # the concurrent reference solves give the serial loop's rows and slopes
-    # bitwise
-    use_two_cores(monkeypatch)
+def test_fiber_rate_study_matches_serial_loop(forms, fiber_loads):
+    # the study gives the oracle loop's rows and slopes bitwise
     chi_grid = (0.4, 0.2, 0.1)
     study = pl.fiber_rate_study(forms, fiber_loads, chi_grid)
     oracle = fiber_rate_study_loop(forms, fiber_loads, chi_grid)
     assert study["rows"] == oracle["rows"]
     assert study["slopes"] == oracle["slopes"]
-
-
-def test_fiber_rate_study_chains_on_calling_thread(forms, fiber_loads, monkeypatch):
-    # a wrapper of build_chain may keep unlocked state, so every chain is
-    # built on the caller, chi by chi
-    use_two_cores(monkeypatch)
-    calls = []
-    build_chain = pl.fiber.build_chain
-
-    def recorded(forms, chi, t, regime, f, **kwargs):
-        calls.append((chi, regime, threading.current_thread()))
-        return build_chain(forms, chi, t, regime, f, **kwargs)
-
-    monkeypatch.setattr(pl.fiber, "build_chain", recorded)
-    chi_grid = (0.4, 0.2, 0.1)
-    pl.fiber_rate_study(forms, fiber_loads, chi_grid)
-    assert calls == [(chi, regime, threading.current_thread())
-                     for chi in chi_grid for regime in fiber_loads]
