@@ -6,7 +6,8 @@ with a free positive prefactor t standing in for chi^-2 / chi^-4 (or
 eps^-(gamma+2) in the eps-parametrised studies); CHAIN_REGIMES holds the
 facts of each. Bend has its own recursion; stretch, general_chi2 and
 general_chi4 run one recursion on the slots of the regime, ending at chi^-2
-(p = 2) or running on to the chi^-4 refinements (p = 4). Every corrector
+(p = 2) or running on to the chi^-4 refinements (p = 4). A chain takes one
+load or a stack of them, run as the columns of one block. Every corrector
 solve goes through the forms' quotient solver, one cached LU; the
 solvability residual of each right-hand side against the rigid motions is
 recorded, since each one is an exact identity of the discrete construction.
@@ -138,11 +139,15 @@ def rayleigh_bounds(forms, chi):
 
 class Chain:
     """One corrector chain on the operator set ops of a (fiber, regime), with
-    coupling t. The recursion of the regime fills in the coefficient vectors
-    m (m, m1, m2, m3 as present), the terms (u0, u1, ..., keyed by name) and
-    the absolute kernel residual of every corrector right-hand side, as
-    (step, residual). depth="correctors" stops the recursion once the first
-    refinement coefficients are known."""
+    coupling t, for one load or a stack of them. The recursion of the regime
+    runs on the loads as the columns of one block, so each right-hand side,
+    symbol solve and corrector solve serves every load at once. It fills in
+    the coefficient vectors m (m, m1, m2, m3 as present) and the terms (u0,
+    u1, ..., keyed by name), each shaped as the loads are, one row per load
+    of a stack; and the absolute kernel residual of every corrector
+    right-hand side, worst over the loads, as (step, residual).
+    depth="correctors" stops the recursion once the first refinement
+    coefficients are known."""
 
     def __init__(self, ops, t, depth="full"):
         self.ops, self.t, self.depth = ops, t, depth
@@ -170,7 +175,7 @@ class Chain:
         # every right-hand side is kernel-orthogonal by construction
         u, residual = self.ops.forms.quotient.solve(b, t=self.t)
         self.residuals.append((name, residual))
-        self.terms[name] = u
+        self.terms[name] = u.T
         return u
 
     def _msolve(self, rhs):
@@ -180,9 +185,10 @@ class Chain:
         """Record the coefficient vector of refinement k and its terms E m and
         B1 m: m, u0, u1 for k = 0, then mk, u0_k, u1_k; returns B1 m."""
         tag = "_%d" % k if k else ""
-        self.m["m%d" % k if k else "m"] = m
-        self.terms["u0" + tag] = self.ops.E @ m
-        u1 = self.terms["u1" + tag] = self.ops.B1 @ m
+        u1 = self.ops.B1 @ m
+        self.m["m%d" % k if k else "m"] = m.T
+        self.terms["u0" + tag] = (self.ops.E @ m).T
+        self.terms["u1" + tag] = u1.T
         return u1
 
     def _project_m(self, u, v, tests):
@@ -190,30 +196,34 @@ class Chain:
         the recursion's test fields T, c (Ts^T u + i chi Tx^T v) for tests
         (Ts, Tx, c)."""
         Ts, Tx, c = tests
-        return -self.t * (c * (Ts.T @ u + 1j * self.chi * (Tx.T @ v)))
+        moments = Ts.T @ u + 1j * self.chi * (Tx.T @ v)
+        return -self.t * (c * moments.T).T   # c scales each test's row
 
 
 def build_chain(forms, chi, t, regime, f, scaling=None, depth="full"):
     """Run the corrector recursion of the given regime.
 
-    f is the unscaled load; scaling defaults to the regime's natural tag
-    (ChainRegime.scaling) and the recursion is run on the scaled load.
-    depth="correctors" stops once the first refinement coefficients (and
-    with them the terms u1 and u0_1) are known, skipping the deeper solves.
-    Returns the Chain with the computed terms, coefficient vectors, and the
+    f is the unscaled load, one field (n_dof,) or a stack (k, n_dof) of
+    them; scaling defaults to the regime's natural tag (ChainRegime.scaling)
+    and the recursion is run on the scaled loads, a stack as the k columns
+    of one block. depth="correctors" stops once the first refinement
+    coefficients (and with them the terms u1 and u0_1) are known, skipping
+    the deeper solves. Returns the Chain with the computed terms and
+    coefficient vectors, shaped as f (one row per load of a stack), and the
     kernel residual of every corrector right-hand side. A regime not in
     CHAIN_REGIMES raises ValueError before anything is solved.
     """
     ch = Chain(FiberOps(forms, chi, regime), t, depth)
     spec = ch.ops.spec
-    spec.recursion(ch, apply_load_scaling(f, spec.scaling if scaling is None else scaling, chi))
+    g = apply_load_scaling(f, spec.scaling if scaling is None else scaling, chi)
+    spec.recursion(ch, g.T)   # the loads as columns
     return ch
 
 
 def _chain_bend(ch, g):
     ops, t = ch.ops, ch.t
     M, S, T = ops.forms.M, ops.S, ops.T
-    plane = (g.reshape(-1, 3) * [1, 1, 0]).reshape(-1)   # the in-plane part of g
+    plane = (g.T * np.resize([1, 1, 0], len(g))).T   # the in-plane part of g
     tests = (*ops.forms.bend_tests, np.full(2, -1j * ch.chi))   # i chi B_x of T
 
     m = ch._msolve(ops.momentum(g))

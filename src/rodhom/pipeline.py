@@ -180,22 +180,39 @@ def fiber_pullback_resolvent(forms, f, gamma, regime):
     return tr.gelfand_inverse(b.like(u))
 
 
+def _by_abs_chi(chis, F, apply, n_out=1):
+    """n_out fiber operators, each acting on fiber -chi as conj(its action at
+    chi on conj f), on every fiber of F (..., N, n_dof), fiber k at chis[k]:
+    apply(|chi|, rows) returns their n_out images of the rows, the +chi
+    fibers and the conjugated -chi fibers of every leading index."""
+    _require_aligned(chis, F)
+    outs = [np.empty_like(F) for _ in range(n_out)]
+    for key in np.unique(np.abs(chis)):
+        k = np.flatnonzero(np.abs(chis) == key)
+        flip = (chis[k] < 0)[:, None]
+        cols = np.where(flip, F[..., k, :].conj(), F[..., k, :])
+        for out, X in zip(outs, apply(float(key), cols.reshape(-1, cols.shape[-1]))):
+            X = X.reshape(cols.shape)
+            out[..., k, :] = np.where(flip, X.conj(), X)
+    return outs
+
+
 def fiber_correctors(forms, chis, t, regime, F):
     """First- and second-order correction fields, the chain terms u1 and
-    u0^(1), on every fiber of F (..., N, n_dof): one corrector chain per
-    fiber of each leading index, fiber k at chis[k]."""
+    u0^(1), on every fiber of F (..., N, n_dof), fiber k at chis[k]: one
+    corrector chain per nonzero |chi| for the fibers of every leading index.
+    The chain of -chi on f is conj(chain of chi on conj f), since E1, K_sx
+    and G(chi) turn into their conjugates and the quotient LU is real."""
     chain = _line_regime(regime).chain
-    _require_aligned(chis, F)
-    u1, u01 = np.zeros_like(F), np.zeros_like(F)
-    for idx in np.ndindex(F.shape[:-1]):
-        chi = float(chis[idx[-1]])
+
+    def correctors(chi, rows):
         if chi == 0.0:
             # both correction operators carry the coefficient scaling G(chi)
             # and vanish identically on the zero fiber
-            continue
-        ch = fiber.build_chain(forms, chi, t, chain, F[idx], scaling="none", depth="correctors")
-        u1[idx], u01[idx] = ch.terms["u1"], ch.terms["u0_1"]
-    return u1, u01
+            return np.zeros_like(rows), np.zeros_like(rows)
+        ch = fiber.build_chain(forms, chi, t, chain, rows, scaling="none", depth="correctors")
+        return ch.terms["u1"], ch.terms["u0_1"]
+    return tuple(_by_abs_chi(chis, F, correctors, n_out=2))
 
 
 class LineResolvent:
@@ -217,21 +234,16 @@ class LineResolvent:
         self.t = eps ** (-(gamma + 2.0))
         self._solvers = {}
 
+    def _solve_rows(self, chi, rows):
+        if chi not in self._solvers:
+            self._solvers[chi] = fem.ResolventSolver(self.forms, chi, self.t)
+        return (self._solvers[chi].solve(rows.T).T,)
+
     def solve(self, chis, F):
         """(t K(chi) + M)^-1 M f on every fiber f of F (..., N, n_dof), fiber
         k at chis[k]: one solve per |chi|, whose columns are the +chi fibers
         and the conjugated -chi fibers of every leading index."""
-        _require_aligned(chis, F)
-        out = np.empty_like(F)
-        for key in np.unique(np.abs(chis)):
-            k = np.flatnonzero(np.abs(chis) == key)
-            flip = (chis[k] < 0)[:, None]
-            cols = np.where(flip, F[..., k, :].conj(), F[..., k, :])
-            if key not in self._solvers:
-                self._solvers[key] = fem.ResolventSolver(self.forms, float(key), self.t)
-            X = self._solvers[key].solve(cols.reshape(-1, cols.shape[-1]).T).T.reshape(cols.shape)
-            out[..., k, :] = np.where(flip, X.conj(), X)
-        return out
+        return _by_abs_chi(chis, F, self._solve_rows)[0]
 
     def apply(self, f):
         """The resolvent of a line field: Gelfand, solve, inverse Gelfand."""

@@ -248,6 +248,38 @@ def test_saddle_complex_load_matches_dense_solve(forms):
     assert residual == np.max(np.abs(forms.kernel_fields @ load))
 
 
+def compatible_loads(forms, k, seed):
+    """k random loads (n_dof, k) with their M-rigid parts removed."""
+    rng = np.random.default_rng(seed)
+    B = forms.kernel_fields.T
+    F = rng.standard_normal((forms.mesh.n_dof, k)) + 1j * rng.standard_normal((forms.mesh.n_dof, k))
+    return F - forms.M @ (B @ np.linalg.solve(B.T @ (forms.M @ B), B.T @ F))
+
+
+def test_saddle_block_solve_matches_single_loads(forms):
+    # a block of k loads is one real solve of 2k columns; each column is the
+    # solve of its own load, and the residual the block's worst
+    loads = compatible_loads(forms, 5, seed=13)
+    got, residual = forms.quotient.solve(loads, t=2.5)
+    singles = [forms.quotient.solve(f, t=2.5) for f in loads.T]
+    for u, (want, _) in zip(got.T, singles):
+        assert np.linalg.norm(u - want) <= 1e-14 * np.linalg.norm(want)
+    assert residual == np.max(np.abs(forms.kernel_fields @ loads))
+
+
+def test_saddle_block_rejects_one_small_incompatible_column(forms):
+    # the kernel residual is checked against each column's own norm: one
+    # small rigid-motion column must not hide behind large compatible ones,
+    # against whose norm its residual would pass
+    loads = 1e10 * compatible_loads(forms, 3, seed=14)
+    bad = forms.M @ forms.kernel_fields[0].astype(complex)
+    block = np.column_stack([loads, bad])
+    assert np.max(np.abs(forms.kernel_fields @ bad)) < fem.KERNEL_TOLERANCE * np.linalg.norm(loads[:, 0])
+    with pytest.raises(fem.IncompatibleLoad):
+        forms.quotient.solve(block)
+    forms.quotient.solve(loads)   # the compatible columns alone pass
+
+
 def test_resolvent_backward_error(forms):
     chi = 0.05
     t = chi ** -4

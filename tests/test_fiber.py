@@ -181,6 +181,43 @@ def test_chain_constraints_and_residuals(setup):
                 assert np.max(np.abs(forms.kernel_fields @ (forms.M @ u))) < 1e-10
 
 
+@pytest.mark.parametrize("depth", ["full", "correctors"])
+@pytest.mark.parametrize("regime", list(fiber.CHAIN_REGIMES))
+def test_stacked_chain_matches_per_load_chains(setup, regime, depth):
+    # a stack of loads runs as the columns of one block: row i of every term
+    # and coefficient vector is load i's own chain. The kernel residuals are
+    # rounding of an exact identity, so they agree at the scale of the loads
+    forms = setup[0]
+    spec = fiber.CHAIN_REGIMES[regime]
+    rng = np.random.default_rng(21)
+    F = rng.standard_normal((3, forms.mesh.n_dof)) + 1j * rng.standard_normal((3, forms.mesh.n_dof))
+    if spec.parity:
+        pairing = is_centrally_symmetric(forms.mesh.cross)[1]
+        F = np.stack([fem.project_symmetry(f, spec.parity, forms.mesh, pairing) for f in F])
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    for chi in (0.4, 0.1, -0.3):
+        t = abs(chi) ** -spec.power
+        block = fiber.build_chain(forms, chi, t, regime, F, depth=depth)
+        singles = [fiber.build_chain(forms, chi, t, regime, f, depth=depth) for f in F]
+        for got, want in ((block.terms, [ch.terms for ch in singles]),
+                          (block.m, [ch.m for ch in singles])):
+            assert got.keys() == want[0].keys()
+            for name, X in got.items():
+                assert X.shape == (len(F),) + want[0][name].shape
+                assert all(close(x, w[name]) for x, w in zip(X, want))
+        assert [n for n, _ in block.residuals] == [n for n, _ in singles[0].residuals]
+        for i, (_, r) in enumerate(block.residuals):
+            worst = max(ch.residuals[i][1] for ch in singles)
+            assert abs(r - worst) <= 1e-12 * np.linalg.norm(F)
+        # chain(-chi, f) = conj(chain(chi, conj f))
+        mirror = fiber.build_chain(forms, -chi, t, regime, F.conj(), depth=depth)
+        for got, want in ((block.terms, mirror.terms), (block.m, mirror.m)):
+            assert all(close(X, want[name].conj()) for name, X in got.items())
+
+
 def test_chain_norm_ladders(setup):
     forms, fs, fb, _ = setup
     r_stretch, r_u1, r_u3 = [], [], []

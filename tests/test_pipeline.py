@@ -221,23 +221,24 @@ def test_loads_reach_only_the_band(forms, regime):
 
 
 def test_rate_experiment_builds_chains_on_the_band(forms, monkeypatch):
-    # one chain per load on each nonzero fiber of the band, |j| = 1 .. LOAD_BAND
+    # one chain per (eps, regime, |j|), |j| = 1 .. LOAD_BAND, whose columns
+    # are the +chi and conjugated -chi fibers of every load
     cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), orders=(0, 1, 2), n_loads=2)
     calls = {}
     build_chain = pl.fiber.build_chain
 
     def counted(forms, chi, t, regime, f, **kwargs):
-        calls.setdefault((t, regime), []).append(chi)
+        calls.setdefault((t, regime), []).append((chi, f.shape))
         return build_chain(forms, chi, t, regime, f, **kwargs)
 
     monkeypatch.setattr(pl.fiber, "build_chain", counted)
     pl.rate_experiment(cfg, forms)
     assert len(calls) == len(cfg.n_grid) * len(cfg.regimes)
-    for (t, _), chis in calls.items():
+    for (t, _), chains in calls.items():
         N = round(cfg.length * t ** 0.5)     # t = eps^-2 at gamma = 0
-        modes = sorted(set(np.rint(np.array(chis) * N / (2 * np.pi)).astype(int)))
-        assert len(chis) == cfg.n_loads * 2 * pl.LOAD_BAND
-        assert modes == [j for j in range(-pl.LOAD_BAND, pl.LOAD_BAND + 1) if j != 0]
+        modes = [round(chi * N / (2 * np.pi)) for chi, _ in chains]
+        assert modes == list(range(1, pl.LOAD_BAND + 1))
+        assert all(shape == (2 * cfg.n_loads, forms.mesh.n_dof) for _, shape in chains)
 
 
 @pytest.fixture(params=["fewer", "one", "more"])
