@@ -332,13 +332,13 @@ def _chain_regime(name):
     return CHAIN_REGIMES[name]
 
 
-def error_report(forms, chain, reference, componentwise=False):
-    """L2/H1 errors of the order-0 and order-1 approximants, over all
-    components or, componentwise, in-plane ('12') and out-of-line ('3')."""
+def error_report(forms, chain, reference):
+    """L2/H1 errors of the order-0 and order-1 approximants: in-plane ('12')
+    and out-of-line ('3') for a coupling power p = 4, else of all components."""
     rows = []
     for order, approx in ((0, chain.order0()), (1, chain.order1())):
         e = reference - approx
-        for c in ("12", "3") if componentwise else ("all",):
+        for c in ("12", "3") if chain.ops.spec.power == 4 else ("all",):
             rows.append({"chi": chain.chi, "component": c, "order": order,
                          "err_l2": np.sqrt(forms.norm_sq_l2(e, c)),
                          "err_h1": np.sqrt(forms.norm_sq_h1(e, c))})

@@ -27,7 +27,6 @@ from .material import check_rod_material_symmetry
 
 class LineRegime(NamedTuple):
     chain: str          # the chain regime of its fibers, whose facts it takes
-    out_of_line: bool   # its loads take the out-of-line scaling (s_eps_delta / s_inf)
     rates: dict         # (component, order) -> terms (a, b) of its exponent, see theory_slope
     zero_momentum: dict  # the rates momentum_variant "zero" replaces
 
@@ -36,18 +35,22 @@ class LineRegime(NamedTuple):
         return fiber.CHAIN_REGIMES[self.chain]
 
     @property
+    def out_of_line(self):   # its loads take s_eps_delta / s_inf, the line form of S_|chi|
+        return self.facts.scaling == "s_abs_chi"
+
+    @property
     def components(self):   # the error components it reports
         return tuple(dict.fromkeys(c for c, _ in self.rates))
 
 
 LINE_REGIMES = {
-    "stretch": LineRegime("stretch", False, {
+    "stretch": LineRegime("stretch", {
         ("all", 0): ((0.5, 0),), ("all", 1): ((1, -1), (0.5, 0)), ("all", 2): ((1, 0),)}, {}),
-    "bend": LineRegime("bend", True, {
+    "bend": LineRegime("bend", {
         ("12", 0): ((0.25, 0),), ("12", 1): ((0.25, 0), (0.5, -1)), ("12", 2): ((0.5, 0),),
         ("3", 0): ((0.5, 0),), ("3", 1): ((0.5, 0), (0.75, -1)), ("3", 2): ((0.75, 0),)},
         {("3", 0): ((0.25, 0),)}),
-    "rod": LineRegime("general_chi2", False, {
+    "rod": LineRegime("general_chi2", {
         ("12", 0): ((0.25, 0),), ("12", 1): ((0.25, 0),), ("12", 2): ((0.5, 0),),
         ("3", 0): ((0.5, 0),), ("3", 1): ((0.5, 0),), ("3", 2): ((0.75, 0),)}, {}),
 }
@@ -223,9 +226,9 @@ class LineResolvent:
     conj((t K(chi) + M)^-1 M conj f) with the factorisation of fiber |chi|,
     in the same multi-column solve as fiber +chi (for one field, bitwise the
     per-fiber factorisations; a stack rounds as the wider solve does). One
-    cached factorisation per |chi| serves N/2 + 1 of the N fibers, and the
-    operator does not depend on the regime, so one instance serves every
-    load at its eps.
+    cached factorisation per |chi| serves N/2 + 1 of the N fibers. The
+    operator does not depend on the regime, so one solve per |chi| serves
+    the loads of every regime at its eps, stacked along the leading axes.
     """
 
     def __init__(self, forms, eps, gamma):
@@ -385,13 +388,12 @@ def rate_experiment(cfg, forms):
 
     Each load is transformed once and cut to the fibers the family reaches,
     |j| <= LOAD_BAND; the others hold only FFT rounding and none of the
-    load, so the errors are the norms over the reached fibers. A regime's
-    loads are stacked as (n_loads, reached fibers, n_dof): the
-    approximant of order 0 is fiber_limit, order 1 adds u1 and order 2
-    u0^(1) (fiber_correctors), the reference is one solve per |chi| for all
-    loads, and each error is measured on its bundle. eps is the outer loop:
-    one LineResolvent per eps serves the loads of every regime, and only one
-    eps holds factorisations, one per reached |chi|, at a time.
+    load, so the errors are norms over the reached fibers. eps is the outer
+    loop; the loads of every regime at an eps are stacked as (regimes,
+    n_loads, fibers, n_dof), and the reference, which does not depend on the
+    regime, is one LineResolvent solve per reached |chi| for the whole stack.
+    Each regime's approximants take its slice: fiber_limit for order 0, plus
+    u1 for order 1 and u0^(1) for order 2 (fiber_correctors).
     """
     _require_rod_symmetry(forms, [r for r in cfg.regimes if LINE_REGIMES[r].facts.parity])
     eps_list = [cfg.length / N for N in cfg.n_grid]
@@ -400,25 +402,24 @@ def rate_experiment(cfg, forms):
     for N, eps in zip(cfg.n_grid, eps_list):
         R = LineResolvent(forms, eps, cfg.gamma)
         reached = np.abs(np.rint(np.fft.fftfreq(N) * N)) <= LOAD_BAND
-        for regime, regime_errs in zip(cfg.regimes, errs):
-            loads = make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
-                               n_loads=cfg.n_loads, seed=cfg.seed)
-            scaled = LINE_REGIMES[regime].out_of_line
-            bundles = [tr.gelfand(_scaled_load(cfg, f) if scaled else f) for f in loads]
-            bundles = [tr.FiberBundle(b.values[reached], b.chis[reached], eps) for b in bundles]
-            chis = bundles[0].chis
-            F = np.stack([b.fibers() for b in bundles])
-            ref = R.solve(chis, F)
-            approx = [fiber_limit(forms, chis, R.t, regime, F, cfg.momentum_variant)]
+        chis = tr.chi_values(N)[reached]
+        F = np.array([[tr.gelfand(_scaled_load(cfg, f) if LINE_REGIMES[regime].out_of_line
+                                  else f).fibers()[reached]
+                       for f in make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
+                                           n_loads=cfg.n_loads, seed=cfg.seed)]
+                      for regime in cfg.regimes])
+        ref = R.solve(chis, F)
+        for regime, regime_errs, Fr, ref_r in zip(cfg.regimes, errs, F, ref):
+            approx = [fiber_limit(forms, chis, R.t, regime, Fr, cfg.momentum_variant)]
             if max(cfg.orders) >= 1:
-                u1, u01 = fiber_correctors(forms, chis, R.t, regime, F)
+                u1, u01 = fiber_correctors(forms, chis, R.t, regime, Fr)
                 approx += [approx[0] + u1, approx[0] + u1 + u01]
             for o in cfg.orders:
-                e = ref - approx[o]
+                e = (ref_r - approx[o]).reshape(cfg.n_loads, len(chis), forms.mesh.n_y, -1)
                 for c in LINE_REGIMES[regime].components:
                     regime_errs[(o, c)].append(max(
-                        line_error_norm(forms, b.like(ei), _ORDER_NORM[o], c)
-                        for b, ei in zip(bundles, e)))
+                        line_error_norm(forms, tr.FiberBundle(ei, chis, eps), _ORDER_NORM[o], c)
+                        for ei in e))
     return RateReport(rows=[
         _rate_row(regime, c, o, cfg.flags(), eps_list, seq,
                   theory_slope(regime, c, o, cfg.gamma, cfg.delta, cfg.momentum_variant),
@@ -428,6 +429,9 @@ def rate_experiment(cfg, forms):
 
 
 CHI_SWEEP = (0.4, 0.283, 0.2, 0.141, 0.1, 0.0707, 0.05)
+# what a chi grid must be: chi^-p and the log-log slope fit need chi > 0, two distinct
+CHI_GRID = ("a list of positive numbers, at least 2 of them distinct",
+            lambda v: is_list_of(v, 2, POSITIVE[1]) and len(set(v)) >= 2)
 
 # the H1 slope floors of fiber_rate_study by (component, order) for each
 # coupling power p; a chain regime takes those of its p
@@ -441,29 +445,30 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     """Chi-sweep of the chain approximants at one fiber family, with each
     regime's natural coupling t = chi^-p and load scaling.
 
-    loads maps each chain regime to a product-mesh load field; another name
-    raises ValueError before anything is solved. Returns per-chi error rows
-    (L2 and H1, by component for p = 4) and fitted H1 slopes against the
-    regime thresholds.
+    loads maps each chain regime to a product-mesh load field; another name,
+    or a chi_grid breaking CHI_GRID, raises ValueError before any solve.
+    Returns per-chi rows of fiber.error_report and fitted H1 slopes.
 
-    Chi by chi, it factorises (t K(chi) + M) once per coupling, shared by
-    the regimes with the same power, and solves each regime's reference and
-    chain. Rows come out regime by regime, in the order of loads.
+    Chi by chi, it factorises (t K(chi) + M) once per power p and solves the
+    scaled loads of every regime with that p as the columns of one reference
+    solve, then runs each regime's chain. Rows are regime-major, in the
+    order of loads.
     """
+    require("chi_grid", chi_grid, *CHI_GRID)
     specs = {regime: fiber._chain_regime(regime) for regime in loads}
     _require_rod_symmetry(forms, [r for r, spec in specs.items() if spec.parity])
     rows = {regime: [] for regime in loads}
     errs = {k: [] for k in FIBER_THRESHOLDS if k[0] in loads}
     for chi in chi_grid:
-        solvers = {}
+        refs = {}
+        for power in dict.fromkeys(spec.power for spec in specs.values()):
+            group = [r for r, spec in specs.items() if spec.power == power]
+            G = np.stack([fiber.apply_load_scaling(loads[r], specs[r].scaling, chi)
+                          for r in group], axis=1)
+            refs.update(zip(group, fem.ResolventSolver(forms, chi, chi ** -power).solve(G).T))
         for regime, f in loads.items():
-            spec = specs[regime]
-            t = chi ** -spec.power
-            if t not in solvers:
-                solvers[t] = fem.ResolventSolver(forms, chi, t)
-            ref = solvers[t].solve(fiber.apply_load_scaling(f, spec.scaling, chi))
-            ch = fiber.build_chain(forms, chi, t, regime, f)
-            for row in fiber.error_report(forms, ch, ref, componentwise=spec.power == 4):
+            ch = fiber.build_chain(forms, chi, chi ** -specs[regime].power, regime, f)
+            for row in fiber.error_report(forms, ch, refs[regime]):
                 rows[regime].append({"regime": regime, **row})
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     slopes = []

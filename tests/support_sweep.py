@@ -26,7 +26,7 @@ def fiber_rate_study_loop(forms, loads, chi_grid=pl.CHI_SWEEP):
             ch = fiber.build_chain(forms, chi, t, regime, f)
             ref = solvers[t].solve(fiber.apply_load_scaling(
                 f, "s_abs_chi" if split else "none", chi))
-            for row in fiber.error_report(forms, ch, ref, componentwise=split):
+            for row in fiber.error_report(forms, ch, ref):
                 rows[regime].append({"regime": regime, **row})
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     slopes = []

@@ -288,7 +288,7 @@ def test_chain_rates(setup):
             ch = fiber.build_chain(forms, chi, chi ** pw, regime, loads[regime])
             ref = fem.ResolventSolver(forms, chi, chi ** pw).solve(fiber.apply_load_scaling(
                 loads[regime], "s_abs_chi" if comp else "none", chi))
-            for row in fiber.error_report(forms, ch, ref, componentwise=comp):
+            for row in fiber.error_report(forms, ch, ref):
                 errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     for key, floor in thresholds.items():
         slope = fiber.fit_slope(CHI_SWEEP, errs[key])

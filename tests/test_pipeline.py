@@ -567,6 +567,33 @@ def test_rate_experiment_factorises_once_per_eps(forms, factorisations):
     assert rep.rows == single[0].rows + single[1].rows
 
 
+@pytest.fixture()
+def reference_solves(monkeypatch):
+    """The shape of the right-hand side of every fem.ResolventSolver solve
+    made while the test runs."""
+    shapes = []
+    solve = fem.ResolventSolver.solve
+
+    def counted(self, load_field):
+        shapes.append(np.shape(load_field))
+        return solve(self, load_field)
+
+    monkeypatch.setattr(fem.ResolventSolver, "solve", counted)
+    return shapes
+
+
+def test_rate_experiment_solves_reference_once_per_fiber(forms, reference_solves):
+    # the reference does not depend on the regime: one solve per |chi| the
+    # loads reach at each eps, whose columns are the loads of every regime,
+    # at chi = 0 once and elsewhere at +chi and conjugated -chi
+    cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), n_loads=2)
+    pl.rate_experiment(cfg, forms)
+    cols = len(cfg.regimes) * cfg.n_loads
+    per_eps = [cols] + [2 * cols] * pl.LOAD_BAND
+    assert len(reference_solves) == len(cfg.n_grid) * (pl.LOAD_BAND + 1)
+    assert reference_solves == [(forms.mesh.n_dof, n) for n in per_eps] * len(cfg.n_grid)
+
+
 @pytest.fixture(scope="module")
 def fiber_loads(forms):
     """One load per regime of the fiber-rate study, parity-projected for
@@ -598,3 +625,25 @@ def test_fiber_rate_study_matches_serial_loop(forms, fiber_loads):
     oracle = fiber_rate_study_loop(forms, fiber_loads, chi_grid)
     assert study["rows"] == oracle["rows"]
     assert study["slopes"] == oracle["slopes"]
+
+
+def test_fiber_rate_study_solves_once_per_power(forms, fiber_loads, reference_solves):
+    # at each chi one reference solve per coupling power, whose columns are
+    # the scaled loads of its two regimes
+    chi_grid = (0.4, 0.2)
+    pl.fiber_rate_study(forms, fiber_loads, chi_grid)
+    assert reference_solves == [(forms.mesh.n_dof, 2)] * (2 * len(chi_grid))
+
+
+@pytest.mark.parametrize("chi_grid", [[0.2, 0.2, 0.2], [0.4, 0.2, 0.0], [0.4, -0.2, 0.1]],
+                         ids=["repeated", "zero", "negative"])
+def test_fiber_rate_study_checks_chi_grid_first(forms, fiber_loads, monkeypatch, chi_grid):
+    # a grid without two distinct chi fits no slope, and chi <= 0 has no
+    # coupling chi^-p: both are rejected before any factorisation
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("factorised before the chi_grid check")
+
+    monkeypatch.setattr(fem, "factorize", no_factorisation)
+    want = "^chi_grid must be a list of positive numbers, at least 2 of them distinct, not "
+    with pytest.raises(ValueError, match=want):
+        pl.fiber_rate_study(forms, fiber_loads, chi_grid)
