@@ -7,11 +7,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
-from . import fem, fiber, pipeline as pl
+from . import __version__, fem, fiber, pipeline as pl
 from .checks import require
 from .geometry import ProductMesh, build_rectangle, is_centrally_symmetric
 from .homogenize import rod_tensor
@@ -118,6 +120,8 @@ def provenance(cfg, forms):
             json.dumps(cfg["material"], sort_keys=True).encode()).hexdigest()[:16],
         "seed": cfg["seed"],
         "tolerances": TOLERANCES,
+        "environment": {"rodhom": __version__, "numpy": np.__version__,
+                        "scipy": scipy.__version__, "python": platform.python_version()},
     }
 
 

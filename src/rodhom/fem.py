@@ -33,13 +33,16 @@ operators, to be kept consistent with the first. Values derived from the
 forms are cached properties of AssembledForms.
 
 Every sparse LU goes through factorize and is Hermitian positive definite:
-K_ss with four dofs pinned (QuotientSolver), the resolvents t K(chi) + M and
-the shift-invert matrices K(chi) - sigma M (sigma < 0), each in SuperLU's
-symmetric mode with every pivot checked to be positive, and each in one
-nested-dissection order of the mesh (AssembledForms.order). The fibers of a
-chi sweep are factorised one after another.
+K_ss with four dofs pinned (QuotientSolver) and the resolvents t K(chi) + M,
+each in SuperLU's symmetric mode with every pivot checked to be positive,
+and each in one nested-dissection order of the mesh (AssembledForms.order).
+The forms keep one resolvent LU per (chi, t) they are asked for
+(AssembledForms.resolvent) for their lifetime: the fiber-rate study and the
+shift-invert eigensolves, whose matrix K(chi) + M / t is the resolvent's up
+to the factor t, share it.
 """
 
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -204,6 +207,7 @@ class AssembledForms:
         # test columns of the bend coefficient projection
         T = self.E0[:, :2]
         self.bend_tests = (self.P @ T, self.K_xx @ T)
+        self._resolvents = {}
 
     @cached_property
     def order(self):
@@ -245,6 +249,15 @@ class AssembledForms:
     @cached_property
     def quotient(self):
         return QuotientSolver(self)
+
+    def resolvent(self, chi, t):
+        """The ResolventSolver of t K(chi) + M, factorised on first use and
+        kept for the lifetime of the forms, one per (chi, t). It holds no
+        reference to the forms, so dropping them frees its LU."""
+        key = (chi, t)
+        if key not in self._resolvents:
+            self._resolvents[key] = ResolventSolver(self, chi, t)
+        return self._resolvents[key]
 
     @cached_property
     def cell_basis(self):
@@ -386,38 +399,38 @@ class OrderedLU:
 
 
 class ResolventSolver:
-    """Cached factorisation of (t K(chi) + M) for repeated loads; solves
-    (t K(chi) + M) u = M f, Hermitian positive definite, no constraints."""
+    """Factorisation of (t K(chi) + M) for repeated loads; solves
+    (t K(chi) + M) u = M f, Hermitian positive definite, no constraints.
+    The solver keeps no reference to the forms."""
 
     def __init__(self, forms, chi, t):
-        self.forms = forms
+        self.M = forms.M
         self.lu = factorize(t * forms.K(chi) + forms.M, forms.order)
 
     def solve(self, load_field):
-        return self.lu.solve(self.forms.M @ np.asarray(load_field, dtype=complex))
+        return self.lu.solve(self.M @ np.asarray(load_field, dtype=complex))
 
 
 def smallest_eigs(forms, chi, k):
-    """k smallest eigenpairs of K(chi) u = lambda M u via shift-invert, with
-    the LU of the positive definite K(chi) - sigma M (sigma < 0) built by
-    factorize."""
+    """k smallest eigenpairs of K(chi) u = lambda M u via shift-invert about
+    sigma = -1/t, on the resolvent LU of the forms: (K(chi) - sigma M)^-1 =
+    t (t K(chi) + M)^-1. t = chi^-4 is the bend coupling, whose LU the
+    fiber-rate study at the same chi shares; at chi = 0, where K(0) has the
+    rigid kernel, sigma = -1e-8 mean |diag K(0)|."""
     K = forms.K(chi)
-    scale = float(np.abs(K.diagonal()).mean())
-    sigma = -1e-8 * scale
-    lu = factorize(K - sigma * forms.M, forms.order)
-    OPinv = spla.LinearOperator(K.shape, matvec=lambda x: lu.solve(x), dtype=complex)
+    t = chi ** -4 if chi != 0 else 1.0 / (1e-8 * float(np.abs(K.diagonal()).mean()))
+    # eigsh keeps its operator in a reference cycle: through a weak proxy it
+    # does not keep the forms' LU alive once the forms are dropped
+    lu = weakref.proxy(forms.resolvent(chi, t).lu)
+    OPinv = spla.LinearOperator(K.shape, matvec=lambda x: t * lu.solve(x), dtype=complex)
     # fixed start vector: ARPACK's default is random, which makes the
     # achieved residuals (and bit-stability) run-dependent
     v0 = np.ones(forms.mesh.n_dof)
     try:
-        vals, vecs = spla.eigsh(K, k=k, M=forms.M.astype(complex), sigma=sigma,
+        vals, vecs = spla.eigsh(K, k=k, M=forms.M.astype(complex), sigma=-1.0 / t,
                                 which="LM", v0=v0, OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc))
-    finally:
-        # eigsh leaves OPinv in a reference cycle: free the LU here, so that a
-        # chi sweep holds one at a time, not all until the collector runs
-        del lu
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fem, homogenize as hz
-from .checks import require
+from .checks import POSITIVE, is_list_of, require
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,11 @@ def apply_load_scaling(values, tag, chi=None, eps=None, delta=None):
 def spectrum_scaling(forms, chi_grid, k=5):
     """lambda_1..lambda_k of (K(chi), M) over a chi grid, with the scaled
     ratios the spectral-gap statements are about: one eigensolve per chi, in
-    the order of the grid, each freeing its LU before the next."""
+    the order of the grid, each on the forms' resolvent LU at t = chi^-4
+    (see fem.smallest_eigs). A chi_grid that is not a list of positive
+    numbers, which the ratios need, raises ValueError before any solve."""
+    require("chi_grid", chi_grid, "a nonempty list of positive numbers",
+            lambda v: is_list_of(v, 1, POSITIVE[1]))
     eigs = [fem.smallest_eigs(forms, chi, k)[0] for chi in chi_grid]
     return [{"chi": chi,
              "eigs": vals,

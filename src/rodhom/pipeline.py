@@ -229,6 +229,8 @@ class LineResolvent:
     cached factorisation per |chi| serves N/2 + 1 of the N fibers. The
     operator does not depend on the regime, so one solve per |chi| serves
     the loads of every regime at its eps, stacked along the leading axes.
+    The factorisations are its own, not the forms' (forms.resolvent), so a
+    rate study holds those of one eps at a time.
     """
 
     def __init__(self, forms, eps, gamma):
@@ -449,10 +451,11 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     or a chi_grid breaking CHI_GRID, raises ValueError before any solve.
     Returns per-chi rows of fiber.error_report and fitted H1 slopes.
 
-    Chi by chi, it factorises (t K(chi) + M) once per power p and solves the
-    scaled loads of every regime with that p as the columns of one reference
-    solve, then runs each regime's chain. Rows are regime-major, in the
-    order of loads.
+    Chi by chi, it takes the LU of (t K(chi) + M) once per power p from the
+    forms (forms.resolvent, shared with the eigensolves of spectrum_scaling
+    at p = 4) and solves the scaled loads of every regime with that p as the
+    columns of one reference solve, then runs each regime's chain. Rows are
+    regime-major, in the order of loads.
     """
     require("chi_grid", chi_grid, *CHI_GRID)
     specs = {regime: fiber._chain_regime(regime) for regime in loads}
@@ -465,7 +468,7 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
             group = [r for r, spec in specs.items() if spec.power == power]
             G = np.stack([fiber.apply_load_scaling(loads[r], specs[r].scaling, chi)
                           for r in group], axis=1)
-            refs.update(zip(group, fem.ResolventSolver(forms, chi, chi ** -power).solve(G).T))
+            refs.update(zip(group, forms.resolvent(chi, chi ** -power).solve(G).T))
         for regime, f in loads.items():
             ch = fiber.build_chain(forms, chi, chi ** -specs[regime].power, regime, f)
             for row in fiber.error_report(forms, ch, refs[regime]):

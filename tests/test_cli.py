@@ -1,8 +1,12 @@
 import json
+import platform
 import re
 
+import numpy as np
 import pytest
+import scipy
 
+import rodhom
 from rodhom import cli, fem
 
 
@@ -35,6 +39,9 @@ def test_homogenize(tmp_path, small_cfg):
     assert rep["all_pass"]
     assert len(rep["mesh_hash"]) == 16 and len(rep["material_hash"]) == 16
     assert "tolerances" in rep
+    assert rep["environment"] == {"rodhom": rodhom.__version__, "numpy": np.__version__,
+                                  "scipy": scipy.__version__,
+                                  "python": platform.python_version()}
 
 
 def test_spectrum(tmp_path, small_cfg):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from rodhom import fem, homogenize as hz
+from rodhom import fem, homogenize as hz, pipeline as pl
 from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, cross_mass,
                              is_centrally_symmetric)
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
@@ -36,6 +36,13 @@ def layered_profile(contrast=5.0):
 def forms():
     mesh = ProductMesh(build_rectangle(1.0, 4, 4), 4)
     return fem.assemble(layered_profile(), mesh)
+
+
+@pytest.fixture()
+def default_forms():
+    """Forms of the default 4x4x8 cell with no cached LU, one per test: a
+    count of factorisations must not depend on which tests ran first."""
+    return fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 4, 4), 8))
 
 
 def test_hermitian(forms):
@@ -360,8 +367,11 @@ def test_order_fills_less_than_minimum_degree():
     assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
-@pytest.mark.parametrize("chi", [0.0, 0.3])
-def test_smallest_eigs_one_factorisation_and_dense_values(forms, monkeypatch, chi):
+@pytest.mark.parametrize("chi", [0.0, 0.3, *pl.CHI_SWEEP])
+def test_smallest_eigs_one_factorisation_and_dense_values(default_forms, monkeypatch, chi):
+    # the shift-invert about -1/t on the resolvent LU of t K(chi) + M, with
+    # t = chi^-4 on the sweep and the small positive shift at chi = 0
+    forms = default_forms
     sizes = []
     splu = fem.spla.splu
 
@@ -441,32 +451,18 @@ def test_resolvent_energy_bound(forms):
     assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(Mf)
 
 
-def test_smallest_eigs_frees_its_lu_on_its_thread(forms, monkeypatch):
-    # eigsh keeps its operator in a reference cycle: each eigensolve must
-    # free its LU itself, before it returns, with no help from the cyclic
-    # collector, or a chi sweep holds every fiber's shift-invert LU at once
-    events = []
-    splu = fem.spla.splu
-
-    class Tracked:
-        def __init__(self, lu):
-            self.lu = lu
-            events.append("built")
-
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
-        def __del__(self):
-            events.append("freed")
-
-    def eigs(chi):
-        fem.smallest_eigs(forms, chi, 3)
-        return list(events)
-
-    monkeypatch.setattr(fem.spla, "splu", lambda *args, **kwargs: Tracked(splu(*args, **kwargs)))
+def test_dropping_the_forms_frees_every_cached_lu():
+    # the cached resolvent LUs, one of them used by an eigensolve, whose
+    # operator eigsh keeps in a reference cycle, and the quotient LU are all
+    # freed with the forms, with no help from the cyclic collector
     gc.disable()
     try:
-        seen = [eigs(chi) for chi in (0.2, 0.4)]
+        forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+        fem.smallest_eigs(forms, 0.2, 3)
+        lus = [forms.resolvent(0.2, 0.2 ** -4).lu, forms.resolvent(0.4, 10.0).lu,
+               forms.quotient.lu]
+        refs = [weakref.ref(forms)] + [weakref.ref(lu) for lu in lus]
+        del forms, lus
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
-    assert seen == [["built", "freed"], ["built", "freed"] * 2]

@@ -151,6 +151,21 @@ def test_spectrum_scaling_matches_serial_loop(setup):
     assert np.array_equal([r["eigs"] for r in rows], spectrum_scaling_loop(forms, chi_grid))
 
 
+@pytest.mark.parametrize("chi_grid", [[0.0, 0.2], [0.4, -0.2], [], 0.2],
+                         ids=["zero", "negative", "empty", "scalar"])
+def test_spectrum_scaling_checks_chi_grid_first(setup, monkeypatch, chi_grid):
+    # the ratios divide by chi^4 and chi^2: a chi <= 0 is rejected before any
+    # factorisation, not returned as infinite ratios
+    forms, *_ = setup
+
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("factorised before the chi_grid check")
+
+    monkeypatch.setattr(fem, "factorize", no_factorisation)
+    with pytest.raises(ValueError, match="^chi_grid must be a nonempty list of positive numbers"):
+        fiber.spectrum_scaling(forms, chi_grid)
+
+
 def test_chain_zero_load(setup):
     forms, *_ = setup
     z = np.zeros(forms.mesh.n_dof, dtype=complex)

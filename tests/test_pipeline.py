@@ -28,6 +28,21 @@ def forms():
     return fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 4, 4), NY))
 
 
+def set_up_forms():
+    """The forms of the module's cell with their rod tensor, and so the
+    quotient LU, but no resolvent LU."""
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 4, 4), NY))
+    forms.rod_tensor
+    return forms
+
+
+@pytest.fixture()
+def fresh_forms():
+    """set_up_forms, one per test: a count of resolvent factorisations must
+    not depend on which tests ran first."""
+    return set_up_forms()
+
+
 @pytest.fixture(scope="module")
 def load(forms):
     return pl.make_loads(forms.mesh.cross, NY, 16, 6.0 / 16, "rod",
@@ -537,9 +552,10 @@ def factorisations(forms, monkeypatch):
     return sizes
 
 
-def test_line_resolvent_shares_conjugate_fibers(forms, factorisations):
+def test_line_resolvent_shares_conjugate_fibers(fresh_forms, factorisations):
     # fiber -chi is the conjugated solve of fiber |chi|: bitwise the
     # per-fiber factorisations, including the unpaired Nyquist fiber -pi
+    forms = fresh_forms
     N, eps = 8, 6.0 / 8
     f = pl.make_loads(forms.mesh.cross, NY, N, eps, "rod", n_loads=1, seed=3)[0]
     R = pl.LineResolvent(forms, eps, 0.0)
@@ -555,9 +571,10 @@ def test_line_resolvent_shares_conjugate_fibers(forms, factorisations):
     assert np.array_equal(got.values, tr.gelfand_inverse(b.like(out)).values)
 
 
-def test_rate_experiment_factorises_once_per_eps(forms, factorisations):
+def test_rate_experiment_factorises_once_per_eps(fresh_forms, factorisations):
     # one factorisation per |chi| the loads reach, |j| = 0 .. LOAD_BAND, at
     # each eps, shared by the regimes
+    forms = fresh_forms
     cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), regimes=("stretch", "bend"),
                               n_loads=1)
     rep = pl.rate_experiment(cfg, forms)
@@ -606,16 +623,29 @@ def fiber_loads(forms):
             "general_chi2": f, "general_chi4": f}
 
 
-def test_fiber_rate_study_shares_couplings(forms, fiber_loads, factorisations):
+def test_fiber_rate_study_shares_couplings(fresh_forms, fiber_loads, factorisations):
     # bend shares chi^-4 with general_chi4, stretch chi^-2 with general_chi2;
     # rows stay regime-major, as the single-regime studies concatenated
-    loads = fiber_loads
+    forms, loads = fresh_forms, fiber_loads
     chi_grid = (0.4, 0.2)
     study = pl.fiber_rate_study(forms, loads, chi_grid)
     assert len(factorisations) == 2 * len(chi_grid)
     single = [pl.fiber_rate_study(forms, {r: g}, chi_grid) for r, g in loads.items()]
     assert study["rows"] == [row for s in single for row in s["rows"]]
     assert study["slopes"] == [row for s in single for row in s["slopes"]]
+
+
+def test_spectrum_and_chi4_study_share_one_factorisation_per_chi(fresh_forms, fiber_loads,
+                                                                 factorisations):
+    # the eigensolve at chi shift-inverts on the resolvent of t = chi^-4,
+    # which the bend and general_chi4 study then solves with; the study's
+    # rows are those of the same study on forms with no cached LU
+    loads = {r: fiber_loads[r] for r in ("bend", "general_chi4")}
+    chi_grid = (0.4, 0.2, 0.1)
+    fiber.spectrum_scaling(fresh_forms, chi_grid, k=5)
+    study = pl.fiber_rate_study(fresh_forms, loads, chi_grid)
+    assert factorisations == [fresh_forms.mesh.n_dof] * len(chi_grid)
+    assert study == pl.fiber_rate_study(set_up_forms(), loads, chi_grid)
 
 
 def test_fiber_rate_study_matches_serial_loop(forms, fiber_loads):
