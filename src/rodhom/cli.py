@@ -182,10 +182,12 @@ def _fiber_loads(cfg, forms):
     rng = np.random.default_rng(cfg["seed"])
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
     fn = f / np.sqrt(forms.norm_sq_l2(f))
-    # the regimes with a parity after the others, on a symmetric cross-section only
+    # the regimes with a parity after the others, only where the parity split
+    # holds: on a symmetric cross-section of a rod-symmetric material
+    split = symmetric and pl.rod_symmetric(forms.profile)
     loads = {regime: fn for regime, spec in fiber.CHAIN_REGIMES.items() if not spec.parity}
     for regime, spec in fiber.CHAIN_REGIMES.items():
-        if spec.parity and symmetric:
+        if spec.parity and split:
             fr = fem.project_symmetry(f, spec.parity, forms.mesh, pairing)
             loads[regime] = fr / np.sqrt(forms.norm_sq_l2(fr))
     return loads

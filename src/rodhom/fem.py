@@ -15,9 +15,10 @@ into slots (e33, 2e23, 2e13). Assembly builds every fiber operator once:
   of its own, and K(chi) = K_ss + chi*K_sx + chi^2*K_xx, so sweeps in chi
   reuse one assembly;
 - the consistent mass M and its scalar block M1 (M = M1 kron I3);
-- Ls = sum w B_s^T D J_k and Lx = sum w B_x^T D J_k, the n_dof x 4 loads of
-  the four canonical J-data (see homogenize), and their 4x4 Gram matrix
-  J_gram = sum w J_d^T D J_k;
+- Ls = P W and Lx = K_xx W, the n_dof x 4 loads of the four canonical
+  J-data J_k = B_x W e_k (see homogenize) of the rod fields W, and their
+  Gram matrix J_gram = W^T K_xx W; exact on every Q1 cross-section, as x is
+  its own bilinear interpolant;
 - the tiled embedding blocks E0 and E1 (see embedding_blocks), whose E0 is the
   rigid-motion kernel of K(0) that the quotient solver factors out;
 - the scalar blocks of the H1 norm: S_hat (cross-section gradients), S_y
@@ -166,8 +167,6 @@ class AssembledForms:
         for slot, comp in _BX:
             Bx[:, slot, :, comp] = N
         Bs, Bx = Bs.reshape(n_ec, 8, 6, 24), Bx.reshape(8, 6, 24)
-        xhat = (N[:, :4] + N[:, 4:]) @ X                                  # (n_ec, 8, 2)
-        J = np.stack([homogenize.j_voigt(m, xhat) for m in np.eye(4)], axis=-1)  # (n_ec, 8, 6, 4)
         D = np.array([[profile.evaluate(y0 + (zg + 1) / 2.0 * hz).voigt for zg in z[:, 0]]
                       for y0 in mesh.y_nodes])[:, None]                    # (n_y, 1, 8, 6, 6)
 
@@ -176,17 +175,12 @@ class AssembledForms:
                                 cross.elements + np.roll(layers, -1, axis=0)], axis=2)
         dofs = (3 * nodes[..., None] + np.arange(3)).reshape(n_y, n_ec, 24)
         n_dof, n_nodes = mesh.n_dof, mesh.n_nodes
-        K_ss, P, Ls = _integrate(w, Bs, [Bs, Bx, J], D)
-        K_xx, Lx = _integrate(w, Bx, [Bx, J], D)
+        K_ss, P = _integrate(w, Bs, [Bs, Bx], D)
+        K_xx, = _integrate(w, Bx, [Bx], D)
         self.K_ss = _sparse(K_ss, dofs, n_dof)
         self.K_xx = _sparse(K_xx, dofs, n_dof)
         self.P = _sparse(P, dofs, n_dof)
         self.K_sx = (1j * (self.P - self.P.T)).tocsr()
-        self.Ls = np.zeros((n_dof, 4))
-        np.add.at(self.Ls, dofs, Ls)
-        self.Lx = np.zeros((n_dof, 4))
-        np.add.at(self.Lx, dofs, Lx)
-        self.J_gram = _integrate(w, J, [J], D)[0].sum(axis=(0, 1))
 
         Nv, G12, Gy = N[:, None, :], G[:, :, :2], G[:, :, 2:]
         M1, = _integrate(w, Nv, [Nv])
@@ -203,6 +197,10 @@ class AssembledForms:
         self.E0, self.E1 = (np.tile(E.T, n_y).T for E in embedding_blocks(cross))
         # the rigid motions: the four columns of E0, extension before torsion
         self.kernel_fields = np.ascontiguousarray(self.E0.T[[0, 1, 3, 2]])
+        # the rod fields W: u3 = -x1, u3 = -x2 (Im E1), the torsion, the extension
+        W = np.hstack([self.E1[:, :2].imag, self.E0[:, 2:]])
+        self.Ls, self.Lx = self.P @ W, self.K_xx @ W
+        self.J_gram = W.T @ self.Lx
         # P T and K_xx T for the in-plane translations T: the chi-independent
         # test columns of the bend coefficient projection
         T = self.E0[:, :2]

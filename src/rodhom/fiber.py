@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fem, homogenize as hz
-from .checks import POSITIVE, is_list_of, require
+from .checks import POSITIVE, is_integer, is_list_of, require
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ class FiberOps:
     def __init__(self, forms, chi, regime):
         self.spec = _chain_regime(regime)
         s = self.spec.slots
-        self.forms, self.chi, self.regime = forms, chi, regime
+        self.forms, self.chi = forms, chi
         g = hz.g_scaling(chi)
         # each block is the slots' columns of its four-slot block, so it
         # rounds as it does on all four slots
@@ -102,21 +102,23 @@ def spectrum_scaling(forms, chi_grid, k=5):
     ratios the spectral-gap statements are about: one eigensolve per chi, in
     the order of the grid, each on the forms' resolvent LU at t = chi^-4
     (see fem.smallest_eigs). A chi_grid that is not a list of positive
-    numbers, which the ratios need, raises ValueError before any solve."""
+    numbers, which the ratios need, or a k that is not an integer >= 5,
+    which the two pairs and lambda5 need, raises ValueError before any
+    solve."""
     require("chi_grid", chi_grid, "a nonempty list of positive numbers",
             lambda v: is_list_of(v, 1, POSITIVE[1]))
+    require("k", k, "an integer >= 5", lambda v: is_integer(v) and v >= 5)
     eigs = [fem.smallest_eigs(forms, chi, k)[0] for chi in chi_grid]
     return [{"chi": chi,
              "eigs": vals,
              "ratio_bend": vals[:2] / chi ** 4,
              "ratio_stretch": vals[2:4] / chi ** 2,
-             "lambda5": vals[4] if k >= 5 else None}
+             "lambda5": vals[4]}
             for chi, vals in zip(chi_grid, eigs)]
 
 
 def rayleigh_bounds(forms, chi):
-    """Max Rayleigh quotients over the embedded bend/stretch test spaces, and
-    the min over a sample orthogonal to both."""
+    """Max Rayleigh quotients over the embedded bend/stretch test spaces."""
     K = forms.K(chi)
     M = forms.M
 
@@ -125,16 +127,7 @@ def rayleigh_bounds(forms, chi):
 
     qb = max(quotient(v) for v in FiberOps(forms, chi, "bend").E.T)
     qs = max(quotient(v) for v in FiberOps(forms, chi, "stretch").E.T)
-
-    # fields M-orthogonal to both embedded spaces
-    rng = np.random.default_rng(11)
-    qmin = np.inf
-    ops = FiberOps(forms, chi, "general_chi4")
-    for _ in range(5):
-        v = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-        v = v - ops.E @ np.linalg.solve(ops.C, ops.E.conj().T @ (M @ v))
-        qmin = min(qmin, quotient(v))
-    return {"bend_quotient": qb, "stretch_quotient": qs, "orthogonal_min": qmin}
+    return {"bend_quotient": qb, "stretch_quotient": qs}
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +148,7 @@ class Chain:
 
     def __init__(self, ops, t, depth="full"):
         self.ops, self.t, self.depth = ops, t, depth
-        self.regime, self.chi = ops.regime, ops.chi
+        self.chi = ops.chi
         self.symbol = t * ops.A + ops.C
         self.m, self.terms, self.residuals = {}, {}, []
 

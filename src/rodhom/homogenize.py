@@ -2,29 +2,19 @@
 
 The coefficient vector m = (m1, m2, m3, m4) collects two bending curvatures,
 the torsion rate and the stretching rate. The associated strain data are the
-J-matrices; their chi-scaled versions are Lambda^bend = (i chi)^2 J^bend and
-Lambda^stretch = i chi J^stretch, which we realise through the diagonal
-scaling G(chi) = diag((i chi)^2, (i chi)^2, i chi, i chi). So the first-order
-corrector map at a fiber is the cell basis times G(chi); fiber.FiberOps.B1
-holds its columns on the slots of a chain regime.
+J-matrices J_m = B_x W m, the longitudinal strains of the rod fields W (see
+fem.AssembledForms: the out-of-line tilts, the torsion and the extension),
+which enter only through the assembled loads Ls = P W, Lx = K_xx W and their
+Gram matrix W^T K_xx W. Their chi-scaled versions are Lambda^bend =
+(i chi)^2 J^bend and Lambda^stretch = i chi J^stretch, which we realise
+through the diagonal scaling G(chi) = diag((i chi)^2, (i chi)^2, i chi, i chi).
+So the first-order corrector map at a fiber is the cell basis times G(chi);
+fiber.FiberOps.B1 holds its columns on the slots of a chain regime.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def j_voigt(m, coords):
-    """The strain pattern J_m of the Bernoulli-Navier motion with
-    coefficients m, as engineering Voigt vectors over a coordinate array
-    whose last axis holds (x1, x2) or (x1, x2, y)."""
-    coords = np.asarray(coords)
-    x1, x2 = coords[..., 0], coords[..., 1]
-    out = np.zeros(coords.shape[:-1] + (6,), dtype=np.result_type(np.asarray(m).dtype, float))
-    out[..., 2] = -x1 * m[0] - x2 * m[1] + m[3]
-    out[..., 3] = -x1 * m[2]
-    out[..., 4] = x2 * m[2]
-    return out
 
 
 def g_scaling(chi):

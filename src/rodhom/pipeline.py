@@ -135,22 +135,21 @@ def _limit_matrix(forms, chi, t, regime):
     return t * hz.chi_tensor(forms, chi)[..., slots, slots] + C
 
 
-def limit_resolvent(forms, f, gamma, regime, use_xi=True, momentum_variant="eps"):
+def limit_resolvent(forms, f, gamma, regime, use_xi=True):
     """Leading-order line approximant: per longitudinal frequency theta, the
     momentum map, the symbol solve and the adjoint embedding at chi = eps
-    theta, all frequencies at once. With momentum_variant "zero" the
-    embedding is E0 alone. E0 and E1 are the first slab of the forms' tiles."""
+    theta, all frequencies at once. E0 and E1 are the first slab of the
+    forms' tiles."""
     n, slots = 3 * forms.mesh.cross.n_nodes, _line_regime(regime).facts.slots
     E0, E1 = forms.E0[:n, slots], forms.E1[:n, slots]
     t = f.eps ** (-(gamma + 2.0))
     g = tr.xi_smoothing(f) if use_xi else f
     ghat = np.fft.fft(g.values, axis=0)
     chi = f.eps * (2.0 * np.pi * np.fft.fftfreq(f.S, d=f.L / f.S))
-    tilt = np.zeros((f.S, 1)) if momentum_variant == "zero" else chi[:, None]
     Mg = (forms.cross_mass @ ghat.reshape(f.S, -1, 3)).reshape(f.S, -1)
-    mom = Mg @ E0.conj() + tilt * (Mg @ E1.conj())
+    mom = Mg @ E0.conj() + chi[:, None] * (Mg @ E1.conj())
     mhat = np.linalg.solve(_limit_matrix(forms, chi, t, regime), mom[..., None])[..., 0]
-    return f.like(np.fft.ifft(mhat @ E0.T + tilt * (mhat @ E1.T), axis=0))
+    return f.like(np.fft.ifft(mhat @ E0.T + chi[:, None] * (mhat @ E1.T), axis=0))
 
 
 def _require_aligned(chis, F):
@@ -374,10 +373,16 @@ def _scaled_load(cfg, g):
     return g.like(fiber.apply_load_scaling(g.values, tag, eps=g.eps, delta=cfg.delta))
 
 
+def rod_symmetric(profile):
+    """True iff every layer of the profile has rod material symmetry, which
+    the parity split of the stretch and bend regimes needs."""
+    return all(check_rod_material_symmetry(t) for _, _, t in profile.layers)
+
+
 def _require_rod_symmetry(forms, split):
     """The regimes in split, those to run that have a parity, rest on the
     parity split, which needs rod material symmetry in every layer."""
-    if split and not all(check_rod_material_symmetry(t) for _, _, t in forms.profile.layers):
+    if split and not rod_symmetric(forms.profile):
         raise ValueError("the regimes that split by parity (%s) need rod material symmetry "
                          "in every layer (see check_rod_material_symmetry)" % ", ".join(split))
 

@@ -68,12 +68,9 @@ class FiberBundle:
     def y_nodes(self):
         return -0.5 + np.arange(self.n_y) / self.n_y
 
-    def fiber(self, k):
-        """Product-mesh dof vector of fiber k (y-major, matching ProductMesh)."""
-        return self.values[k].reshape(-1)
-
     def fibers(self):
-        """The product-mesh dof vectors of every fiber, as an (N, n_dof) array."""
+        """The product-mesh dof vectors of every fiber (y-major, matching
+        ProductMesh), as an (N, n_dof) array."""
         return self.values.reshape(len(self.chis), -1)
 
     def like(self, values):

@@ -1,6 +1,6 @@
 """Element-by-element Gauss quadrature of the Q1 fiber forms, written as plain
-loops: an oracle for the assembled operators. Validation-only; not part of
-the library."""
+loops, and the J-data as closed-form strain patterns: oracles for the
+assembled operators. Validation-only; not part of the library."""
 
 import numpy as np
 
@@ -95,3 +95,16 @@ def strain_matrices(N, G):
         Bs[5, c], Bs[5, c + 1] = d2, d1
         Bx[2, c + 2] = Bx[3, c + 1] = Bx[4, c] = N[a]
     return Bs, Bx
+
+
+def j_voigt(m, coords):
+    """The strain pattern J_m of the Bernoulli-Navier motion with
+    coefficients m, as engineering Voigt vectors over a coordinate array
+    whose last axis holds (x1, x2) or (x1, x2, y)."""
+    coords = np.asarray(coords)
+    x1, x2 = coords[..., 0], coords[..., 1]
+    out = np.zeros(coords.shape[:-1] + (6,), dtype=np.result_type(np.asarray(m).dtype, float))
+    out[..., 2] = -x1 * m[0] - x2 * m[1] + m[3]
+    out[..., 3] = -x1 * m[2]
+    out[..., 4] = x2 * m[2]
+    return out

@@ -12,6 +12,8 @@ from rodhom import fiber, pipeline as pl
 from rodhom.geometry import cross_mass
 from rodhom.transform import FiberBundle, LineField, _twiddle, chi_values, gelfand, gelfand_inverse
 
+from support_embedding import limit_resolvent_loop
+
 # each line regime's chain regime and the error components it reports,
 # written out here so that the rate-study oracle checks the library's table
 CHAIN_REGIME = {"stretch": "stretch", "bend": "bend", "rod": "general_chi2"}
@@ -51,7 +53,7 @@ def line_inner_loop(forms, a, b):
     ba, bb = gelfand(a), gelfand(b)
     out = 0.0 + 0.0j
     for k in range(len(ba.chis)):
-        out += np.vdot(ba.fiber(k), forms.M @ bb.fiber(k))
+        out += np.vdot(ba.fibers()[k], forms.M @ bb.fibers()[k])
     return complex(out / ba.n_y)
 
 
@@ -61,7 +63,7 @@ def line_error_norm_loop(forms, e, kind="l2", component=None):
     b = gelfand(e)
     tot = 0.0
     for k in range(len(b.chis)):
-        u = b.fiber(k)
+        u = b.fibers()[k]
         if kind == "l2":
             tot += forms.norm_sq_l2(u, component)
         else:
@@ -137,7 +139,7 @@ def corrector_fields_loop(forms, f, t, regime):
     for k, chi in enumerate(b.chis):
         if chi == 0.0:
             continue
-        ch = fiber.build_chain(forms, float(chi), t, CHAIN_REGIME[regime], b.fiber(k),
+        ch = fiber.build_chain(forms, float(chi), t, CHAIN_REGIME[regime], b.fibers()[k],
                                scaling="none", depth="correctors")
         v1[k] = ch.terms["u1"].reshape(b.n_y, -1)
         v2[k] = ch.terms["u0_1"].reshape(b.n_y, -1)
@@ -147,7 +149,7 @@ def corrector_fields_loop(forms, f, t, regime):
 def rate_errors_loop(cfg, forms):
     """pipeline.rate_experiment's worst error per eps in the line picture,
     one load at a time: the reference through LineResolvent.apply, the
-    leading approximant through the frequency form limit_resolvent, the
+    leading approximant through the frequency loop limit_resolvent_loop, the
     corrections pulled back to the line, and each error transformed again
     for its norm. Returns {(regime, component, order): [error per eps]}."""
     out = {}
@@ -160,8 +162,8 @@ def rate_errors_loop(cfg, forms):
                                    n_loads=cfg.n_loads, seed=cfg.seed):
                 g = pl._scaled_load(cfg, f) if regime == "bend" else f
                 ref = R.apply(g).values
-                a0 = pl.limit_resolvent(forms, g, cfg.gamma, regime,
-                                        momentum_variant=cfg.momentum_variant).values
+                a0 = limit_resolvent_loop(forms, g, cfg.gamma, regime,
+                                          momentum_variant=cfg.momentum_variant).values
                 u1, u01 = corrector_fields_loop(forms, g, R.t, regime)
                 approx = {0: a0, 1: a0 + u1, 2: a0 + u1 + u01}
                 for o in cfg.orders:

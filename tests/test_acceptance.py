@@ -158,7 +158,7 @@ def test_05_exact_identities(forms):
     ok = ok and np.max(np.abs(C - C_rod_chi(md, 0.3))) < 1e-12
 
     bb = tr.gelfand(lf)
-    moms = np.array([fiber.FiberOps(forms, bb.chis[k], "general_chi2").momentum(bb.fiber(k))
+    moms = np.array([fiber.FiberOps(forms, bb.chis[k], "general_chi2").momentum(bb.fibers()[k])
                      for k in range(N)])
     lifted = tr.FiberBundle(np.broadcast_to(moms[:, None, :], (N, NY, 4)).copy(),
                             bb.chis, EPS)

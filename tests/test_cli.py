@@ -8,6 +8,7 @@ import scipy
 
 import rodhom
 from rodhom import cli, fem
+from rodhom.material import make_isotropic
 
 
 @pytest.fixture()
@@ -60,6 +61,21 @@ def test_fiber_rates(tmp_path, small_cfg):
     assert cli.main(["fiber-rates", "--config", small_cfg, "--out", str(out)]) == 0
     rep = _report(out)
     assert all(s["passed"] for s in rep["slopes"])
+
+
+def test_fiber_rates_intertwined(tmp_path):
+    # the paper's intertwined case: a layer coupling e33 with 2e13 has no rod
+    # material symmetry, so the run takes the regimes without a parity split
+    C = make_isotropic(5.0, 5.0).voigt.copy()
+    C[2, 4] = C[4, 2] = 3.0
+    cfg = _write(tmp_path, {"material": {"layers": [
+        {"from": -0.5, "to": 0.0, "model": {"isotropic": {"lambda": 1.0, "mu": 1.0}}},
+        {"from": 0.0, "to": 0.5, "model": {"voigt": C.tolist()}}]}})
+    out = tmp_path / "f"
+    assert cli.main(["fiber-rates", "--config", cfg, "--out", str(out)]) == 0
+    slopes = _report(out)["slopes"]
+    assert [s["regime"] for s in slopes] == ["general_chi2"] * 2 + ["general_chi4"] * 4
+    assert all(s["passed"] for s in slopes)
 
 
 def test_resolvent_rates(tmp_path, small_cfg):

@@ -14,8 +14,8 @@ from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, cro
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
 from support_embedding import nodal_field
-from support_quadrature import (cross_mass_loop, gauss_points, graded_square, strain_matrices,
-                                total_area)
+from support_quadrature import (cross_mass_loop, gauss_points, graded_square, j_voigt,
+                                strain_matrices, total_area)
 
 
 def dense_saddle_solve(forms, load):
@@ -149,7 +149,7 @@ def test_energy_identity():
         mass += w * np.sum(np.abs(vals) ** 2)
         h1 += w * (np.sum(np.abs(vals) ** 2) + np.sum(np.abs(grads[:2]) ** 2)
                    + np.sum(np.abs(grads[2] + 1j * chi * vals) ** 2) / eps ** 2)
-        J = np.array([hz.j_voigt(m, xhat) for m in np.eye(4)]).T
+        J = np.array([j_voigt(m, xhat) for m in np.eye(4)]).T
         Ls[dofs] += w * Bs.T @ D @ J
         Lx[dofs] += w * Bx.T @ D @ J
         J_gram += w * J.T @ D @ J

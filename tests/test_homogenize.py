@@ -7,7 +7,7 @@ from rodhom.material import MaterialProfile, make_isotropic
 
 from support_cell import chi_tensor_direct
 from support_embedding import nodal_field
-from support_quadrature import gauss_points, graded_square
+from support_quadrature import gauss_points, graded_square, j_voigt
 from support_torsion import torsion_constant
 
 
@@ -34,17 +34,17 @@ def test_j_matrix_entries():
     # slot 13
     expect = np.zeros(6)
     expect[2] = -1.0
-    assert np.allclose(hz.j_voigt([1, 0, 0, 0], (1.0, 0.0)), expect)
+    assert np.allclose(j_voigt([1, 0, 0, 0], (1.0, 0.0)), expect)
     expect = np.zeros(6)
     expect[4] = 1.0
-    assert np.allclose(hz.j_voigt([0, 0, 1, 0], (0.0, 1.0)), expect)
-    assert np.allclose(hz.j_voigt([0, 0, 0, 0], (0.3, -0.2)), 0)
+    assert np.allclose(j_voigt([0, 0, 1, 0], (0.0, 1.0)), expect)
+    assert np.allclose(j_voigt([0, 0, 0, 0], (0.3, -0.2)), 0)
 
 
 def test_lambda_matrix():
     # Lambda_m is J of the coefficients G(chi) m
     def lam(chi, m, xhat):
-        return hz.j_voigt(hz.g_scaling(chi) * np.asarray(m, dtype=complex), xhat)
+        return j_voigt(hz.g_scaling(chi) * np.asarray(m, dtype=complex), xhat)
     assert np.allclose(lam(0.0, [1, 2, 3, 4], (0.5, 0.5)), 0)
     L = lam(0.1, [0, 0, 0, 1], (0.0, 0.0))
     assert abs(L[2] - 0.1j) < 1e-15
@@ -57,7 +57,7 @@ def test_lambda_bend_l2_norm(forms_hom):
     chi = 0.3
     m = hz.g_scaling(chi) * [1, 0, 0, 0]
     # engineering Voigt: plain sum of squares only for the normal slot used here
-    nrm = np.sqrt(sum(w * np.sum(np.abs(hz.j_voigt(m, xhat)) ** 2)
+    nrm = np.sqrt(sum(w * np.sum(np.abs(j_voigt(m, xhat)) ** 2)
                       for _, w, _, _, _, xhat in gauss_points(forms_hom)))
     assert abs(nrm - chi ** 2 * np.sqrt(1 / 12)) < 1e-3
 

@@ -168,7 +168,7 @@ def test_momentum_transform_identity(lf, cross):
     mesh = ProductMesh(cross, NY)
     forms = fem.assemble(MaterialProfile.constant(make_isotropic(1.0, 1.0)), mesh)
     b = tr.gelfand(lf)
-    moms = np.array([fiber.FiberOps(forms, b.chis[k], "general_chi2").momentum(b.fiber(k))
+    moms = np.array([fiber.FiberOps(forms, b.chis[k], "general_chi2").momentum(b.fibers()[k])
                      for k in range(N)])
     lifted = tr.FiberBundle(np.broadcast_to(moms[:, None, :], (N, NY, 4)).copy(),
                             b.chis, EPS)
