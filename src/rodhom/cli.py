@@ -15,7 +15,7 @@ import scipy
 
 from . import __version__, fem, fiber, pipeline as pl
 from .checks import require
-from .geometry import ProductMesh, build_rectangle, is_centrally_symmetric
+from .geometry import ProductMesh, build_rectangle
 from .homogenize import rod_tensor
 from .material import profile_from_json
 
@@ -81,12 +81,18 @@ def _experiment_config(cfg, orders):
         return pl.ExperimentConfig(orders=orders, **{k: cfg[k] for k in _EXPERIMENT_KEYS})
 
 
-def load_config(path):
+# the commands that run the line rate study on the config's regimes
+_RATE_COMMANDS = ("resolvent-rates", "h1-rates", "higher-order-rates", "validate")
+
+
+def load_config(path, command=None):
     """DEFAULT_CONFIG deep-merged with the JSON file at path. A key the
     defaults do not have, or a value of the wrong type or out of range,
     raises ValueError naming its dotted key, before anything is assembled:
     the ExperimentConfig, the meshes and the material profile are built
-    here once to check their values."""
+    here once to check their values. For a command of the line rate study,
+    regimes that split by parity are rejected where the material and
+    cross-section do not split (fem.parity_pairing)."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         with open(path) as fh:
@@ -95,8 +101,13 @@ def load_config(path):
     # objects built from them here
     require("config key chi_grid", cfg["chi_grid"], *pl.CHI_GRID)
     _experiment_config(cfg, (0,))
-    _mesh(cfg)
-    profile_from_json(cfg["material"])
+    cross = _mesh(cfg).cross
+    profile = profile_from_json(cfg["material"])
+    split = [r for r in cfg["regimes"] if pl.LINE_REGIMES[r].facts.parity]
+    if command in _RATE_COMMANDS and split and fem.parity_pairing(profile, cross) is None:
+        raise ValueError("config key regimes must be free of the regimes that split by parity "
+                         "(%s) where a layer lacks rod material symmetry or the cross-section "
+                         "is not centrally symmetric, not %s" % (", ".join(split), cfg["regimes"]))
     return cfg
 
 
@@ -178,17 +189,14 @@ def cmd_spectrum(cfg, forms, outdir):
 
 
 def _fiber_loads(cfg, forms):
-    symmetric, pairing = is_centrally_symmetric(forms.mesh.cross)
     rng = np.random.default_rng(cfg["seed"])
     f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
     fn = f / np.sqrt(forms.norm_sq_l2(f))
-    # the regimes with a parity after the others, only where the parity split
-    # holds: on a symmetric cross-section of a rod-symmetric material
-    split = symmetric and pl.rod_symmetric(forms.profile)
+    # the regimes with a parity after the others, only where the forms split
     loads = {regime: fn for regime, spec in fiber.CHAIN_REGIMES.items() if not spec.parity}
     for regime, spec in fiber.CHAIN_REGIMES.items():
-        if spec.parity and split:
-            fr = fem.project_symmetry(f, spec.parity, forms.mesh, pairing)
+        if spec.parity and forms.pairing is not None:
+            fr = fem.project_symmetry(f, spec.parity, forms.mesh, forms.pairing)
             loads[regime] = fr / np.sqrt(forms.norm_sq_l2(fr))
     return loads
 
@@ -264,7 +272,7 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, args.command)
     os.makedirs(args.out, exist_ok=True)
     forms = build_problem(cfg)
     ok = COMMANDS[args.command](cfg, forms, args.out)

@@ -36,11 +36,16 @@ forms are cached properties of AssembledForms.
 Every sparse LU goes through factorize and is Hermitian positive definite:
 K_ss with four dofs pinned (QuotientSolver) and the resolvents t K(chi) + M,
 each in SuperLU's symmetric mode with every pivot checked to be positive,
-and each in one nested-dissection order of the mesh (AssembledForms.order).
+and each in a nested-dissection order of the mesh (AssembledForms.order).
 The forms keep one resolvent LU per (chi, t) they are asked for
 (AssembledForms.resolvent) for their lifetime: the fiber-rate study and the
 shift-invert eigensolves, whose matrix K(chi) + M / t is the resolvent's up
-to the factor t, share it.
+to the factor t, share it. Where the forms split into the bend and stretch
+parity classes (parity_pairing: rod-symmetric layers on a centrally
+symmetric cross-section), these LUs are of the block-diagonal matrix in the
+orthogonal ParityBasis, each block in a nested-dissection order of the
+folded half-mesh, in one factorize call; the resolvents that other callers
+build (ResolventSolver with no basis) stay in AssembledForms.order.
 """
 
 import weakref
@@ -51,7 +56,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import geometry, homogenize
+from . import geometry, homogenize, material
 
 
 KERNEL_TOLERANCE = 1e-8   # the largest relative kernel residual QuotientSolver accepts
@@ -248,13 +253,26 @@ class AssembledForms:
     def quotient(self):
         return QuotientSolver(self)
 
+    @cached_property
+    def pairing(self):
+        """The node pairing of the parity split, or None where the forms do
+        not split (see parity_pairing)."""
+        return parity_pairing(self.profile, self.mesh.cross)
+
+    @cached_property
+    def parity_basis(self):
+        """The ParityBasis the forms' resolvents factorise in, or None where
+        the forms do not split by parity."""
+        return None if self.pairing is None else ParityBasis(self)
+
     def resolvent(self, chi, t):
         """The ResolventSolver of t K(chi) + M, factorised on first use and
-        kept for the lifetime of the forms, one per (chi, t). It holds no
-        reference to the forms, so dropping them frees its LU."""
+        kept for the lifetime of the forms, one per (chi, t), in the forms'
+        parity basis where they split. It holds no reference to the forms,
+        so dropping them frees its LU."""
         key = (chi, t)
         if key not in self._resolvents:
-            self._resolvents[key] = ResolventSolver(self, chi, t)
+            self._resolvents[key] = ResolventSolver(self, chi, t, self.parity_basis)
         return self._resolvents[key]
 
     @cached_property
@@ -370,11 +388,11 @@ def assemble(profile, mesh):
 
 def factorize(A, order):
     """Sparse LU of a Hermitian positive definite A in the given order (see
-    AssembledForms.order): SuperLU factorises A[order][:, order] as it is, in
-    its symmetric mode with diagonal pivots, and the OrderedLU returned
-    solves with A. Unpivoted, an indefinite A would give wrong solves, so a
-    pivot (diagonal of U) whose real part is not positive raises
-    SingularSystem."""
+    AssembledForms.order and ParityBasis.order): SuperLU factorises
+    A[order][:, order] as it is, in its symmetric mode with diagonal pivots,
+    and the OrderedLU returned solves with A. Unpivoted, an indefinite A
+    would give wrong solves, so a pivot (diagonal of U) whose real part is
+    not positive raises SingularSystem."""
     try:
         lu = spla.splu(sp.csc_matrix(A[order][:, order]), permc_spec="NATURAL",
                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -399,14 +417,130 @@ class OrderedLU:
 class ResolventSolver:
     """Factorisation of (t K(chi) + M) for repeated loads; solves
     (t K(chi) + M) u = M f, Hermitian positive definite, no constraints.
-    The solver keeps no reference to the forms."""
+    Given a ParityBasis it factorises the block-diagonal matrix of that
+    basis, else t K(chi) + M in forms.order. The solver keeps no reference
+    to the forms."""
 
-    def __init__(self, forms, chi, t):
+    def __init__(self, forms, chi, t, basis=None):
         self.M = forms.M
-        self.lu = factorize(t * forms.K(chi) + forms.M, forms.order)
+        if basis is None:
+            self.lu = factorize(t * forms.K(chi) + forms.M, forms.order)
+        else:
+            self.lu = ParityLU(factorize(basis.matrix(chi, t), basis.order), basis)
 
     def solve(self, load_field):
         return self.lu.solve(self.M @ np.asarray(load_field, dtype=complex))
+
+
+def parity_pairing(profile, cross):
+    """The pairing of the parity split, pairing[i] being the cross-section
+    node at -x_i, where the forms of profile on cross split into the bend
+    and stretch parity classes: every layer has rod material symmetry and
+    the cross-section is centrally symmetric. None where they do not. The
+    parity regimes, their loads and the resolvents' basis all read this
+    rule."""
+    symmetric, pairing = geometry.is_centrally_symmetric(cross)
+    rod = all(material.check_rod_material_symmetry(t) for _, _, t in profile.layers)
+    return pairing if symmetric and rod else None
+
+
+# the displacement components that each parity class keeps even under
+# x-hat -> -x-hat; the others are odd
+_EVEN = {"bend": np.array([True, True, False]), "stretch": np.array([False, False, True])}
+
+
+class ParityBasis:
+    """The orthogonal basis Q of the two parity classes of the forms, and the
+    forms' operators in it.
+
+    Q's columns are the bend dofs, then the stretch dofs. Each product-mesh
+    node pair (a, b), b the node at -x-hat of a, with a <= b, gives each
+    class one column per component, (e_a + s e_b) / sqrt 2 with the class's
+    sign s of that component; a node that is its own pair (a = b) keeps only
+    the components with s = 1, as e_a. On a split (see parity_pairing),
+    Q^T A Q is block diagonal for A = K_ss, K_sx, K_xx and M: the coupling
+    between the blocks is dropped, after a check that it is at most 1e-12
+    of each operator's largest entry (PairingMismatch otherwise). The four
+    blocks are kept on one sparsity pattern, so the matrix of t K(chi) + M
+    is one combination of their data per (chi, t).
+
+    order, the factorisation order, takes each block in a nested-dissection
+    order of the folded half-mesh (the pairs, joined where any of their
+    nodes are, at the coordinates of a, with y in units of the mean
+    cross-section element size): bend, then stretch. SuperLU makes no fill
+    between the blocks.
+    """
+
+    def __init__(self, forms):
+        mesh, pairing = forms.mesh, forms.pairing
+        n_c, n = mesh.cross.n_nodes, mesh.n_dof
+        reps = np.flatnonzero(np.arange(n_c) <= pairing)
+        layers = np.arange(mesh.n_y)[:, None] * n_c
+        a, b = (layers + reps).ravel(), (layers + pairing[reps]).ravel()
+        fold = np.empty(mesh.n_nodes, dtype=int)
+        fold[a] = fold[b] = np.arange(len(a))
+        graph = forms.M1.tocoo()
+        # y scaled so that the bisection cuts the axis with the most nodes
+        # along it: on the 8x8x16 cell, y has 16 and the folded section at
+        # most 9, and a t K + M block LU keeps 10% fewer L+U entries than
+        # with plain coordinates (AssembledForms.order keeps those)
+        x = mesh.node_coords()[a] * [1.0, 1.0, mesh.n_y / np.sqrt(len(mesh.cross.elements))]
+        nested = _dissect(x, fold[graph.row], fold[graph.col])
+        # a node its own pair is entered twice with weight 1/2
+        w = np.where(a == b, 0.5, np.sqrt(0.5))[:, None]
+        rows, cols, vals, order = [], [], [], []
+        for even in _EVEN.values():
+            sign = np.where(even, 1.0, -1.0)
+            keep = (a != b)[:, None] | even
+            col = np.full(keep.shape, -1)   # numbered after the classes before
+            col[keep] = sum(map(len, order)) + np.arange(keep.sum())
+            for node, s in ((a, 1.0), (b, sign)):
+                dof = 3 * node[:, None] + np.arange(3)
+                rows.append(dof[keep])
+                cols.append(col[keep])
+                vals.append(np.broadcast_to(s * w, keep.shape)[keep])
+            order.append(col[nested][keep[nested]])
+        self.Q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                       np.concatenate(cols))), shape=(n, n))
+        self.order = np.concatenate(order)
+        n_bend = len(order[0])
+        blocks = []
+        for name in ("K_ss", "K_sx", "K_xx", "M"):
+            A = (self.Q.T @ getattr(forms, name) @ self.Q).tocoo()
+            off = (A.row < n_bend) != (A.col < n_bend)
+            coupling = np.max(np.abs(A.data[off]), initial=0.0)
+            if coupling > 1e-12 * np.max(np.abs(A.data)):
+                raise PairingMismatch("%s couples the parity classes: %.3e of its largest "
+                                      "entry" % (name, coupling / np.max(np.abs(A.data))))
+            blocks.append((A.row[~off].astype(np.int64) * n + A.col[~off], A.data[~off]))
+        # the union of the four patterns, row-major as CSR keeps it (sorted
+        # by hand: np.unique hashes, 10 times slower here)
+        keys = np.sort(np.concatenate([k for k, _ in blocks]))
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        self.data = []
+        for k, v in blocks:
+            data = np.zeros(len(keys), dtype=v.dtype)
+            data[np.searchsorted(keys, k)] = v
+            self.data.append(data)
+        self.indices = keys % n
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
+
+    def matrix(self, chi, t):
+        """Q^T (t K(chi) + M) Q, block diagonal, as CSR."""
+        ss, sx, xx, m = self.data
+        return sp.csr_matrix((t * (ss + chi * sx + chi ** 2 * xx) + m, self.indices,
+                              self.indptr), shape=self.Q.shape)
+
+
+class ParityLU:
+    """An OrderedLU of the parity-basis matrix Q^T A Q (see ParityBasis),
+    solving A x = b in A's numbering: x = Q lu.solve(Q^T b)."""
+
+    def __init__(self, lu, basis):
+        self.lu, self.Q = lu, basis.Q
+
+    def solve(self, b):
+        return self.Q @ self.lu.solve(self.Q.T @ b)
 
 
 def smallest_eigs(forms, chi, k):
@@ -414,16 +548,22 @@ def smallest_eigs(forms, chi, k):
     sigma = -1/t, on the resolvent LU of the forms: (K(chi) - sigma M)^-1 =
     t (t K(chi) + M)^-1. t = chi^-4 is the bend coupling, whose LU the
     fiber-rate study at the same chi shares; at chi = 0, where K(0) has the
-    rigid kernel, sigma = -1e-8 mean |diag K(0)|."""
-    K = forms.K(chi)
-    t = chi ** -4 if chi != 0 else 1.0 / (1e-8 * float(np.abs(K.diagonal()).mean()))
-    # eigsh keeps its operator in a reference cycle: through a weak proxy it
-    # does not keep the forms' LU alive once the forms are dropped
+    rigid kernel, sigma = -1e-8 mean |diag K_ss|. In shift-invert mode with
+    OPinv given, ARPACK multiplies by M and OPinv only, so K(chi) is not
+    assembled: eigsh gets it as an operator of its three parts."""
+    t = chi ** -4 if chi != 0 else 1.0 / (1e-8 * float(np.abs(forms.K_ss.diagonal()).mean()))
+    # eigsh keeps its operators in a reference cycle: they reach no LU but
+    # through a weak proxy, and not the forms, so dropping the forms frees
+    # their LUs
     lu = weakref.proxy(forms.resolvent(chi, t).lu)
-    OPinv = spla.LinearOperator(K.shape, matvec=lambda x: t * lu.solve(x), dtype=complex)
+    n = forms.mesh.n_dof
+    OPinv = spla.LinearOperator((n, n), matvec=lambda x: t * lu.solve(x), dtype=complex)
+    K_ss, K_sx, K_xx = forms.K_ss, forms.K_sx, forms.K_xx
+    K = spla.LinearOperator((n, n), dtype=complex, matvec=lambda x: (
+        K_ss @ x + chi * (K_sx @ x) + chi ** 2 * (K_xx @ x)))
     # fixed start vector: ARPACK's default is random, which makes the
     # achieved residuals (and bit-stability) run-dependent
-    v0 = np.ones(forms.mesh.n_dof)
+    v0 = np.ones(n)
     try:
         vals, vecs = spla.eigsh(K, k=k, M=forms.M.astype(complex), sigma=-1.0 / t,
                                 which="LM", v0=v0, OPinv=OPinv)
@@ -437,11 +577,10 @@ def parity_project(v, which, pairing):
     """Bend (u-hat even, u3 odd) or stretch (the complement) parity part,
     under x-hat -> -x-hat, of an array laid out as (..., n_cross, 3);
     pairing[i] is the cross-section node at -x_i."""
-    even = {"bend": [True, True, False], "stretch": [False, False, True]}
-    if which not in even:
+    if which not in _EVEN:
         raise ValueError("which must be 'bend' or 'stretch'")
     vr = v[..., pairing, :]  # field values at the mirrored node
-    return np.where(even[which], 0.5 * (v + vr), 0.5 * (v - vr))
+    return np.where(_EVEN[which], 0.5 * (v + vr), 0.5 * (v - vr))
 
 
 def project_symmetry(u, which, mesh, pairing):

@@ -22,7 +22,6 @@ import numpy as np
 from . import fem, fiber, homogenize as hz, transform as tr
 from .checks import POSITIVE, is_distinct, is_increasing, is_integer, is_list_of, is_number, require
 from .geometry import cross_mass, is_centrally_symmetric
-from .material import check_rod_material_symmetry
 
 
 class LineRegime(NamedTuple):
@@ -229,7 +228,9 @@ class LineResolvent:
     operator does not depend on the regime, so one solve per |chi| serves
     the loads of every regime at its eps, stacked along the leading axes.
     The factorisations are its own, not the forms' (forms.resolvent), so a
-    rate study holds those of one eps at a time.
+    rate study holds those of one eps at a time, and they are of the whole
+    matrix in forms.order, not of the parity blocks the forms' resolvents
+    take.
     """
 
     def __init__(self, forms, eps, gamma):
@@ -373,18 +374,13 @@ def _scaled_load(cfg, g):
     return g.like(fiber.apply_load_scaling(g.values, tag, eps=g.eps, delta=cfg.delta))
 
 
-def rod_symmetric(profile):
-    """True iff every layer of the profile has rod material symmetry, which
-    the parity split of the stretch and bend regimes needs."""
-    return all(check_rod_material_symmetry(t) for _, _, t in profile.layers)
-
-
-def _require_rod_symmetry(forms, split):
+def _require_parity_split(forms, split):
     """The regimes in split, those to run that have a parity, rest on the
-    parity split, which needs rod material symmetry in every layer."""
-    if split and not rod_symmetric(forms.profile):
+    parity split of the forms (see fem.parity_pairing)."""
+    if split and forms.pairing is None:
         raise ValueError("the regimes that split by parity (%s) need rod material symmetry "
-                         "in every layer (see check_rod_material_symmetry)" % ", ".join(split))
+                         "in every layer (see check_rod_material_symmetry) and a centrally "
+                         "symmetric cross-section" % ", ".join(split))
 
 
 def rate_experiment(cfg, forms):
@@ -402,7 +398,7 @@ def rate_experiment(cfg, forms):
     Each regime's approximants take its slice: fiber_limit for order 0, plus
     u1 for order 1 and u0^(1) for order 2 (fiber_correctors).
     """
-    _require_rod_symmetry(forms, [r for r in cfg.regimes if LINE_REGIMES[r].facts.parity])
+    _require_parity_split(forms, [r for r in cfg.regimes if LINE_REGIMES[r].facts.parity])
     eps_list = [cfg.length / N for N in cfg.n_grid]
     errs = [{(o, c): [] for o in cfg.orders for c in LINE_REGIMES[regime].components}
             for regime in cfg.regimes]
@@ -464,7 +460,7 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     """
     require("chi_grid", chi_grid, *CHI_GRID)
     specs = {regime: fiber._chain_regime(regime) for regime in loads}
-    _require_rod_symmetry(forms, [r for r, spec in specs.items() if spec.parity])
+    _require_parity_split(forms, [r for r, spec in specs.items() if spec.parity])
     rows = {regime: [] for regime in loads}
     errs = {k: [] for k in FIBER_THRESHOLDS if k[0] in loads}
     for chi in chi_grid:

@@ -12,8 +12,9 @@ def spectrum_scaling_loop(forms, chi_grid, k=5):
 
 
 def fiber_rate_study_loop(forms, loads, chi_grid=pl.CHI_SWEEP):
-    """fiber_rate_study with each chi's factorisations, chains, reference
-    solves and error rows made in turn."""
+    """fiber_rate_study with each chi's chains, reference solves and error
+    rows made in turn, the solves on the forms' resolvent LUs
+    (forms.resolvent), in whichever basis the forms factorise them."""
     rows = {regime: [] for regime in loads}
     errs = {k: [] for k in pl.FIBER_THRESHOLDS}
     for chi in chi_grid:
@@ -22,7 +23,7 @@ def fiber_rate_study_loop(forms, loads, chi_grid=pl.CHI_SWEEP):
             split = regime in ("bend", "general_chi4")
             t = chi ** (-4 if split else -2)
             if t not in solvers:
-                solvers[t] = fem.ResolventSolver(forms, chi, t)
+                solvers[t] = forms.resolvent(chi, t)
             ch = fiber.build_chain(forms, chi, t, regime, f)
             ref = solvers[t].solve(fiber.apply_load_scaling(
                 f, "s_abs_chi" if split else "none", chi))

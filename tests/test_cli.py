@@ -63,14 +63,20 @@ def test_fiber_rates(tmp_path, small_cfg):
     assert all(s["passed"] for s in rep["slopes"])
 
 
-def test_fiber_rates_intertwined(tmp_path):
-    # the paper's intertwined case: a layer coupling e33 with 2e13 has no rod
-    # material symmetry, so the run takes the regimes without a parity split
+def _intertwined_material():
+    """The paper's intertwined case: a layer coupling e33 with 2e13 has no
+    rod material symmetry."""
     C = make_isotropic(5.0, 5.0).voigt.copy()
     C[2, 4] = C[4, 2] = 3.0
-    cfg = _write(tmp_path, {"material": {"layers": [
+    return {"layers": [
         {"from": -0.5, "to": 0.0, "model": {"isotropic": {"lambda": 1.0, "mu": 1.0}}},
-        {"from": 0.0, "to": 0.5, "model": {"voigt": C.tolist()}}]}})
+        {"from": 0.0, "to": 0.5, "model": {"voigt": C.tolist()}}]}
+
+
+def test_fiber_rates_intertwined(tmp_path):
+    # without rod material symmetry the run takes the regimes without a
+    # parity split
+    cfg = _write(tmp_path, {"material": _intertwined_material()})
     out = tmp_path / "f"
     assert cli.main(["fiber-rates", "--config", cfg, "--out", str(out)]) == 0
     slopes = _report(out)["slopes"]
@@ -186,6 +192,25 @@ def test_config_values_checked_before_assembly(tmp_path, monkeypatch, command, c
     monkeypatch.setattr(fem, "assemble", no_assembly)
     with pytest.raises(ValueError, match="config key %s must be" % key):
         cli.main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command", ["resolvent-rates", "h1-rates", "higher-order-rates",
+                                     "validate"])
+def test_parity_regimes_need_rod_symmetry_before_assembly(tmp_path, monkeypatch, command):
+    # the default regimes include stretch and bend, which the intertwined
+    # material does not split into; the commands that run them reject the
+    # config, and those that do not (fiber-rates) read it
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the config check")
+
+    monkeypatch.setattr(fem, "assemble", no_assembly)
+    cfg = _write(tmp_path, {"material": _intertwined_material()})
+    want = r"config key regimes must be .* \(stretch, bend\)"
+    with pytest.raises(ValueError, match=want):
+        cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert cli.load_config(cfg, "fiber-rates")["material"] == _intertwined_material()
+    cfg = _write(tmp_path, {"material": _intertwined_material(), "regimes": ["rod"]})
+    assert cli.load_config(cfg, command)["regimes"] == ["rod"]
 
 
 _ISO = {"isotropic": {"lambda": 1.0, "mu": 1.0}}

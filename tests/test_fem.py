@@ -466,3 +466,67 @@ def test_dropping_the_forms_frees_every_cached_lu():
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def intertwined_profile():
+    """The paper's intertwined case: a stiff layer coupling e33 with 2e13,
+    which breaks rod material symmetry."""
+    C = make_isotropic(5.0, 5.0).voigt.copy()
+    C[2, 4] = C[4, 2] = 3.0
+    return MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)), (0.0, 0.5, ElasticityTensor(C))])
+
+
+@pytest.mark.parametrize("nx, n_y", [(2, 4), (4, 8)])
+def test_split_resolvent_matches_dense_solve(nx, n_y):
+    # the block LU in the parity basis against a dense solve of t K(chi) + M,
+    # for loads of either parity class and of both; each (chi, t) keeps the
+    # condition number low enough for two direct solves to agree to 1e-10
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, nx, nx), n_y))
+    basis = forms.parity_basis
+    assert basis is not None
+    n = forms.mesh.n_dof
+    assert abs(basis.Q.T @ basis.Q - sp.identity(n)).max() <= 1e-15
+    assert np.array_equal(np.sort(basis.order), np.arange(n))
+    rng = np.random.default_rng(15)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    loads = np.column_stack([f] + [fem.project_symmetry(f, which, forms.mesh, forms.pairing)
+                                   for which in ("bend", "stretch")])
+    for chi, t in [(0.0, 3.0), (0.3, 10.0), (-0.7, 2.0), (0.4, 0.4 ** -4), (1.3, 0.5)]:
+        solver = forms.resolvent(chi, t)
+        assert isinstance(solver.lu, fem.ParityLU)
+        want = np.linalg.solve((t * forms.K(chi) + forms.M).toarray(), forms.M @ loads)
+        got = solver.solve(loads)
+        for g, w in zip(got.T, want.T):
+            assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w)
+        assert np.linalg.norm(solver.solve(f) - want[:, 0]) <= 1e-10 * np.linalg.norm(want[:, 0])
+
+
+def test_split_lu_fills_less_than_the_dof_order(default_forms):
+    # the two blocks factorise with fewer L+U entries than the coupled
+    # matrix in forms.order
+    forms = default_forms
+    split = forms.resolvent(0.1, 0.1 ** -4).lu.lu.lu
+    whole = fem.ResolventSolver(forms, 0.1, 0.1 ** -4).lu.lu
+    assert split.L.nnz + split.U.nnz < 0.9 * (whole.L.nnz + whole.U.nnz)
+
+
+def test_intertwined_forms_factorise_in_dof_order(forms):
+    mixed = fem.assemble(intertwined_profile(), forms.mesh)
+    assert mixed.pairing is None and mixed.parity_basis is None
+    lu = mixed.resolvent(0.3, 10.0).lu
+    assert isinstance(lu, fem.OrderedLU)
+    assert np.array_equal(lu.order, mixed.order)
+
+
+@pytest.mark.parametrize("name", ["K_ss", "K_sx", "K_xx", "M"])
+def test_parity_basis_rejects_coupling(name):
+    # an operator that couples the parity classes by 1e-9 of its largest
+    # entry fails the check of the first resolvent, before any factorisation
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+    A = getattr(forms, name)
+    e = np.zeros(forms.mesh.n_dof)
+    e[0] = 1.0   # u1 at node 0: half bend, half stretch
+    bump = 1e-9 * abs(A).max() * sp.csr_matrix(np.outer(e, e))
+    setattr(forms, name, (A + bump).tocsr())
+    with pytest.raises(fem.PairingMismatch, match=name):
+        forms.resolvent(0.3, 10.0)
