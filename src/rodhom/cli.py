@@ -92,7 +92,9 @@ def load_config(path, command=None):
     the ExperimentConfig, the meshes and the material profile are built
     here once to check their values. For a command of the line rate study,
     regimes that split by parity are rejected where the material and
-    cross-section do not split (fem.parity_pairing)."""
+    cross-section do not split (fem.parity_pairing); for validate, whose
+    ablations and limit/pullback check run those regimes whatever
+    `regimes` holds, such a material is rejected outright."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         with open(path) as fh:
@@ -103,11 +105,19 @@ def load_config(path, command=None):
     _experiment_config(cfg, (0,))
     cross = _mesh(cfg).cross
     profile = profile_from_json(cfg["material"])
-    split = [r for r in cfg["regimes"] if pl.LINE_REGIMES[r].facts.parity]
-    if command in _RATE_COMMANDS and split and fem.parity_pairing(profile, cross) is None:
-        raise ValueError("config key regimes must be free of the regimes that split by parity "
-                         "(%s) where a layer lacks rod material symmetry or the cross-section "
-                         "is not centrally symmetric, not %s" % (", ".join(split), cfg["regimes"]))
+    if command in _RATE_COMMANDS and fem.parity_pairing(profile, cross) is None:
+        split = [r for r in cfg["regimes"] if pl.LINE_REGIMES[r].facts.parity]
+        if split:
+            raise ValueError("config key regimes must be free of the regimes that split by "
+                             "parity (%s) where a layer lacks rod material symmetry or the "
+                             "cross-section is not centrally symmetric, not %s"
+                             % (", ".join(split), cfg["regimes"]))
+        if command == "validate":
+            raise ValueError("config key material must be layers with rod material symmetry, "
+                             "on a centrally symmetric cross-section, for validate, whose "
+                             "ablations and limit/pullback check run the regimes that split by "
+                             "parity (%s) whatever regimes holds" % ", ".join(
+                                 r for r in pl.REGIMES if pl.LINE_REGIMES[r].facts.parity))
     return cfg
 
 

@@ -60,6 +60,7 @@ from . import geometry, homogenize, material
 
 
 KERNEL_TOLERANCE = 1e-8   # the largest relative kernel residual QuotientSolver accepts
+EIG_BACKWARD_TOLERANCE = 1e-10   # the largest eigenpair backward error smallest_eigs returns
 
 
 class SingularSystem(Exception):
@@ -550,7 +551,17 @@ def smallest_eigs(forms, chi, k):
     fiber-rate study at the same chi shares; at chi = 0, where K(0) has the
     rigid kernel, sigma = -1e-8 mean |diag K_ss|. In shift-invert mode with
     OPinv given, ARPACK multiplies by M and OPinv only, so K(chi) is not
-    assembled: eigsh gets it as an operator of its three parts."""
+    assembled: eigsh gets it as an operator of its three parts.
+
+    ARPACK stops at tol 1e-12 on a basis of 2k + 2 vectors (its complex
+    mode needs more than k + 1, which 2k is not at k = 1). Its test is
+    relative to the shift-inverted eigenvalue 1/(lambda - sigma), so each
+    lambda is accurate to about 1e-12 (1 + 1/(t lambda)), two decades
+    inside EIG_BACKWARD_TOLERANCE. That check is applied to every returned
+    pair: its backward error |K u - lambda M u| / ((|K_ss|_1 +
+    |chi| |K_sx|_1 + chi^2 |K_xx|_1 + |lambda| |M|_1) |u|), whose first sum
+    bounds |K(chi)|_1, must not exceed EIG_BACKWARD_TOLERANCE, or
+    NoConvergence is raised."""
     t = chi ** -4 if chi != 0 else 1.0 / (1e-8 * float(np.abs(forms.K_ss.diagonal()).mean()))
     # eigsh keeps its operators in a reference cycle: they reach no LU but
     # through a weak proxy, and not the forms, so dropping the forms frees
@@ -566,9 +577,16 @@ def smallest_eigs(forms, chi, k):
     v0 = np.ones(n)
     try:
         vals, vecs = spla.eigsh(K, k=k, M=forms.M.astype(complex), sigma=-1.0 / t,
-                                which="LM", v0=v0, OPinv=OPinv)
+                                which="LM", v0=v0, OPinv=OPinv, tol=1e-12,
+                                ncv=min(2 * k + 2, n))
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc))
+    k_norm = spla.norm(K_ss, 1) + abs(chi) * spla.norm(K_sx, 1) + chi ** 2 * spla.norm(K_xx, 1)
+    eta = np.linalg.norm(K @ vecs - forms.M @ vecs * vals, axis=0) / (
+        (k_norm + np.abs(vals) * spla.norm(forms.M, 1)) * np.linalg.norm(vecs, axis=0))
+    if np.max(eta) > EIG_BACKWARD_TOLERANCE:
+        raise NoConvergence("eigenpair backward error %.3e at chi = %g exceeds %.0e"
+                            % (np.max(eta), chi, EIG_BACKWARD_TOLERANCE))
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 

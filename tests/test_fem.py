@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from rodhom import fem, homogenize as hz, pipeline as pl
+from rodhom import fem, fiber, homogenize as hz, pipeline as pl
 from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, cross_mass,
                              is_centrally_symmetric)
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
@@ -384,6 +384,50 @@ def test_smallest_eigs_one_factorisation_and_dense_values(default_forms, monkeyp
     assert sizes == [forms.mesh.n_dof]
     ref = sla.eigh(forms.K(chi).toarray(), forms.M.toarray(), eigvals_only=True)[:5]
     assert np.all(np.abs(vals - ref) <= 1e-9 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("chi", [0.0, *pl.CHI_SWEEP])
+def test_smallest_eigs_backward_error(default_forms, chi):
+    # every returned pair, against the exact |K(chi)|_1 of the assembled
+    # matrix rather than the bound of its three parts the library uses
+    forms = default_forms
+    vals, vecs = fem.smallest_eigs(forms, chi, 5)
+    K, M = forms.K(chi), forms.M
+    scale = spla.norm(K, 1) + np.abs(vals) * spla.norm(M, 1)
+    eta = np.linalg.norm(K @ vecs - M @ vecs * vals, axis=0) / (
+        scale * np.linalg.norm(vecs, axis=0))
+    assert np.all(eta <= 1e-10)
+
+
+def test_smallest_eigs_rejects_a_pair_past_the_backward_tolerance(default_forms, monkeypatch):
+    eigsh = fem.spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        noise = np.random.default_rng(15).standard_normal(len(vecs))
+        vecs[:, 2] += 1e-6 * np.linalg.norm(vecs[:, 2]) * noise / np.linalg.norm(noise)
+        return vals, vecs
+
+    monkeypatch.setattr(fem.spla, "eigsh", perturbed)
+    with pytest.raises(fem.NoConvergence, match="backward error"):
+        fem.smallest_eigs(default_forms, 0.1, 5)
+
+
+def test_spectrum_scaling_solve_budget(default_forms, monkeypatch):
+    # ARPACK's solves on the 4x4x8 cell over the sweep: 202-246 when it
+    # iterates to machine precision, 119-131 at tol 1e-12 on the 2k + 2
+    # basis (the counts move with BLAS's thread count, through rounding)
+    solves = 0
+    solve = fem.OrderedLU.solve
+
+    def counted(self, b):
+        nonlocal solves
+        solves += 1
+        return solve(self, b)
+
+    monkeypatch.setattr(fem.OrderedLU, "solve", counted)
+    fiber.spectrum_scaling(default_forms, pl.CHI_SWEEP)
+    assert 0 < solves <= 160
 
 
 def test_smallest_eigs_kernel_dimension(forms):
