@@ -10,6 +10,14 @@ import os
 import platform
 import sys
 
+# one BLAS thread unless the caller set another count: the dense blocks here
+# are small, and the chi sweeps already keep both cores busy (a worker thread
+# factorises the next resolvent while ARPACK runs). OpenBLAS reads these once,
+# when numpy is first imported, so they are set before that; the report
+# records them.
+BLAS_THREADS = {var: os.environ.setdefault(var, "1")
+                for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
 import numpy as np
 import scipy
 
@@ -142,7 +150,8 @@ def provenance(cfg, forms):
         "seed": cfg["seed"],
         "tolerances": TOLERANCES,
         "environment": {"rodhom": __version__, "numpy": np.__version__,
-                        "scipy": scipy.__version__, "python": platform.python_version()},
+                        "scipy": scipy.__version__, "python": platform.python_version(),
+                        "blas_threads": BLAS_THREADS},
     }
 
 
@@ -282,7 +291,12 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
-    cfg = load_config(args.config, args.command)
+    try:
+        cfg = load_config(args.config, args.command)
+    except ValueError as err:
+        # argparse's one-line error and status 2, without the usage line,
+        # which a config value has nothing to do with
+        parser.exit(2, "%s: error: %s\n" % (parser.prog, err))
     os.makedirs(args.out, exist_ok=True)
     forms = build_problem(cfg)
     ok = COMMANDS[args.command](cfg, forms, args.out)

@@ -46,9 +46,19 @@ symmetric cross-section), these LUs are of the block-diagonal matrix in the
 orthogonal ParityBasis, each block in a nested-dissection order of the
 folded half-mesh, in one factorize call; the resolvents that other callers
 build (ResolventSolver with no basis) stay in AssembledForms.order.
+
+A chi sweep (spectrum_scaling, the fiber-rate study) takes its resolvents
+through AssembledForms.resolvents, which has one worker thread factorise the
+next (chi, t) while the calling thread solves with the current one; the
+eigensolves, the chains and every check stay on the calling thread. SuperLU
+releases the GIL while it factorises, so the two overlap on two cores. The
+results are bitwise those of the same calls in turn: each LU is made by the
+same deterministic code from the same matrix, only on another thread, and
+nothing is solved before its factorisation is complete.
 """
 
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -275,6 +285,45 @@ class AssembledForms:
         if key not in self._resolvents:
             self._resolvents[key] = ResolventSolver(self, chi, t, self.parity_basis)
         return self._resolvents[key]
+
+    def resolvents(self, keys):
+        """resolvent(chi, t) for each (chi, t) of keys, in order: a generator
+        that, while the caller works with one, has a single worker thread
+        factorise the next key the forms do not hold yet, at most one ahead.
+        The worker only builds the ResolventSolver: the parity basis and the
+        dof order it reads are built, and the cache is written, on the
+        calling thread. An exception of the worker is raised at the caller
+        when it takes that key. Exhausting or closing the generator cancels
+        the pending work and joins the worker, so a caller that may leave
+        early closes it (contextlib.closing)."""
+        keys = list(keys)
+        if not keys:
+            return
+        basis = self.parity_basis
+        if basis is None:
+            self.order
+        pool = ThreadPoolExecutor(max_workers=1)
+
+        def factorise(key):
+            if key is None or key in self._resolvents:
+                return None
+            return pool.submit(ResolventSolver, self, *key, basis)
+
+        try:
+            ahead = factorise(keys[0])
+            for key, after in zip(keys, keys[1:] + [None]):
+                if ahead is not None:
+                    self._resolvents.setdefault(key, ahead.result())
+                ahead = factorise(after)
+                yield self._resolvents[key]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    @cached_property
+    def one_norms(self):
+        """The 1-norms of K_ss, K_sx, K_xx and M, which bound those of K(chi)
+        and M in the eigenpair check of smallest_eigs."""
+        return tuple(spla.norm(A, 1) for A in (self.K_ss, self.K_sx, self.K_xx, self.M))
 
     @cached_property
     def cell_basis(self):
@@ -561,7 +610,8 @@ def smallest_eigs(forms, chi, k):
     pair: its backward error |K u - lambda M u| / ((|K_ss|_1 +
     |chi| |K_sx|_1 + chi^2 |K_xx|_1 + |lambda| |M|_1) |u|), whose first sum
     bounds |K(chi)|_1, must not exceed EIG_BACKWARD_TOLERANCE, or
-    NoConvergence is raised."""
+    NoConvergence is raised. K u is one product of each part with all the
+    eigenvectors, and the 1-norms are the forms' (one_norms), taken once."""
     t = chi ** -4 if chi != 0 else 1.0 / (1e-8 * float(np.abs(forms.K_ss.diagonal()).mean()))
     # eigsh keeps its operators in a reference cycle: they reach no LU but
     # through a weak proxy, and not the forms, so dropping the forms frees
@@ -581,9 +631,11 @@ def smallest_eigs(forms, chi, k):
                                 ncv=min(2 * k + 2, n))
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc))
-    k_norm = spla.norm(K_ss, 1) + abs(chi) * spla.norm(K_sx, 1) + chi ** 2 * spla.norm(K_xx, 1)
-    eta = np.linalg.norm(K @ vecs - forms.M @ vecs * vals, axis=0) / (
-        (k_norm + np.abs(vals) * spla.norm(forms.M, 1)) * np.linalg.norm(vecs, axis=0))
+    ss, sx, xx, m = forms.one_norms
+    k_norm = ss + abs(chi) * sx + chi ** 2 * xx
+    Ku = K_ss @ vecs + chi * (K_sx @ vecs) + chi ** 2 * (K_xx @ vecs)
+    eta = np.linalg.norm(Ku - forms.M @ vecs * vals, axis=0) / (
+        (k_norm + np.abs(vals) * m) * np.linalg.norm(vecs, axis=0))
     if np.max(eta) > EIG_BACKWARD_TOLERANCE:
         raise NoConvergence("eigenpair backward error %.3e at chi = %g exceeds %.0e"
                             % (np.max(eta), chi, EIG_BACKWARD_TOLERANCE))

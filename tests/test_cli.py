@@ -1,6 +1,9 @@
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,7 +45,58 @@ def test_homogenize(tmp_path, small_cfg):
     assert "tolerances" in rep
     assert rep["environment"] == {"rodhom": rodhom.__version__, "numpy": np.__version__,
                                   "scipy": scipy.__version__,
-                                  "python": platform.python_version()}
+                                  "python": platform.python_version(),
+                                  "blas_threads": {v: os.environ[v] for v in _BLAS_VARS}}
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_cli(args, **env):
+    """python -m rodhom.cli args in a new process, with the BLAS thread
+    variables unset but for env."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, base.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rodhom.cli", *args], capture_output=True,
+                          text=True, env={**base, **env}, timeout=300)
+
+
+def test_cli_pins_blas_to_one_thread_unless_set(tmp_path):
+    # the process runs with one BLAS thread per variable the caller left
+    # unset, keeps the caller's count otherwise, and reports both
+    cfg = _write(tmp_path, {"geometry": {"n_y": 2, "cross_section": {"rectangle": {
+        "nx": 2, "ny": 2}}}})
+    run = _run_cli(["homogenize", "--config", cfg, "--out", str(tmp_path / "h")],
+                   OPENBLAS_NUM_THREADS="2")
+    assert run.returncode == 0, run.stderr
+    assert _report(tmp_path / "h")["environment"]["blas_threads"] == {
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}
+
+
+def test_config_rejection_is_one_error_line(tmp_path):
+    # a config the command cannot run exits with argparse's status 2 and one
+    # "rodhom: error: config key ..." line, not a traceback, before the
+    # output directory is made
+    cfg = _write(tmp_path, {"material": _intertwined_material(), "regimes": ["rod"]})
+    out = tmp_path / "o"
+    run = _run_cli(["validate", "--config", cfg, "--out", str(out)])
+    assert run.returncode == 2
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("rodhom: error: config key material must be ")
+    assert not out.exists()
+
+
+def _rejected(capsys, argv, pattern):
+    """cli.main exits with status 2 and one stderr line, "rodhom: error: "
+    and a message that pattern matches."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("rodhom: error: ")
+    assert re.search(pattern, err)
 
 
 def test_spectrum(tmp_path, small_cfg):
@@ -185,18 +239,20 @@ def test_config_rejects_unknown_keys(tmp_path):
      "geometry.cross_section.rectangle.nx"),
 ], ids=["regime", "n_grid", "chi_grid", "chi_grid_repeated", "n_y", "seed", "slope_margin",
         "n_loads", "n_y_fraction", "nx_fraction"])
-def test_config_values_checked_before_assembly(tmp_path, monkeypatch, command, cfg, key):
+def test_config_values_checked_before_assembly(tmp_path, monkeypatch, capsys, command, cfg,
+                                                key):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before the config check")
 
     monkeypatch.setattr(fem, "assemble", no_assembly)
-    with pytest.raises(ValueError, match="config key %s must be" % key):
-        cli.main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    _rejected(capsys, [command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")],
+              "config key %s must be" % key)
 
 
 @pytest.mark.parametrize("command", ["resolvent-rates", "h1-rates", "higher-order-rates",
                                      "validate"])
-def test_parity_regimes_need_rod_symmetry_before_assembly(tmp_path, monkeypatch, command):
+def test_parity_regimes_need_rod_symmetry_before_assembly(tmp_path, monkeypatch, capsys,
+                                                          command):
     # the default regimes include stretch and bend, which the intertwined
     # material does not split into; the commands that run them reject the
     # config, and those that do not (fiber-rates) read it
@@ -207,7 +263,8 @@ def test_parity_regimes_need_rod_symmetry_before_assembly(tmp_path, monkeypatch,
     cfg = _write(tmp_path, {"material": _intertwined_material()})
     want = r"config key regimes must be .* \(stretch, bend\)"
     with pytest.raises(ValueError, match=want):
-        cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        cli.load_config(cfg, command)
+    _rejected(capsys, [command, "--config", cfg, "--out", str(tmp_path / "o")], want)
     assert cli.load_config(cfg, "fiber-rates")["material"] == _intertwined_material()
     cfg = _write(tmp_path, {"material": _intertwined_material(), "regimes": ["rod"]})
     if command == "validate":
@@ -232,7 +289,7 @@ _ISO = {"isotropic": {"lambda": 1.0, "mu": 1.0}}
     ({"from": -0.5, "to": 0.5, "model": {"voigt": [[1.0] * 5] * 5}},
      "material.layers[0].model.voigt"),
 ], ids=["from", "to", "model", "lambda", "mu", "voigt"])
-def test_material_layers_checked_before_assembly(tmp_path, monkeypatch, layer, key):
+def test_material_layers_checked_before_assembly(tmp_path, monkeypatch, capsys, layer, key):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before the config check")
 
@@ -240,5 +297,5 @@ def test_material_layers_checked_before_assembly(tmp_path, monkeypatch, layer, k
     cfg = _write(tmp_path, {"material": {"layers": [layer]}})
     with pytest.raises(ValueError, match=re.escape(key)):
         cli.load_config(cfg)
-    with pytest.raises(ValueError, match=re.escape(key)):
-        cli.main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o")])
+    _rejected(capsys, ["homogenize", "--config", cfg, "--out", str(tmp_path / "o")],
+              re.escape(key))

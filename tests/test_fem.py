@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -497,19 +498,50 @@ def test_resolvent_energy_bound(forms):
 
 def test_dropping_the_forms_frees_every_cached_lu():
     # the cached resolvent LUs, one of them used by an eigensolve, whose
-    # operator eigsh keeps in a reference cycle, and the quotient LU are all
-    # freed with the forms, with no help from the cyclic collector
+    # operator eigsh keeps in a reference cycle, those a sweep's worker
+    # thread factorised, and the quotient LU are all freed with the forms,
+    # with no help from the cyclic collector
     gc.disable()
     try:
         forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
         fem.smallest_eigs(forms, 0.2, 3)
+        fiber.spectrum_scaling(forms, [0.3, 0.5], k=5)
         lus = [forms.resolvent(0.2, 0.2 ** -4).lu, forms.resolvent(0.4, 10.0).lu,
+               forms.resolvent(0.3, 0.3 ** -4).lu, forms.resolvent(0.5, 0.5 ** -4).lu,
                forms.quotient.lu]
+        assert len(forms._resolvents) == 4
         refs = [weakref.ref(forms)] + [weakref.ref(lu) for lu in lus]
         del forms, lus
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_resolvents_yields_the_cached_solvers_one_ahead(default_forms, monkeypatch):
+    # the solvers come in the order of the keys, as forms.resolvent returns
+    # them, a repeated key from the cache, each factorised on the worker
+    # thread; the worker factorises at most one key ahead of the caller, and
+    # closing the sweep early joins it
+    made = []
+    factorize = fem.factorize
+
+    def counted(A, order):
+        made.append(threading.current_thread())
+        return factorize(A, order)
+
+    monkeypatch.setattr(fem, "factorize", counted)
+    keys = [(0.4, 2.0), (0.2, 3.0), (0.4, 2.0), (0.1, 5.0), (0.3, 1.0)]
+    threads = threading.active_count()
+    solvers = list(default_forms.resolvents(keys))
+    assert [id(s) for s in solvers] == [id(default_forms.resolvent(*k)) for k in keys]
+    assert len(made) == 4 and threading.current_thread() not in made
+    assert threading.active_count() == threads
+    sweep = default_forms.resolvents([(0.6, 1.0), (0.7, 1.0), (0.8, 1.0), (0.9, 1.0)])
+    next(sweep)
+    sweep.close()
+    assert threading.active_count() == threads
+    assert len(made) <= 6 and (0.8, 1.0) not in default_forms._resolvents
+    assert list(default_forms.resolvents([])) == []
 
 
 def intertwined_profile():

@@ -141,13 +141,17 @@ def test_spectrum_homogeneous_limit():
     assert np.max(np.abs(ratio - target) / target) < 0.15
 
 
-def test_spectrum_scaling_matches_serial_loop(setup):
-    # the sweep gives the oracle loop's eigenvalues bitwise, in grid order
-    forms, *_ = setup
+def test_spectrum_scaling_matches_serial_loop():
+    # the sweep, whose LUs a worker thread factorises, gives the oracle
+    # loop's eigenvalues bitwise, in grid order; each runs on forms of its
+    # own, so the oracle factorises every LU itself, on this thread
+    def fresh():
+        return fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 4, 4), 8))
+
     chi_grid = [0.4, 0.2, 0.1]
-    rows = fiber.spectrum_scaling(forms, chi_grid, k=5)
+    rows = fiber.spectrum_scaling(fresh(), chi_grid, k=5)
     assert [r["chi"] for r in rows] == chi_grid
-    assert np.array_equal([r["eigs"] for r in rows], spectrum_scaling_loop(forms, chi_grid))
+    assert np.array_equal([r["eigs"] for r in rows], spectrum_scaling_loop(fresh(), chi_grid))
 
 
 @pytest.mark.parametrize("chi_grid", [[0.0, 0.2], [0.4, -0.2], [], 0.2],

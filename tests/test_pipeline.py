@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -359,14 +361,19 @@ def test_chain_functions_reject_unknown_regime(name, monkeypatch):
             call()
 
 
-def test_intertwined_case(forms):
-    # the paper's intertwined case: a stiff layer whose Voigt coupling of
-    # e33 with 2e13 breaks rod symmetry (smallest eigenvalue 3.88), so bend
-    # and stretch displacements mix and only the rod regime applies
+def intertwined_profile():
+    """The paper's intertwined case: a stiff layer whose Voigt coupling of
+    e33 with 2e13 breaks rod symmetry (smallest eigenvalue 3.88)."""
     C = make_isotropic(5.0, 5.0).voigt.copy()
     C[2, 4] = C[4, 2] = 3.0
-    mixed = fem.assemble(MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)),
-                                          (0.0, 0.5, ElasticityTensor(C))]), forms.mesh)
+    return MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)),
+                            (0.0, 0.5, ElasticityTensor(C))])
+
+
+def test_intertwined_case(forms):
+    # on the intertwined material bend and stretch displacements mix and
+    # only the rod regime applies
+    mixed = fem.assemble(intertwined_profile(), forms.mesh)
     A = rod_tensor(mixed).A_rod
     assert np.max(np.abs(A[:2, 2:])) > 1e-3 * np.max(np.abs(A))   # 3.6e-3
     # K(chi) keeps the bend parity on the rod-symmetric cell only
@@ -647,13 +654,97 @@ def test_spectrum_and_chi4_study_share_one_factorisation_per_chi(fresh_forms, fi
     assert study == pl.fiber_rate_study(set_up_forms(), loads, chi_grid)
 
 
-def test_fiber_rate_study_matches_serial_loop(forms, fiber_loads):
-    # the study gives the oracle loop's rows and slopes bitwise
+def test_fiber_rate_study_matches_serial_loop(fiber_loads):
+    # the study, whose LUs a worker thread factorises, gives the oracle
+    # loop's rows and slopes bitwise; each runs on forms of its own, so the
+    # oracle factorises every LU itself, on this thread
     chi_grid = (0.4, 0.2, 0.1)
-    study = pl.fiber_rate_study(forms, fiber_loads, chi_grid)
-    oracle = fiber_rate_study_loop(forms, fiber_loads, chi_grid)
+    study = pl.fiber_rate_study(set_up_forms(), fiber_loads, chi_grid)
+    oracle = fiber_rate_study_loop(set_up_forms(), fiber_loads, chi_grid)
     assert study["rows"] == oracle["rows"]
     assert study["slopes"] == oracle["slopes"]
+
+
+def _sweeps(loads):
+    return {"spectrum_scaling": lambda forms, chi_grid: fiber.spectrum_scaling(
+                forms, chi_grid, k=5),
+            "fiber_rate_study": lambda forms, chi_grid: pl.fiber_rate_study(
+                forms, {r: loads[r] for r in ("bend", "general_chi4")}, chi_grid)}
+
+
+def test_sweep_under_fast_thread_switching_factorises_each_key_once(monkeypatch):
+    # forms without the parity split, with no dof order or quotient LU yet:
+    # the worker reads the order while the chains build the quotient LU on
+    # it. With the interpreter switching threads every microsecond, each
+    # (chi, power) is still factorised once, on the worker, and the rows are
+    # bitwise those of the oracle loop on forms of its own
+    def mixed():
+        return fem.assemble(intertwined_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+
+    forms = mixed()
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
+    loads = {"general_chi2": f, "general_chi4": f}
+    chi_grid = (0.4, 0.3, 0.2, 0.1)
+    made = []
+    factorize = fem.factorize
+
+    def counted(A, order):
+        made.append((A.shape[0], threading.current_thread()))
+        return factorize(A, order)
+
+    monkeypatch.setattr(fem, "factorize", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        study = pl.fiber_rate_study(forms, loads, chi_grid)
+    finally:
+        sys.setswitchinterval(interval)
+    resolvents = [thread for n, thread in made if n == forms.mesh.n_dof]
+    assert len(resolvents) == 2 * len(chi_grid) == len(forms._resolvents)
+    assert threading.current_thread() not in resolvents
+    oracle = fiber_rate_study_loop(mixed(), loads, chi_grid)
+    assert study["rows"] == oracle["rows"] and study["slopes"] == oracle["slopes"]
+
+
+@pytest.mark.parametrize("sweep", ["spectrum_scaling", "fiber_rate_study"])
+def test_sweep_raises_a_worker_factorisation_error_and_leaves_no_thread(
+        fresh_forms, fiber_loads, monkeypatch, sweep):
+    # the second chi's LU fails on the worker thread: the caller gets the
+    # SingularSystem, and the worker is gone when the call returns
+    factorize, calls = fem.factorize, []
+
+    def second_fails(A, order):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise fem.SingularSystem("second chi")
+        return factorize(A, order)
+
+    monkeypatch.setattr(fem, "factorize", second_fails)
+    threads = threading.active_count()
+    with pytest.raises(fem.SingularSystem, match="^second chi$"):
+        _sweeps(fiber_loads)[sweep](fresh_forms, (0.4, 0.2, 0.1))
+    assert threading.active_count() == threads
+    assert len(calls) == 2 and threading.current_thread() not in calls
+
+
+@pytest.mark.parametrize("sweep", ["spectrum_scaling", "fiber_rate_study"])
+def test_sweep_leaves_no_thread_when_the_caller_fails(fresh_forms, fiber_loads, monkeypatch,
+                                                      sweep):
+    # an error on the calling thread, while the worker factorises the next
+    # chi, reaches the caller with the worker joined, even while the caller
+    # holds the traceback (and so the sweep's frame); the forms keep only
+    # the LU the caller took
+    def fails(*args, **kwargs):
+        raise fem.NoConvergence("first chi")
+
+    monkeypatch.setattr(fem, "smallest_eigs", fails)
+    monkeypatch.setattr(fiber, "build_chain", fails)
+    threads = threading.active_count()
+    with pytest.raises(fem.NoConvergence, match="^first chi$") as info:
+        _sweeps(fiber_loads)[sweep](fresh_forms, (0.4, 0.2, 0.1))
+    assert info.tb is not None and threading.active_count() == threads
+    assert list(fresh_forms._resolvents) == [(0.4, 0.4 ** -4)]
 
 
 def test_fiber_rate_study_solves_once_per_power(forms, fiber_loads, reference_solves):
