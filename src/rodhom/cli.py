@@ -11,10 +11,10 @@ import platform
 import sys
 
 # one BLAS thread unless the caller set another count: the dense blocks here
-# are small, and the chi sweeps already keep both cores busy (a worker thread
-# factorises the next resolvent while ARPACK runs). OpenBLAS reads these once,
-# when numpy is first imported, so they are set before that; the report
-# records them.
+# are small, and the chi sweeps already keep both cores busy (fem.sweep runs
+# each chi's solves on a two-thread pool while this thread factorises), so
+# BLAS threads would only contend with them. OpenBLAS reads these once, when
+# numpy is first imported, so they are set before that; the report has them.
 BLAS_THREADS = {var: os.environ.setdefault(var, "1")
                 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 

@@ -47,16 +47,14 @@ orthogonal ParityBasis, each block in a nested-dissection order of the
 folded half-mesh, in one factorize call; the resolvents that other callers
 build (ResolventSolver with no basis) stay in AssembledForms.order.
 
-A chi sweep (spectrum_scaling, the fiber-rate study) takes its resolvents
-through AssembledForms.resolvents, which has one worker thread factorise the
-next (chi, t) while the calling thread solves with the current one; the
-eigensolves, the chains and every check stay on the calling thread. SuperLU
-releases the GIL while it factorises, so the two overlap on two cores. The
-results are bitwise those of the same calls in turn: each LU is made by the
-same deterministic code from the same matrix, only on another thread, and
-nothing is solved before its factorisation is complete.
+A chi sweep (spectrum_scaling, the fiber-rate study) factorises each chi's
+resolvents on the calling thread and runs the rest of that chi as one task
+of sweep on a pool of SWEEP_THREADS threads. SuperLU releases the GIL while
+it factorises, numpy while it computes on arrays. The results are bitwise
+those of the same calls in turn, made by the same code on other threads.
 """
 
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
@@ -71,6 +69,9 @@ from . import geometry, homogenize, material
 
 KERNEL_TOLERANCE = 1e-8   # the largest relative kernel residual QuotientSolver accepts
 EIG_BACKWARD_TOLERANCE = 1e-10   # the largest eigenpair backward error smallest_eigs returns
+# the tasks of a chi sweep at once: two single-column solve loops side by side
+# each take twice as long as one alone, so a third thread would gain nothing
+SWEEP_THREADS = 2
 
 
 class SingularSystem(Exception):
@@ -285,39 +286,6 @@ class AssembledForms:
         if key not in self._resolvents:
             self._resolvents[key] = ResolventSolver(self, chi, t, self.parity_basis)
         return self._resolvents[key]
-
-    def resolvents(self, keys):
-        """resolvent(chi, t) for each (chi, t) of keys, in order: a generator
-        that, while the caller works with one, has a single worker thread
-        factorise the next key the forms do not hold yet, at most one ahead.
-        The worker only builds the ResolventSolver: the parity basis and the
-        dof order it reads are built, and the cache is written, on the
-        calling thread. An exception of the worker is raised at the caller
-        when it takes that key. Exhausting or closing the generator cancels
-        the pending work and joins the worker, so a caller that may leave
-        early closes it (contextlib.closing)."""
-        keys = list(keys)
-        if not keys:
-            return
-        basis = self.parity_basis
-        if basis is None:
-            self.order
-        pool = ThreadPoolExecutor(max_workers=1)
-
-        def factorise(key):
-            if key is None or key in self._resolvents:
-                return None
-            return pool.submit(ResolventSolver, self, *key, basis)
-
-        try:
-            ahead = factorise(keys[0])
-            for key, after in zip(keys, keys[1:] + [None]):
-                if ahead is not None:
-                    self._resolvents.setdefault(key, ahead.result())
-                ahead = factorise(after)
-                yield self._resolvents[key]
-        finally:
-            pool.shutdown(cancel_futures=True)
 
     @cached_property
     def one_norms(self):
@@ -563,15 +531,13 @@ class ParityBasis:
                 raise PairingMismatch("%s couples the parity classes: %.3e of its largest "
                                       "entry" % (name, coupling / np.max(np.abs(A.data))))
             blocks.append((A.row[~off].astype(np.int64) * n + A.col[~off], A.data[~off]))
-        # the union of the four patterns, row-major as CSR keeps it (sorted
-        # by hand: np.unique hashes, 10 times slower here)
-        keys = np.sort(np.concatenate([k for k, _ in blocks]))
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        self.data = []
-        for k, v in blocks:
-            data = np.zeros(len(keys), dtype=v.dtype)
-            data[np.searchsorted(keys, k)] = v
-            self.data.append(data)
+        # the union of the four patterns, row-major as CSR keeps it, and each
+        # block entry's place in it: one sort, half the time of searching it
+        keys, where = np.unique(np.concatenate([k for k, _ in blocks]), return_inverse=True)
+        self.data = [np.zeros(len(keys), dtype=v.dtype) for _, v in blocks]
+        ends = np.cumsum([len(k) for k, _ in blocks])
+        for data, (_, v), part in zip(self.data, blocks, np.split(where, ends[:-1])):
+            data[part] = v
         self.indices = keys % n
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
 
@@ -641,6 +607,43 @@ def smallest_eigs(forms, chi, k):
                             % (np.max(eta), chi, EIG_BACKWARD_TOLERANCE))
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def sweep(forms, chi_grid, task, keys):
+    """[task(chi) for chi in chi_grid], task run once per distinct chi on a
+    pool of SWEEP_THREADS threads. This thread first builds the forms' lazy
+    state (parity basis or dof order, rod tensor, 1-norms), then factorises
+    the resolvents keys(chi) = [(chi, t), ...] of each chi in turn before
+    its task starts: scipy's SuperLU frees an LU only on the thread that
+    made it. After a failure no chi starts; the pool is joined, then this
+    thread's error or else the first task error in grid order is raised."""
+    if forms.parity_basis is None:
+        forms.order
+    forms.rod_tensor, forms.one_norms
+    stop = threading.Event()
+
+    def run(chi):
+        if stop.is_set():
+            return None   # skipped after an earlier failure, never returned
+        try:
+            return task(chi)
+        except BaseException:
+            stop.set()
+            raise
+
+    pool, futures = ThreadPoolExecutor(max_workers=SWEEP_THREADS), {}
+    try:
+        for chi in dict.fromkeys(chi_grid):
+            if stop.is_set():
+                break
+            for key in keys(chi):
+                forms.resolvent(*key)
+            futures[chi] = pool.submit(run, chi)
+        results = {chi: future.result() for chi, future in futures.items()}
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+    return [results[chi] for chi in chi_grid]
 
 
 def parity_project(v, which, pairing):

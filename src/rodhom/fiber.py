@@ -13,7 +13,6 @@ solvability residual of each right-hand side against the rigid motions is
 recorded, since each one is an exact identity of the discrete construction.
 """
 
-from contextlib import closing
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -100,20 +99,19 @@ def apply_load_scaling(values, tag, chi=None, eps=None, delta=None):
 
 def spectrum_scaling(forms, chi_grid, k=5):
     """lambda_1..lambda_k of (K(chi), M) over a chi grid, with the scaled
-    ratios the spectral-gap statements are about: one eigensolve per chi, in
-    the order of the grid, each on the forms' resolvent LU at t = chi^-4
-    (see fem.smallest_eigs). The LUs come from forms.resolvents, so the
-    next chi's is factorised on a worker thread while ARPACK runs on this
-    one; the eigenvalues are bitwise those of the eigensolves in turn. A
+    ratios the spectral-gap statements are about, in grid order: one
+    eigensolve per distinct chi on the forms' resolvent LU at t = chi^-4
+    (see fem.smallest_eigs), each a task of fem.sweep on a pool thread while
+    this thread factorises the next chi's LU, bitwise as if run in turn. A
     chi_grid that is not a list of positive numbers, which the ratios need,
     or a k that is not an integer >= 5, which the two pairs and lambda5
     need, raises ValueError before any solve."""
     require("chi_grid", chi_grid, "a nonempty list of positive numbers",
             lambda v: is_list_of(v, 1, POSITIVE[1]))
     require("k", k, "an integer >= 5", lambda v: is_integer(v) and v >= 5)
-    # the keys smallest_eigs looks its LU up by
-    with closing(forms.resolvents([(chi, chi ** -4) for chi in chi_grid])) as sweep:
-        eigs = [fem.smallest_eigs(forms, chi, k)[0] for chi, _ in zip(chi_grid, sweep)]
+    # looked up per call, so that a wrapper set on fem sees each eigensolve
+    eigs = fem.sweep(forms, chi_grid, lambda chi: fem.smallest_eigs(forms, chi, k)[0],
+                     lambda chi: [(chi, chi ** -4)])
     return [{"chi": chi,
              "eigs": vals,
              "ratio_bend": vals[:2] / chi ** 4,

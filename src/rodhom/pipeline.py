@@ -14,7 +14,6 @@ longitudinal frequency, for the band-limiter ablation.
 
 import csv
 import dataclasses
-from contextlib import closing
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -453,35 +452,35 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
     or a chi_grid breaking CHI_GRID, raises ValueError before any solve.
     Returns per-chi rows of fiber.error_report and fitted H1 slopes.
 
-    Chi by chi, it takes the LU of (t K(chi) + M) once per power p from the
-    forms (shared with the eigensolves of spectrum_scaling at p = 4) and
-    solves the scaled loads of every regime with that p as the columns of
-    one reference solve, then runs each regime's chain. The LUs come from
-    forms.resolvents, so the next (chi, p)'s is factorised on a worker
-    thread while the solves and chains run on this one; the rows are
-    bitwise those of the same steps in turn. Rows are regime-major, in the
-    order of loads.
+    Each chi is one task of fem.sweep, on a pool thread: it solves the
+    scaled loads of every regime with power p as the columns of one solve
+    on the forms' LU of (t K(chi) + M), shared with spectrum_scaling at
+    p = 4, then runs each regime's chain. The rows are bitwise those of the
+    steps in turn, in grid order, regime-major, in the order of loads.
     """
     require("chi_grid", chi_grid, *CHI_GRID)
     specs = {regime: fiber._chain_regime(regime) for regime in loads}
     _require_parity_split(forms, [r for r, spec in specs.items() if spec.parity])
+    powers = list(dict.fromkeys(spec.power for spec in specs.values()))
+
+    def one_chi(chi):
+        refs = {}
+        for power in powers:
+            group = [r for r, spec in specs.items() if spec.power == power]
+            G = np.stack([fiber.apply_load_scaling(loads[r], specs[r].scaling, chi)
+                          for r in group], axis=1)
+            refs.update(zip(group, forms.resolvent(chi, chi ** -power).solve(G).T))
+        return {r: fiber.error_report(forms, fiber.build_chain(
+            forms, chi, chi ** -specs[r].power, r, f), refs[r]) for r, f in loads.items()}
+
     rows = {regime: [] for regime in loads}
     errs = {k: [] for k in FIBER_THRESHOLDS if k[0] in loads}
-    powers = list(dict.fromkeys(spec.power for spec in specs.values()))
-    keys = [(chi, chi ** -power) for chi in chi_grid for power in powers]
-    with closing(forms.resolvents(keys)) as solvers:
-        for chi in chi_grid:
-            refs = {}
-            for power in powers:
-                group = [r for r, spec in specs.items() if spec.power == power]
-                G = np.stack([fiber.apply_load_scaling(loads[r], specs[r].scaling, chi)
-                              for r in group], axis=1)
-                refs.update(zip(group, next(solvers).solve(G).T))
-            for regime, f in loads.items():
-                ch = fiber.build_chain(forms, chi, chi ** -specs[regime].power, regime, f)
-                for row in fiber.error_report(forms, ch, refs[regime]):
-                    rows[regime].append({"regime": regime, **row})
-                    errs[(regime, row["component"], row["order"])].append(row["err_h1"])
+    for reports in fem.sweep(forms, chi_grid, one_chi,
+                             lambda chi: [(chi, chi ** -power) for power in powers]):
+        for regime, report in reports.items():
+            for row in report:
+                rows[regime].append({"regime": regime, **row})
+                errs[(regime, row["component"], row["order"])].append(row["err_h1"])
     slopes = []
     for (regime, tag, order), seq in errs.items():
         slope = fiber.fit_slope(chi_grid, seq)

@@ -1,5 +1,6 @@
 import gc
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -498,9 +499,9 @@ def test_resolvent_energy_bound(forms):
 
 def test_dropping_the_forms_frees_every_cached_lu():
     # the cached resolvent LUs, one of them used by an eigensolve, whose
-    # operator eigsh keeps in a reference cycle, those a sweep's worker
-    # thread factorised, and the quotient LU are all freed with the forms,
-    # with no help from the cyclic collector
+    # operator eigsh keeps in a reference cycle, those of a sweep, whose
+    # eigensolves run on pool threads, and the quotient LU are all freed
+    # with the forms, with no help from the cyclic collector
     gc.disable()
     try:
         forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
@@ -517,31 +518,94 @@ def test_dropping_the_forms_frees_every_cached_lu():
         gc.enable()
 
 
-def test_resolvents_yields_the_cached_solvers_one_ahead(default_forms, monkeypatch):
-    # the solvers come in the order of the keys, as forms.resolvent returns
-    # them, a repeated key from the cache, each factorised on the worker
-    # thread; the worker factorises at most one key ahead of the caller, and
-    # closing the sweep early joins it
-    made = []
-    factorize = fem.factorize
+def test_sweep_runs_each_distinct_chi_once_two_at_a_time(monkeypatch):
+    # the results come back in grid order, a repeated chi computed once; at
+    # most two tasks run at once, on pool threads, each after its chi's
+    # resolvent is factorised, and every factorisation is made on the
+    # calling thread, which SuperLU needs to free the LU. The pool is joined
+    # when the call returns
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+    made, factorize = [], fem.factorize
 
     def counted(A, order):
         made.append(threading.current_thread())
         return factorize(A, order)
 
     monkeypatch.setattr(fem, "factorize", counted)
-    keys = [(0.4, 2.0), (0.2, 3.0), (0.4, 2.0), (0.1, 5.0), (0.3, 1.0)]
+    lock, calls, running, peak = threading.Lock(), [], [0], [0]
+
+    def task(chi):
+        with lock:
+            calls.append((chi, threading.current_thread(), (chi, 2.0) in forms._resolvents))
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.05)
+        with lock:
+            running[0] -= 1
+        return -chi
+
     threads = threading.active_count()
-    solvers = list(default_forms.resolvents(keys))
-    assert [id(s) for s in solvers] == [id(default_forms.resolvent(*k)) for k in keys]
-    assert len(made) == 4 and threading.current_thread() not in made
+    grid = [0.4, 0.2, 0.4, 0.1, 0.3]
+    assert fem.sweep(forms, grid, task, lambda chi: [(chi, 2.0)]) == [-chi for chi in grid]
+    assert sorted(chi for chi, _, _ in calls) == [0.1, 0.2, 0.3, 0.4]
+    assert all(factorised for _, _, factorised in calls)
+    assert peak[0] <= fem.SWEEP_THREADS == 2
+    assert threading.current_thread() not in [thread for _, thread, _ in calls]
+    # the quotient LU, then one resolvent per distinct chi
+    assert made == [threading.current_thread()] * 5
     assert threading.active_count() == threads
-    sweep = default_forms.resolvents([(0.6, 1.0), (0.7, 1.0), (0.8, 1.0), (0.9, 1.0)])
-    next(sweep)
-    sweep.close()
+
+
+def test_sweep_raises_the_first_error_in_grid_order_and_starts_no_more_tasks(forms):
+    # once every chi is queued, chi = 0.3 fails first, while 0.4 runs; 0.4
+    # then fails too, and being first in the grid its error reaches the
+    # caller. No queued task starts after the first failure, and the pool is
+    # joined before the raise
+    first_started, queued, started = threading.Event(), threading.Event(), []
+
+    def keys(chi):
+        if chi == 0.05:
+            queued.set()
+        return []
+
+    def task(chi):
+        started.append(chi)
+        if chi == 0.4:
+            first_started.set()
+            time.sleep(0.2)
+        else:
+            assert first_started.wait(10.0) and queued.wait(10.0)
+            time.sleep(0.05)
+        raise ValueError("chi %g" % chi)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^chi 0.4$"):
+        fem.sweep(forms, [0.4, 0.3, 0.2, 0.1, 0.05], task, keys)
+    assert sorted(started) == [0.3, 0.4]
     assert threading.active_count() == threads
-    assert len(made) <= 6 and (0.8, 1.0) not in default_forms._resolvents
-    assert list(default_forms.resolvents([])) == []
+
+
+def test_sweep_factorises_no_chi_after_a_failure(forms):
+    # the first task fails while the calling thread asks for the second
+    # chi's resolvents; it asks for no further chi's
+    second, failed, asked = threading.Event(), threading.Event(), []
+
+    def keys(chi):
+        asked.append(chi)
+        if chi != 0.4:
+            second.set()
+            assert failed.wait(10.0)
+            time.sleep(0.05)
+        return []
+
+    def task(chi):
+        assert second.wait(10.0)
+        failed.set()
+        raise ValueError("chi %g" % chi)
+
+    with pytest.raises(ValueError, match="^chi 0.4$"):
+        fem.sweep(forms, [0.4, 0.3, 0.2, 0.1], task, keys)
+    assert asked == [0.4, 0.3]
 
 
 def intertwined_profile():

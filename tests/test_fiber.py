@@ -142,7 +142,7 @@ def test_spectrum_homogeneous_limit():
 
 
 def test_spectrum_scaling_matches_serial_loop():
-    # the sweep, whose LUs a worker thread factorises, gives the oracle
+    # the sweep, whose chi run two at a time on pool threads, gives the oracle
     # loop's eigenvalues bitwise, in grid order; each runs on forms of its
     # own, so the oracle factorises every LU itself, on this thread
     def fresh():

@@ -13,7 +13,7 @@ from rodhom.homogenize import rod_tensor
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
 from support_embedding import cross_embedding_columns, limit_resolvent_loop
-from support_sweep import fiber_rate_study_loop
+from support_sweep import fiber_rate_study_loop, spectrum_scaling_loop
 from support_transform import (bundle_norm_sq, line_error_norm_loop, line_inner_loop,
                                rate_errors_loop)
 
@@ -655,7 +655,7 @@ def test_spectrum_and_chi4_study_share_one_factorisation_per_chi(fresh_forms, fi
 
 
 def test_fiber_rate_study_matches_serial_loop(fiber_loads):
-    # the study, whose LUs a worker thread factorises, gives the oracle
+    # the study, whose chi run two at a time on pool threads, gives the oracle
     # loop's rows and slopes bitwise; each runs on forms of its own, so the
     # oracle factorises every LU itself, on this thread
     chi_grid = (0.4, 0.2, 0.1)
@@ -672,20 +672,13 @@ def _sweeps(loads):
                 forms, {r: loads[r] for r in ("bend", "general_chi4")}, chi_grid)}
 
 
-def test_sweep_under_fast_thread_switching_factorises_each_key_once(monkeypatch):
-    # forms without the parity split, with no dof order or quotient LU yet:
-    # the worker reads the order while the chains build the quotient LU on
-    # it. With the interpreter switching threads every microsecond, each
-    # (chi, power) is still factorised once, on the worker, and the rows are
-    # bitwise those of the oracle loop on forms of its own
-    def mixed():
-        return fem.assemble(intertwined_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+def _mixed_forms():
+    return fem.assemble(intertwined_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
 
-    forms = mixed()
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    loads = {"general_chi2": f, "general_chi4": f}
-    chi_grid = (0.4, 0.3, 0.2, 0.1)
+
+def _under_fast_switching(forms, sweep, monkeypatch):
+    """sweep(forms) with the interpreter switching threads every
+    microsecond, and the size and thread of each factorisation it made."""
     made = []
     factorize = fem.factorize
 
@@ -697,21 +690,57 @@ def test_sweep_under_fast_thread_switching_factorises_each_key_once(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        study = pl.fiber_rate_study(forms, loads, chi_grid)
+        out = sweep(forms)
     finally:
         sys.setswitchinterval(interval)
-    resolvents = [thread for n, thread in made if n == forms.mesh.n_dof]
+    return out, made
+
+
+def test_sweep_under_fast_thread_switching_factorises_each_key_once(monkeypatch):
+    # forms without the parity split, with no dof order or quotient LU yet:
+    # the sweep builds them on the calling thread, then factorises each
+    # chi's resolvents there while pool threads run the chains of the chi
+    # before. With the interpreter switching threads every microsecond,
+    # each (chi, power) is still factorised once, every LU on the calling
+    # thread, and the rows are bitwise those of the oracle loop on forms of
+    # its own
+    forms = _mixed_forms()
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
+    loads = {"general_chi2": f, "general_chi4": f}
+    chi_grid = (0.4, 0.3, 0.2, 0.1)
+    study, made = _under_fast_switching(
+        forms, lambda forms: pl.fiber_rate_study(forms, loads, chi_grid), monkeypatch)
+    resolvents = [n for n, _ in made if n == forms.mesh.n_dof]
     assert len(resolvents) == 2 * len(chi_grid) == len(forms._resolvents)
-    assert threading.current_thread() not in resolvents
-    oracle = fiber_rate_study_loop(mixed(), loads, chi_grid)
+    assert len(made) == len(resolvents) + 1   # and the quotient LU
+    assert {thread for _, thread in made} == {threading.current_thread()}
+    oracle = fiber_rate_study_loop(_mixed_forms(), loads, chi_grid)
     assert study["rows"] == oracle["rows"] and study["slopes"] == oracle["slopes"]
+
+
+def test_spectrum_scaling_under_fast_thread_switching_factorises_each_key_once(monkeypatch):
+    # the same for the eigensolves, which run on the pool threads: each
+    # chi's LU factorised once, every LU on the calling thread, and the
+    # eigenvalues bitwise those of the oracle loop
+    forms = _mixed_forms()
+    chi_grid = [0.4, 0.3, 0.2, 0.1]
+    rows, made = _under_fast_switching(
+        forms, lambda forms: fiber.spectrum_scaling(forms, chi_grid, k=5), monkeypatch)
+    resolvents = [n for n, _ in made if n == forms.mesh.n_dof]
+    assert len(resolvents) == len(chi_grid) == len(forms._resolvents)
+    assert len(made) == len(resolvents) + 1   # and the quotient LU
+    assert {thread for _, thread in made} == {threading.current_thread()}
+    assert np.array_equal([r["eigs"] for r in rows],
+                          spectrum_scaling_loop(_mixed_forms(), chi_grid))
 
 
 @pytest.mark.parametrize("sweep", ["spectrum_scaling", "fiber_rate_study"])
 def test_sweep_raises_a_worker_factorisation_error_and_leaves_no_thread(
         fresh_forms, fiber_loads, monkeypatch, sweep):
-    # the second chi's LU fails on the worker thread: the caller gets the
-    # SingularSystem, and the worker is gone when the call returns
+    # the second chi's LU fails, on the calling thread, while the first
+    # chi's task runs on the pool: the caller gets the SingularSystem, no
+    # third LU is made, and the pool is gone when the call returns
     factorize, calls = fem.factorize, []
 
     def second_fails(A, order):
@@ -725,26 +754,28 @@ def test_sweep_raises_a_worker_factorisation_error_and_leaves_no_thread(
     with pytest.raises(fem.SingularSystem, match="^second chi$"):
         _sweeps(fiber_loads)[sweep](fresh_forms, (0.4, 0.2, 0.1))
     assert threading.active_count() == threads
-    assert len(calls) == 2 and threading.current_thread() not in calls
+    assert calls == [threading.current_thread()] * 2
 
 
 @pytest.mark.parametrize("sweep", ["spectrum_scaling", "fiber_rate_study"])
 def test_sweep_leaves_no_thread_when_the_caller_fails(fresh_forms, fiber_loads, monkeypatch,
                                                       sweep):
-    # an error on the calling thread, while the worker factorises the next
-    # chi, reaches the caller with the worker joined, even while the caller
-    # holds the traceback (and so the sweep's frame); the forms keep only
-    # the LU the caller took
+    # an error of the per-chi work after the factorisation (the eigensolve,
+    # the chain) reaches the caller with the pool joined, even while the
+    # caller holds the traceback (and so the sweep's frame); the forms keep
+    # the LUs factorised, in grid order, before the error was seen
     def fails(*args, **kwargs):
         raise fem.NoConvergence("first chi")
 
     monkeypatch.setattr(fem, "smallest_eigs", fails)
     monkeypatch.setattr(fiber, "build_chain", fails)
     threads = threading.active_count()
+    chi_grid = (0.4, 0.2, 0.1)
     with pytest.raises(fem.NoConvergence, match="^first chi$") as info:
-        _sweeps(fiber_loads)[sweep](fresh_forms, (0.4, 0.2, 0.1))
+        _sweeps(fiber_loads)[sweep](fresh_forms, chi_grid)
     assert info.tb is not None and threading.active_count() == threads
-    assert list(fresh_forms._resolvents) == [(0.4, 0.4 ** -4)]
+    keys = list(fresh_forms._resolvents)
+    assert keys and keys == [(chi, chi ** -4) for chi in chi_grid][:len(keys)]
 
 
 def test_fiber_rate_study_solves_once_per_power(forms, fiber_loads, reference_solves):
