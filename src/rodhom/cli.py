@@ -163,6 +163,14 @@ def write_report(outdir, command, cfg, forms, payload, all_pass):
         json.dump(report, fh, indent=2)
 
 
+def _resolvent_blocks(forms):
+    """The block sizes of the basis the forms' resolvents factorise in
+    (fem.ParityBasis, class by class), or None where the forms do not
+    split: which split a chi sweep's factorisations got."""
+    basis = forms.parity_basis
+    return None if basis is None else basis.sizes
+
+
 def cmd_homogenize(cfg, forms, outdir):
     rt = rod_tensor(forms)
     md = forms.moments
@@ -203,7 +211,8 @@ def cmd_spectrum(cfg, forms, outdir):
     }
     ok = (checks["bend_ratio_spread"] < 1.2 and checks["stretch_ratio_spread"] < 1.2
           and checks["lambda5_spread"] < 2.0)
-    write_report(outdir, "spectrum", cfg, forms, {"checks": checks}, ok)
+    write_report(outdir, "spectrum", cfg, forms,
+                 {"checks": checks, "resolvent_blocks": _resolvent_blocks(forms)}, ok)
     return ok
 
 
@@ -229,7 +238,8 @@ def cmd_fiber_rates(cfg, forms, outdir):
                      "err_l2": "", "err_h1": s["slope_fit"]})
     pl.write_csv(os.path.join(outdir, "fiber_rates.csv"), rows)
     ok = all(s["passed"] for s in study["slopes"])
-    write_report(outdir, "fiber-rates", cfg, forms, {"slopes": study["slopes"]}, ok)
+    write_report(outdir, "fiber-rates", cfg, forms,
+                 {"slopes": study["slopes"], "resolvent_blocks": _resolvent_blocks(forms)}, ok)
     return ok
 
 

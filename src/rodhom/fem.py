@@ -44,8 +44,12 @@ to the factor t, share it. Where the forms split into the bend and stretch
 parity classes (parity_pairing: rod-symmetric layers on a centrally
 symmetric cross-section), these LUs are of the block-diagonal matrix in the
 orthogonal ParityBasis, each block in a nested-dissection order of the
-folded half-mesh, in one factorize call; the resolvents that other callers
-build (ResolventSolver with no basis) stay in AssembledForms.order.
+folded mesh, in one factorize call. Its classes are those of the cell's
+symmetry group: where every layer and the cross-section are symmetric under
+both mirrors x1 -> -x1 and x2 -> -x2 (mirror_pairings), four, the bends in
+the x1 and the x2 plane, extension and torsion; else two, bend and stretch.
+The resolvents that other callers build (ResolventSolver with no basis)
+stay in AssembledForms.order.
 
 A chi sweep (spectrum_scaling, the fiber-rate study) factorises each chi's
 resolvents on the calling thread and runs the rest of that chi as one task
@@ -462,73 +466,112 @@ def parity_pairing(profile, cross):
     return pairing if symmetric and rod else None
 
 
-# the displacement components that each parity class keeps even under
-# x-hat -> -x-hat; the others are odd
-_EVEN = {"bend": np.array([True, True, False]), "stretch": np.array([False, False, True])}
+def mirror_pairings(profile, cross):
+    """The node pairings of the mirrors x1 -> -x1 and x2 -> -x2, where the
+    forms of profile on cross are symmetric under both: every layer is
+    invariant under each (material.check_mirror_symmetry) and so is the
+    cross-section's node set. None where they are not. Both mirrors imply the
+    parity split (parity_pairing): their product is the central inversion,
+    and a layer symmetric under both has rod material symmetry."""
+    pairings = [geometry.node_pairing(cross, signs) for signs in ((-1, 1), (1, -1))]
+    mirrored = all(material.check_mirror_symmetry(t, axis)
+                   for _, _, t in profile.layers for axis in (0, 1))
+    return pairings if mirrored and all(p is not None for p in pairings) else None
+
+
+# the symmetry classes of ParityBasis, each a character of the group of sign
+# flips g = (g1, g2) of x-hat, given by its signs s = (s1, s2) as
+# chi_s(g) = s1^[g1 < 0] s2^[g2 < 0]; the central inversion (-1, -1) takes
+# chi_s = s1 s2, -1 on bend and 1 on stretch. Under both mirrors: the bends
+# in the x1 and the x2 plane, extension, torsion; under the inversion only:
+# bend, stretch
+_MIRROR_CLASSES = [(-1, 1), (1, -1), (1, 1), (-1, -1)]
+_PARITY_CLASSES = [(-1, 1), (1, 1)]
 
 
 class ParityBasis:
-    """The orthogonal basis Q of the two parity classes of the forms, and the
+    """The orthogonal basis Q of the symmetry classes of the forms, and the
     forms' operators in it.
 
-    Q's columns are the bend dofs, then the stretch dofs. Each product-mesh
-    node pair (a, b), b the node at -x-hat of a, with a <= b, gives each
-    class one column per component, (e_a + s e_b) / sqrt 2 with the class's
-    sign s of that component; a node that is its own pair (a = b) keeps only
-    the components with s = 1, as e_a. On a split (see parity_pairing),
-    Q^T A Q is block diagonal for A = K_ss, K_sx, K_xx and M: the coupling
-    between the blocks is dropped, after a check that it is at most 1e-12
-    of each operator's largest entry (PairingMismatch otherwise). The four
-    blocks are kept on one sparsity pattern, so the matrix of t K(chi) + M
-    is one combination of their data per (chi, t).
+    The group is the sign flips of x-hat that the forms are invariant under:
+    both mirrors and their product, the central inversion, where
+    mirror_pairings holds, else the inversion alone (parity_pairing). g acts
+    on a field as u -> r_g u(g x-hat), with the component signs r_g =
+    (g1, g2, 1). Each class s (see _MIRROR_CLASSES) has one column per
+    orbit of product-mesh nodes under the group and per component c: with a
+    the orbit's representative (its least node), sum_g chi_s(g) r_g[c]
+    e_(g(a), c), normalised. It vanishes unless chi_s(h) r_h[c] = 1 for
+    every h that fixes a, and is then dropped. Q's columns run class by
+    class, by representative and component within each: under both mirrors
+    the two bend classes, then extension and torsion, so that the bend and
+    stretch parity classes stay contiguous; else bend, then stretch. Q^T A Q is block diagonal for A = K_ss, K_sx, K_xx and M: the
+    coupling between every two classes is dropped, after a check that it is
+    at most 1e-12 of each operator's largest entry (PairingMismatch
+    otherwise). The four operators' blocks are kept on one sparsity pattern,
+    so the matrix of t K(chi) + M is one combination of their data per
+    (chi, t). sizes holds the number of columns of each class.
 
-    order, the factorisation order, takes each block in a nested-dissection
-    order of the folded half-mesh (the pairs, joined where any of their
-    nodes are, at the coordinates of a, with y in units of the mean
-    cross-section element size): bend, then stretch. SuperLU makes no fill
-    between the blocks.
+    order, the factorisation order, takes each class in a nested-dissection
+    order of the folded mesh (the orbits, joined where any of their nodes
+    are, at the coordinates of their representatives, with y in units of
+    the mean cross-section element size), class after class. SuperLU makes
+    no fill between the blocks.
     """
 
     def __init__(self, forms):
-        mesh, pairing = forms.mesh, forms.pairing
+        mesh = forms.mesh
         n_c, n = mesh.cross.n_nodes, mesh.n_dof
-        reps = np.flatnonzero(np.arange(n_c) <= pairing)
+        group, classes = {(1, 1): np.arange(n_c), (-1, -1): forms.pairing}, _PARITY_CLASSES
+        mirrors = mirror_pairings(forms.profile, mesh.cross)
+        if mirrors is not None:
+            group.update({(-1, 1): mirrors[0], (1, -1): mirrors[1]})
+            classes = _MIRROR_CLASSES
+        flips = np.array(list(group))
+        images = np.array(list(group.values()))
+        reps = np.flatnonzero(np.arange(n_c) == images.min(axis=0))
+        # orbits[g, o]: the product-mesh node g(a) of representative a of orbit o
         layers = np.arange(mesh.n_y)[:, None] * n_c
-        a, b = (layers + reps).ravel(), (layers + pairing[reps]).ravel()
+        orbits = (images[:, None, reps] + layers).reshape(len(group), -1)
+        a = orbits[0]
         fold = np.empty(mesh.n_nodes, dtype=int)
-        fold[a] = fold[b] = np.arange(len(a))
+        fold[orbits] = np.arange(len(a))
         graph = forms.M1.tocoo()
         # y scaled so that the bisection cuts the axis with the most nodes
-        # along it: on the 8x8x16 cell, y has 16 and the folded section at
-        # most 9, and a t K + M block LU keeps 10% fewer L+U entries than
-        # with plain coordinates (AssembledForms.order keeps those)
+        # along it: on the 8x8x16 cell, y has 16 and the section folded
+        # by both mirrors 5, and a t K + M block LU keeps 14% fewer L+U
+        # entries than with plain coordinates (AssembledForms.order keeps
+        # those)
         x = mesh.node_coords()[a] * [1.0, 1.0, mesh.n_y / np.sqrt(len(mesh.cross.elements))]
         nested = _dissect(x, fold[graph.row], fold[graph.col])
-        # a node its own pair is entered twice with weight 1/2
-        w = np.where(a == b, 0.5, np.sqrt(0.5))[:, None]
+        fixes = orbits == a   # g in the stabiliser of the orbit
+        # each node of an orbit is entered once per element of its
+        # stabiliser, which sums to weight 1 / sqrt(orbit size)
+        w = np.sqrt(1.0 / (fixes.sum(axis=0) * len(group)))[:, None]
+        r = np.column_stack([flips, np.ones(len(flips))])   # (|G|, 3) component signs
         rows, cols, vals, order = [], [], [], []
-        for even in _EVEN.values():
-            sign = np.where(even, 1.0, -1.0)
-            keep = (a != b)[:, None] | even
+        for s in classes:
+            coef = np.prod(np.where(flips < 0, s, 1), axis=1)[:, None] * r
+            keep = fixes.T @ coef > 0
             col = np.full(keep.shape, -1)   # numbered after the classes before
             col[keep] = sum(map(len, order)) + np.arange(keep.sum())
-            for node, s in ((a, 1.0), (b, sign)):
+            for node, c in zip(orbits, coef):
                 dof = 3 * node[:, None] + np.arange(3)
                 rows.append(dof[keep])
                 cols.append(col[keep])
-                vals.append(np.broadcast_to(s * w, keep.shape)[keep])
+                vals.append((c * w)[keep])
             order.append(col[nested][keep[nested]])
         self.Q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
                                                        np.concatenate(cols))), shape=(n, n))
         self.order = np.concatenate(order)
-        n_bend = len(order[0])
+        self.sizes = [len(o) for o in order]
+        cls = np.repeat(np.arange(len(classes)), self.sizes)
         blocks = []
         for name in ("K_ss", "K_sx", "K_xx", "M"):
             A = (self.Q.T @ getattr(forms, name) @ self.Q).tocoo()
-            off = (A.row < n_bend) != (A.col < n_bend)
+            off = cls[A.row] != cls[A.col]
             coupling = np.max(np.abs(A.data[off]), initial=0.0)
             if coupling > 1e-12 * np.max(np.abs(A.data)):
-                raise PairingMismatch("%s couples the parity classes: %.3e of its largest "
+                raise PairingMismatch("%s couples the symmetry classes: %.3e of its largest "
                                       "entry" % (name, coupling / np.max(np.abs(A.data))))
             blocks.append((A.row[~off].astype(np.int64) * n + A.col[~off], A.data[~off]))
         # the union of the four patterns, row-major as CSR keeps it, and each
@@ -644,6 +687,11 @@ def sweep(forms, chi_grid, task, keys):
         stop.set()
         pool.shutdown(cancel_futures=True)
     return [results[chi] for chi in chi_grid]
+
+
+# the displacement components that each parity class keeps even under
+# x-hat -> -x-hat; the others are odd
+_EVEN = {"bend": np.array([True, True, False]), "stretch": np.array([False, False, True])}
 
 
 def parity_project(v, which, pairing):

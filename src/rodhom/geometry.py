@@ -72,19 +72,28 @@ def build_rectangle(aspect, nx, ny):
     return CrossSectionMesh(nodes, np.array(elements))
 
 
+def node_pairing(mesh, signs):
+    """The pairing of the node set with its image under the sign flips
+    x -> (s1 x1, s2 x2), signs = (s1, s2): pairing[i] is the node index of
+    the image of node_i, to 1e-10, or None where some image is no node.
+    (-1, -1) is the central inversion, (-1, 1) and (1, -1) the mirrors."""
+    nodes = mesh.nodes
+    # match[i, j]: node j lies within 1e-10 of the image of node_i in both
+    # coordinates; a dense n_nodes^2 table, as cross_mass is
+    match = np.all(np.abs(nodes[:, None, :] * signs - nodes[None, :, :]) <= 1e-10, axis=2)
+    if not np.all(np.any(match, axis=1)):
+        return None
+    return np.argmax(match, axis=1)
+
+
 def is_centrally_symmetric(mesh):
     """Check invariance of the node set under x -> -x, to 1e-10.
 
     Returns (flag, pairing) where pairing[i] is the node index of -node_i
     (or None when the mesh is not symmetric).
     """
-    nodes = mesh.nodes
-    # match[i, j]: node j lies within 1e-10 of -node_i in both coordinates;
-    # a dense n_nodes^2 table, as cross_mass is
-    match = np.all(np.abs(nodes[:, None, :] + nodes[None, :, :]) <= 1e-10, axis=2)
-    if not np.all(np.any(match, axis=1)):
-        return False, None
-    return True, np.argmax(match, axis=1)
+    pairing = node_pairing(mesh, (-1, -1))
+    return pairing is not None, pairing
 
 
 class ProductMesh:

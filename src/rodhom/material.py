@@ -59,10 +59,25 @@ def check_rod_material_symmetry(t):
     which in Voigt indices are the rows {11, 22, 33, 12} against the columns
     {23, 13}.
     """
-    rows = [0, 1, 2, 5]
-    cols = [3, 4]
-    block = t.voigt[np.ix_(rows, cols)]
-    return bool(np.max(np.abs(block)) <= 1e-12)
+    return _decoupled(t, [0, 1, 2, 5], [3, 4])
+
+
+# the Voigt slots odd under the mirror x1 -> -x1 (2e13, 2e12), and under
+# x2 -> -x2 (2e23, 2e12)
+_MIRROR_ODD = ([4, 5], [3, 5])
+
+
+def check_mirror_symmetry(t, axis):
+    """True iff t is invariant under the mirror x_axis -> -x_axis (axis 0
+    for x1, 1 for x2): its entries coupling the slots even under the mirror
+    with the odd ones vanish (to 1e-12)."""
+    odd = _MIRROR_ODD[axis]
+    return _decoupled(t, [s for s in range(6) if s not in odd], odd)
+
+
+def _decoupled(t, rows, cols):
+    """True iff the Voigt block of t at rows x cols vanishes (to 1e-12)."""
+    return bool(np.max(np.abs(t.voigt[np.ix_(rows, cols)])) <= 1e-12)
 
 
 class MaterialProfile:

@@ -33,7 +33,9 @@ def _report(outdir):
     return json.loads((outdir / "report.json").read_text())
 
 
-def test_homogenize(tmp_path, small_cfg):
+def test_homogenize(tmp_path, small_cfg, monkeypatch):
+    # homogenize factorises no resolvent, so it builds no resolvent basis
+    monkeypatch.setattr(fem, "ParityBasis", None)
     out = tmp_path / "h"
     assert cli.main(["homogenize", "--config", small_cfg, "--out", str(out)]) == 0
     obj = json.loads((out / "homogenized.json").read_text())
@@ -42,7 +44,7 @@ def test_homogenize(tmp_path, small_cfg):
     rep = _report(out)
     assert rep["all_pass"]
     assert len(rep["mesh_hash"]) == 16 and len(rep["material_hash"]) == 16
-    assert "tolerances" in rep
+    assert "tolerances" in rep and "resolvent_blocks" not in rep
     assert rep["environment"] == {"rodhom": rodhom.__version__, "numpy": np.__version__,
                                   "scipy": scipy.__version__,
                                   "python": platform.python_version(),
@@ -108,6 +110,8 @@ def test_spectrum(tmp_path, small_cfg):
     for name in ("bend_quotient", "stretch_quotient"):
         col = header.index(name)
         assert all(float(line.split(",")[col]) > 0 for line in lines[1:])
+    # the default 4x4x8 cell splits into the four mirror classes
+    assert _report(out)["resolvent_blocks"] == [152, 152, 168, 128]
 
 
 def test_fiber_rates(tmp_path, small_cfg):
@@ -115,6 +119,7 @@ def test_fiber_rates(tmp_path, small_cfg):
     assert cli.main(["fiber-rates", "--config", small_cfg, "--out", str(out)]) == 0
     rep = _report(out)
     assert all(s["passed"] for s in rep["slopes"])
+    assert rep["resolvent_blocks"] == [152, 152, 168, 128]
 
 
 def _intertwined_material():
@@ -136,6 +141,7 @@ def test_fiber_rates_intertwined(tmp_path):
     slopes = _report(out)["slopes"]
     assert [s["regime"] for s in slopes] == ["general_chi2"] * 2 + ["general_chi4"] * 4
     assert all(s["passed"] for s in slopes)
+    assert _report(out)["resolvent_blocks"] is None
 
 
 def test_resolvent_rates(tmp_path, small_cfg):

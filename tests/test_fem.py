@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rodhom import fem, fiber, homogenize as hz, pipeline as pl
 from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, cross_mass,
-                             is_centrally_symmetric)
+                             is_centrally_symmetric, node_pairing)
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
 from support_embedding import nodal_field
@@ -616,21 +616,29 @@ def intertwined_profile():
     return MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)), (0.0, 0.5, ElasticityTensor(C))])
 
 
-@pytest.mark.parametrize("nx, n_y", [(2, 4), (4, 8)])
-def test_split_resolvent_matches_dense_solve(nx, n_y):
-    # the block LU in the parity basis against a dense solve of t K(chi) + M,
-    # for loads of either parity class and of both; each (chi, t) keeps the
-    # condition number low enough for two direct solves to agree to 1e-10
-    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, nx, nx), n_y))
-    basis = forms.parity_basis
-    assert basis is not None
-    n = forms.mesh.n_dof
-    assert abs(basis.Q.T @ basis.Q - sp.identity(n)).max() <= 1e-15
-    assert np.array_equal(np.sort(basis.order), np.arange(n))
-    rng = np.random.default_rng(15)
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    loads = np.column_stack([f] + [fem.project_symmetry(f, which, forms.mesh, forms.pairing)
-                                   for which in ("bend", "stretch")])
+# the sign flips g of x-hat, and the classes of the mirror split as the
+# signs s of their characters chi_s(g) = s1^[g1 < 0] s2^[g2 < 0], in the
+# order of ParityBasis: the bends in the x1 and the x2 plane, extension,
+# torsion
+FLIPS = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+MIRROR_CLASSES = [(-1, 1), (1, -1), (1, 1), (-1, -1)]
+
+
+def class_part(f, mesh, s):
+    """The part of the product-mesh field f in the mirror class s: the
+    group average of chi_s(g) r_g f(g x-hat), r_g = (g1, g2, 1)."""
+    v = f.reshape(mesh.n_y, mesh.cross.n_nodes, 3)
+    part = 0.0
+    for g in FLIPS:
+        chi = (s[0] if g[0] < 0 else 1) * (s[1] if g[1] < 0 else 1)
+        part = part + chi * v[:, node_pairing(mesh.cross, g)] * [g[0], g[1], 1]
+    return (part / 4).ravel()
+
+
+def assert_matches_dense_solve(forms, loads):
+    # the basis LU against a dense solve of t K(chi) + M for each load
+    # column; each (chi, t) keeps the condition number low enough for two
+    # direct solves to agree to 1e-10
     for chi, t in [(0.0, 3.0), (0.3, 10.0), (-0.7, 2.0), (0.4, 0.4 ** -4), (1.3, 0.5)]:
         solver = forms.resolvent(chi, t)
         assert isinstance(solver.lu, fem.ParityLU)
@@ -638,7 +646,69 @@ def test_split_resolvent_matches_dense_solve(nx, n_y):
         got = solver.solve(loads)
         for g, w in zip(got.T, want.T):
             assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w)
-        assert np.linalg.norm(solver.solve(f) - want[:, 0]) <= 1e-10 * np.linalg.norm(want[:, 0])
+        assert np.linalg.norm(solver.solve(loads[:, 0]) - want[:, 0]) <= 1e-10 * np.linalg.norm(
+            want[:, 0])
+
+
+def assert_orthonormal_basis(basis, n):
+    assert abs(basis.Q.T @ basis.Q - sp.identity(n)).max() <= 1e-15
+    assert sum(basis.sizes) == n
+    assert np.array_equal(np.sort(basis.order), np.arange(n))
+
+
+@pytest.mark.parametrize("nx, n_y", [(2, 4), (4, 8)])
+def test_split_resolvent_matches_dense_solve(nx, n_y):
+    # isotropic layers on a rectangle split into the four mirror classes:
+    # each class's part of a load lies in its block of Q's columns, and the
+    # block LU solves loads of each class, of either parity and of all
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, nx, nx), n_y))
+    basis = forms.parity_basis
+    n = forms.mesh.n_dof
+    assert len(basis.sizes) == 4
+    assert_orthonormal_basis(basis, n)
+    rng = np.random.default_rng(15)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    parts = [class_part(f, forms.mesh, s) for s in MIRROR_CLASSES]
+    ends = np.cumsum(basis.sizes)
+    for part, lo, hi in zip(parts, ends - basis.sizes, ends):
+        Qk = basis.Q[:, lo:hi]
+        assert np.linalg.norm(Qk @ (Qk.T @ part) - part) <= 1e-14 * np.linalg.norm(part)
+    parity = [fem.project_symmetry(f, which, forms.mesh, forms.pairing)
+              for which in ("bend", "stretch")]
+    assert np.linalg.norm(parts[0] + parts[1] - parity[0]) <= 1e-14 * np.linalg.norm(f)
+    assert_matches_dense_solve(forms, np.column_stack([f] + parts + parity))
+
+
+def parallelogram(nx):
+    """The square of build_rectangle sheared by x1 += 0.4 x2: centrally
+    symmetric, symmetric under neither mirror."""
+    square = build_rectangle(1.0, nx, nx)
+    return CrossSectionMesh(square.nodes @ [[1.0, 0.0], [0.4, 1.0]], square.elements)
+
+
+def mirror_breaking_profile():
+    """A layer coupling e11 with 2e12: rod material symmetry, but neither
+    mirror symmetry."""
+    C = make_isotropic(5.0, 5.0).voigt.copy()
+    C[0, 5] = C[5, 0] = 1.0
+    return MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)), (0.0, 0.5, ElasticityTensor(C))])
+
+
+@pytest.mark.parametrize("profile, cross", [(mirror_breaking_profile(), build_rectangle(1.0, 2, 2)),
+                                            (layered_profile(), parallelogram(2))])
+def test_central_split_without_mirrors_keeps_two_classes(profile, cross):
+    forms = fem.assemble(profile, ProductMesh(cross, 4))
+    assert forms.pairing is not None
+    assert fem.mirror_pairings(profile, cross) is None
+    basis = forms.parity_basis
+    n = forms.mesh.n_dof
+    assert len(basis.sizes) == 2
+    assert_orthonormal_basis(basis, n)
+    rng = np.random.default_rng(16)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    parity = [fem.project_symmetry(f, which, forms.mesh, forms.pairing)
+              for which in ("bend", "stretch")]
+    assert_matches_dense_solve(forms, np.column_stack([f] + parity))
 
 
 def test_split_lu_fills_less_than_the_dof_order(default_forms):
@@ -670,3 +740,36 @@ def test_parity_basis_rejects_coupling(name):
     setattr(forms, name, (A + bump).tocsr())
     with pytest.raises(fem.PairingMismatch, match=name):
         forms.resolvent(0.3, 10.0)
+
+
+@pytest.mark.parametrize("name", ["K_ss", "K_sx", "K_xx", "M"])
+def test_mirror_basis_rejects_coupling_of_the_bend_classes(name, monkeypatch):
+    # u1 with u2 at node 0 and at its central image, by 1e-9 of the largest
+    # entry: the bump is invariant under the central inversion, so the
+    # two-class basis passes it, but it couples the bends in the x1 and the
+    # x2 plane
+    forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+    A = getattr(forms, name)
+    image = 3 * node_pairing(forms.mesh.cross, (-1, -1))[0]
+    bump = sp.lil_matrix(A.shape)
+    for i in (0, image):
+        bump[i, i + 1] = bump[i + 1, i] = 1e-9 * abs(A).max()
+    setattr(forms, name, (A + bump).tocsr())
+    with monkeypatch.context() as m:
+        m.setattr(fem, "mirror_pairings", lambda profile, cross: None)
+        assert len(fem.ParityBasis(forms).sizes) == 2
+    with pytest.raises(fem.PairingMismatch, match=name):
+        forms.resolvent(0.3, 10.0)
+
+
+def test_mirror_lu_fills_less_than_the_two_class_lu(default_forms, monkeypatch):
+    # on the default cell the four mirror blocks keep at most 0.6 times the
+    # L+U entries of the bend and stretch blocks
+    forms = default_forms
+    chi, t = 0.1, 0.1 ** -4
+    four = forms.resolvent(chi, t).lu.lu.lu
+    monkeypatch.setattr(fem, "mirror_pairings", lambda profile, cross: None)
+    basis = fem.ParityBasis(forms)
+    two = fem.factorize(basis.matrix(chi, t), basis.order).lu
+    assert len(forms.parity_basis.sizes) == 4 and len(basis.sizes) == 2
+    assert four.L.nnz + four.U.nnz <= 0.6 * (two.L.nnz + two.U.nnz)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, compute_moments,
-                             is_centrally_symmetric)
+                             is_centrally_symmetric, node_pairing)
 
 from support_embedding import C_bend, C_rod_chi
 from support_quadrature import quad_areas, total_area
@@ -130,6 +130,22 @@ def test_central_symmetry_broken_by_shift():
     m.nodes[:, 0] += 0.1
     ok, pairing = is_centrally_symmetric(m)
     assert not ok and pairing is None
+
+
+@pytest.mark.parametrize("signs", [(-1, 1), (1, -1), (-1, -1)])
+def test_node_pairing_maps_nodes_to_their_images(signs):
+    m = build_rectangle(2.0, 4, 3)
+    pairing = node_pairing(m, signs)
+    assert np.max(np.abs(m.nodes[pairing] - m.nodes * signs)) < 1e-12
+    assert np.array_equal(pairing[pairing], np.arange(m.n_nodes))
+
+
+def test_node_pairing_broken_by_shift_keeps_the_other_mirror():
+    # a shift along x1 breaks the x1 mirror and the inversion, not the x2 mirror
+    m = build_rectangle(1.0, 4, 4)
+    m.nodes[:, 0] += 0.1
+    assert node_pairing(m, (-1, 1)) is None and node_pairing(m, (-1, -1)) is None
+    assert node_pairing(m, (1, -1)) is not None
 
 
 def test_product_mesh_layout():

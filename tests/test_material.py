@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rodhom.material import (ElasticityTensor, MaterialProfile, check_coercivity,
-                             check_rod_material_symmetry, make_isotropic,
-                             profile_from_json)
+                             check_mirror_symmetry, check_rod_material_symmetry,
+                             make_isotropic, profile_from_json)
 
 
 def engineering(E):
@@ -74,6 +74,20 @@ def test_rod_symmetry_allows_1323():
     C = np.zeros((6, 6))
     C[3, 4] = C[4, 3] = 1.0  # A_1323 is not on the forbidden list
     assert check_rod_material_symmetry(ElasticityTensor(C))
+
+
+@pytest.mark.parametrize("entry, mirrors", [
+    (None, (True, True)),
+    ((0, 5), (False, False)),   # e11 with 2e12
+    ((3, 4), (False, False)),   # 2e23 with 2e13
+    ((0, 3), (True, False)),    # e11 with 2e23: odd in x2 only
+    ((2, 4), (False, True)),    # e33 with 2e13: odd in x1 only
+])
+def test_mirror_symmetry(entry, mirrors):
+    C = make_isotropic(1.0, 1.0).voigt.copy()
+    if entry is not None:
+        C[entry] = C[entry[::-1]] = 0.1
+    assert tuple(check_mirror_symmetry(ElasticityTensor(C), axis) for axis in (0, 1)) == mirrors
 
 
 def test_profile_periodic_evaluation():
