@@ -34,22 +34,22 @@ operators, to be kept consistent with the first. Values derived from the
 forms are cached properties of AssembledForms.
 
 Every sparse LU goes through factorize and is Hermitian positive definite:
-K_ss with four dofs pinned (QuotientSolver) and the resolvents t K(chi) + M,
-each in SuperLU's symmetric mode with every pivot checked to be positive,
-and each in a nested-dissection order of the mesh (AssembledForms.order).
-The forms keep one resolvent LU per (chi, t) they are asked for
-(AssembledForms.resolvent) for their lifetime: the fiber-rate study and the
-shift-invert eigensolves, whose matrix K(chi) + M / t is the resolvent's up
-to the factor t, share it. Where the forms split into the bend and stretch
-parity classes (parity_pairing: rod-symmetric layers on a centrally
-symmetric cross-section), these LUs are of the block-diagonal matrix in the
-orthogonal ParityBasis, each block in a nested-dissection order of the
+K_ss with four coordinates pinned (QuotientSolver) and the resolvents
+t K(chi) + M (ResolventSolver), each in SuperLU's symmetric mode with every
+pivot checked to be positive. The forms keep one resolvent LU per (chi, t)
+they are asked for (AssembledForms.resolvent) for their lifetime: the
+fiber-rate study and the shift-invert eigensolves, whose matrix
+K(chi) + M / t is the resolvent's up to the factor t, share it; the line
+study keeps its own. Where the forms split into the bend and stretch parity
+classes (parity_pairing: rod-symmetric layers on a centrally symmetric
+cross-section), every one of these LUs is of the block-diagonal matrix in
+the orthogonal ParityBasis, each block in a nested-dissection order of the
 folded mesh, in one factorize call. Its classes are those of the cell's
 symmetry group: where every layer and the cross-section are symmetric under
 both mirrors x1 -> -x1 and x2 -> -x2 (mirror_pairings), four, the bends in
 the x1 and the x2 plane, extension and torsion; else two, bend and stretch.
-The resolvents that other callers build (ResolventSolver with no basis)
-stay in AssembledForms.order.
+Forms that do not split factorise in a nested-dissection order of the mesh
+(AssembledForms.order).
 
 A chi sweep (spectrum_scaling, the fiber-rate study) factorises each chi's
 resolvents on the calling thread and runs the rest of that chi as one task
@@ -230,8 +230,9 @@ class AssembledForms:
 
     @cached_property
     def order(self):
-        """The dof order of every LU: nested dissection of the graph of M1
-        (see _dissect), each node's three dofs together."""
+        """The dof order of the LUs of forms that do not split by parity:
+        nested dissection of the graph of M1 (see _dissect), each node's
+        three dofs together."""
         graph = self.M1.tocoo()
         nodes = _dissect(self.mesh.node_coords(), graph.row, graph.col)
         return (3 * nodes[:, None] + np.arange(3)).ravel()
@@ -277,8 +278,8 @@ class AssembledForms:
 
     @cached_property
     def parity_basis(self):
-        """The ParityBasis the forms' resolvents factorise in, or None where
-        the forms do not split by parity."""
+        """The ParityBasis the forms' LUs factorise in, or None where the
+        forms do not split by parity."""
         return None if self.pairing is None else ParityBasis(self)
 
     def resolvent(self, chi, t):
@@ -288,7 +289,7 @@ class AssembledForms:
         so dropping them frees its LU."""
         key = (chi, t)
         if key not in self._resolvents:
-            self._resolvents[key] = ResolventSolver(self, chi, t, self.parity_basis)
+            self._resolvents[key] = ResolventSolver(self, chi, t)
         return self._resolvents[key]
 
     @cached_property
@@ -361,25 +362,36 @@ def _form(A, U):
 
 class QuotientSolver:
     """Solves t K_ss u = load, every cell and corrector problem, on the
-    rigid-motion quotient. A pivoted QR of the rigid motions Z picks four dofs
-    to pin, so K_ss on the other dofs is real symmetric positive definite;
-    one LU of it serves all loads and t. The load's M-rigid part
-    M Z^T G^-1 Z load (G = Z M Z^T) is removed first and u is projected
-    M-orthogonally off Z after, which makes u the solution of the saddle
-    system [[K_ss, (Z M)^T], [Z M, 0]] for every load. A load is one field
-    (n_dof,) or a block (n_dof, k) of them; its k complex columns are the 2k
-    columns of one real solve. The solver keeps no reference to the forms.
+    rigid-motion quotient. K_ss is taken in the coordinates of the forms'
+    ParityBasis Q where they split, as the real block-diagonal Q^T K_ss Q in
+    the basis order, else as it is in forms.order. A pivoted QR of the rigid
+    motions Z in these coordinates (Z Q) picks four of them to pin, so the
+    matrix on the others is real symmetric positive definite; one LU of it
+    serves all loads and t. Each rigid motion lies in one class, so the pins
+    are one per class of the four mirror classes, and two per parity class.
+    The load's M-rigid part M Z^T G^-1 Z load (G = Z M Z^T) is removed
+    first, and u, taken back to the dofs, is projected M-orthogonally off Z
+    after, which makes u the solution of the saddle system
+    [[K_ss, (Z M)^T], [Z M, 0]] for every load. A load is one field (n_dof,)
+    or a block (n_dof, k) of them; its k complex columns are the 2k columns
+    of one real solve. The solver keeps no reference to the forms.
     """
 
     def __init__(self, forms):
         Z = self.kernel = forms.kernel_fields
         self.MZ = forms.M @ Z.T
         self.G_inv = np.linalg.inv(Z @ self.MZ)
+        basis = forms.parity_basis
+        if basis is None:
+            self.Q, K, order = None, forms.K_ss, forms.order
+        else:
+            self.Q, K, order = basis.Q, basis.K_ss, basis.order
+            Z = (self.Q.T @ Z.T).T
         pins = sla.qr(Z, mode="r", pivoting=True)[1][:4]
         self.free = np.setdiff1d(np.arange(Z.shape[1]), pins)
-        # forms.order restricted to the free dofs, as positions among them
-        order = np.searchsorted(self.free, forms.order[np.isin(forms.order, self.free)])
-        self.lu = factorize(forms.K_ss[self.free][:, self.free], order)
+        # the order restricted to the free coordinates, as positions among them
+        order = np.searchsorted(self.free, order[np.isin(order, self.free)])
+        self.lu = factorize(K[self.free][:, self.free], order)
 
     def solve(self, load, t=1.0):
         """u with t K_ss u = load on the rigid-motion quotient, column by
@@ -394,11 +406,16 @@ class QuotientSolver:
         if np.any(bad):
             raise IncompatibleLoad("load has kernel residual %.3e relative" % np.max(
                 worst[bad] / scale[bad]))
-        f = (load - self.MZ @ (self.G_inv @ res))[self.free]
+        f = load - self.MZ @ (self.G_inv @ res)
+        if self.Q is not None:
+            f = self.Q.T @ f
+        f = f[self.free]
         sol = self.lu.solve(np.column_stack([f.real, f.imag]))
         k = sol.shape[1] // 2
         u = np.zeros(load.shape, dtype=complex)
         u[self.free] = (sol[:, :k] + 1j * sol[:, k:]).reshape(f.shape)
+        if self.Q is not None:
+            u = self.Q @ u
         u -= self.kernel.T @ (self.G_inv @ (self.MZ.T @ u))
         return u / t, float(np.max(worst))
 
@@ -439,12 +456,13 @@ class OrderedLU:
 class ResolventSolver:
     """Factorisation of (t K(chi) + M) for repeated loads; solves
     (t K(chi) + M) u = M f, Hermitian positive definite, no constraints.
-    Given a ParityBasis it factorises the block-diagonal matrix of that
-    basis, else t K(chi) + M in forms.order. The solver keeps no reference
-    to the forms."""
+    Where the forms split it factorises the block-diagonal matrix of their
+    ParityBasis (a ParityLU), else t K(chi) + M in forms.order. The solver
+    keeps no reference to the forms."""
 
-    def __init__(self, forms, chi, t, basis=None):
+    def __init__(self, forms, chi, t):
         self.M = forms.M
+        basis = forms.parity_basis
         if basis is None:
             self.lu = factorize(t * forms.K(chi) + forms.M, forms.order)
         else:
@@ -504,12 +522,17 @@ class ParityBasis:
     every h that fixes a, and is then dropped. Q's columns run class by
     class, by representative and component within each: under both mirrors
     the two bend classes, then extension and torsion, so that the bend and
-    stretch parity classes stay contiguous; else bend, then stretch. Q^T A Q is block diagonal for A = K_ss, K_sx, K_xx and M: the
-    coupling between every two classes is dropped, after a check that it is
-    at most 1e-12 of each operator's largest entry (PairingMismatch
-    otherwise). The four operators' blocks are kept on one sparsity pattern,
-    so the matrix of t K(chi) + M is one combination of their data per
-    (chi, t). sizes holds the number of columns of each class.
+    stretch parity classes stay contiguous; else bend, then stretch. sizes
+    holds the number of columns of each class.
+
+    Q^T A Q is block diagonal for A = K_ss, K_sx, K_xx and M: the coupling
+    between every two classes is dropped, after a check that it is at most
+    1e-12 of each operator's largest entry (PairingMismatch otherwise). The
+    basis builds the block K_ss of the cell problems (QuotientSolver) at
+    once, and those of K_sx, K_xx and M, on one sparsity pattern with K_ss's
+    (blocks), with the first resolvent: building them in set-up made the
+    line study's set-up half as long again. It keeps the three operators,
+    not the forms, so the forms stay free of reference cycles.
 
     order, the factorisation order, takes each class in a nested-dissection
     order of the folded mesh (the orbits, joined where any of their nodes
@@ -564,31 +587,50 @@ class ParityBasis:
                                                        np.concatenate(cols))), shape=(n, n))
         self.order = np.concatenate(order)
         self.sizes = [len(o) for o in order]
-        cls = np.repeat(np.arange(len(classes)), self.sizes)
-        blocks = []
-        for name in ("K_ss", "K_sx", "K_xx", "M"):
-            A = (self.Q.T @ getattr(forms, name) @ self.Q).tocoo()
-            off = cls[A.row] != cls[A.col]
-            coupling = np.max(np.abs(A.data[off]), initial=0.0)
-            if coupling > 1e-12 * np.max(np.abs(A.data)):
-                raise PairingMismatch("%s couples the symmetry classes: %.3e of its largest "
-                                      "entry" % (name, coupling / np.max(np.abs(A.data))))
-            blocks.append((A.row[~off].astype(np.int64) * n + A.col[~off], A.data[~off]))
+        self._cls = np.repeat(np.arange(len(classes)), self.sizes)
+        self.K_ss = self.block_diagonal(forms.K_ss, "K_ss")
+        # the operators, not the forms, so that the forms hold no cycle
+        self._operators = {name: getattr(forms, name) for name in ("K_sx", "K_xx", "M")}
+
+    def block_diagonal(self, A, name):
+        """Q^T A Q as block-diagonal CSR: the coupling between every two
+        classes is dropped, after a check that it is at most 1e-12 of the
+        largest entry (PairingMismatch otherwise)."""
+        B = self.Q.T.tocsr() @ (A @ self.Q)
+        rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+        off = self._cls[rows] != self._cls[B.indices]
+        coupling = np.max(np.abs(B.data[off]), initial=0.0)
+        if coupling > 1e-12 * np.max(np.abs(B.data)):
+            raise PairingMismatch("%s couples the symmetry classes: %.3e of its largest "
+                                  "entry" % (name, coupling / np.max(np.abs(B.data))))
+        B.data[off] = 0
+        B.eliminate_zeros()
+        return B
+
+    @cached_property
+    def blocks(self):
+        """The data of the blocks of K_ss, K_sx, K_xx and M on the union of
+        their patterns, with its CSR indices and indptr, so that the matrix
+        of t K(chi) + M is one combination of their data per (chi, t).
+        Built on first use: the cell problems need only K_ss."""
+        n = self.Q.shape[0]
+        blocks = [self.K_ss] + [self.block_diagonal(A, name)
+                                for name, A in self._operators.items()]
+        keys = [np.repeat(np.arange(n), np.diff(B.indptr)) * n + B.indices for B in blocks]
         # the union of the four patterns, row-major as CSR keeps it, and each
         # block entry's place in it: one sort, half the time of searching it
-        keys, where = np.unique(np.concatenate([k for k, _ in blocks]), return_inverse=True)
-        self.data = [np.zeros(len(keys), dtype=v.dtype) for _, v in blocks]
-        ends = np.cumsum([len(k) for k, _ in blocks])
-        for data, (_, v), part in zip(self.data, blocks, np.split(where, ends[:-1])):
-            data[part] = v
-        self.indices = keys % n
-        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        union, where = np.unique(np.concatenate(keys), return_inverse=True)
+        data = [np.zeros(len(union), dtype=B.dtype) for B in blocks]
+        ends = np.cumsum([len(k) for k in keys])[:-1]
+        for d, B, part in zip(data, blocks, np.split(where, ends)):
+            d[part] = B.data
+        return data, union % n, np.searchsorted(union // n, np.arange(n + 1))
 
     def matrix(self, chi, t):
         """Q^T (t K(chi) + M) Q, block diagonal, as CSR."""
-        ss, sx, xx, m = self.data
-        return sp.csr_matrix((t * (ss + chi * sx + chi ** 2 * xx) + m, self.indices,
-                              self.indptr), shape=self.Q.shape)
+        (ss, sx, xx, m), indices, indptr = self.blocks
+        return sp.csr_matrix((t * (ss + chi * sx + chi ** 2 * xx) + m, indices, indptr),
+                             shape=self.Q.shape)
 
 
 class ParityLU:
@@ -655,13 +697,16 @@ def smallest_eigs(forms, chi, k):
 def sweep(forms, chi_grid, task, keys):
     """[task(chi) for chi in chi_grid], task run once per distinct chi on a
     pool of SWEEP_THREADS threads. This thread first builds the forms' lazy
-    state (parity basis or dof order, rod tensor, 1-norms), then factorises
+    state (the parity basis with its resolvent blocks, or the dof order;
+    rod tensor, 1-norms), then factorises
     the resolvents keys(chi) = [(chi, t), ...] of each chi in turn before
     its task starts: scipy's SuperLU frees an LU only on the thread that
     made it. After a failure no chi starts; the pool is joined, then this
     thread's error or else the first task error in grid order is raised."""
     if forms.parity_basis is None:
         forms.order
+    else:
+        forms.parity_basis.blocks
     forms.rod_tensor, forms.one_norms
     stop = threading.Event()
 

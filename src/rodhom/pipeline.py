@@ -228,9 +228,9 @@ class LineResolvent:
     operator does not depend on the regime, so one solve per |chi| serves
     the loads of every regime at its eps, stacked along the leading axes.
     The factorisations are its own, not the forms' (forms.resolvent), so a
-    rate study holds those of one eps at a time, and they are of the whole
-    matrix in forms.order, not of the parity blocks the forms' resolvents
-    take.
+    rate study holds those of one eps at a time; they are the same
+    fem.ResolventSolver, on the class blocks of forms.parity_basis where the
+    forms split.
     """
 
     def __init__(self, forms, eps, gamma):

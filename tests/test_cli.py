@@ -34,8 +34,17 @@ def _report(outdir):
 
 
 def test_homogenize(tmp_path, small_cfg, monkeypatch):
-    # homogenize factorises no resolvent, so it builds no resolvent basis
-    monkeypatch.setattr(fem, "ParityBasis", None)
+    # homogenize factorises the quotient LU on the class blocks of K_ss, but
+    # no resolvent, so it builds no block of K_sx, K_xx or M
+    built = []
+    block_diagonal = fem.ParityBasis.block_diagonal
+
+    def counted(self, A, name):
+        built.append(name)
+        return block_diagonal(self, A, name)
+
+    monkeypatch.setattr(fem.ParityBasis, "block_diagonal", counted)
+    monkeypatch.setattr(fem, "ResolventSolver", None)
     out = tmp_path / "h"
     assert cli.main(["homogenize", "--config", small_cfg, "--out", str(out)]) == 0
     obj = json.loads((out / "homogenized.json").read_text())
@@ -45,6 +54,7 @@ def test_homogenize(tmp_path, small_cfg, monkeypatch):
     assert rep["all_pass"]
     assert len(rep["mesh_hash"]) == 16 and len(rep["material_hash"]) == 16
     assert "tolerances" in rep and "resolvent_blocks" not in rep
+    assert built == ["K_ss"]
     assert rep["environment"] == {"rodhom": rodhom.__version__, "numpy": np.__version__,
                                   "scipy": scipy.__version__,
                                   "python": platform.python_version(),

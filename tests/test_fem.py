@@ -337,16 +337,17 @@ def test_dissect_splits_when_most_nodes_share_the_least_coordinate():
 
 
 def test_ordered_lu_solves_match_spsolve(any_forms):
-    # a resolvent, the pinned K_ss of the quotient solver and a shift-invert
-    # matrix K(chi) - sigma M (sigma = -1), each factorised in forms.order, against
-    # SuperLU's own ordering; each has condition number about 1e4 or less,
-    # so two direct solves agree to 1e-12
+    # a resolvent in the parity basis, the pinned block matrix Q^T K_ss Q of
+    # the quotient solver in the basis order and a shift-invert matrix
+    # K(chi) - sigma M (sigma = -1) in forms.order, against SuperLU's own
+    # ordering; each has condition number about 1e4 or less, so two direct
+    # solves agree to 1e-12
     forms = any_forms
     chi = 0.3
     free = forms.quotient.free
     shifted = forms.K(chi) + forms.M
     cases = [(10.0 * forms.K(chi) + forms.M, fem.ResolventSolver(forms, chi, 10.0).lu),
-             (forms.K_ss[free][:, free], forms.quotient.lu),
+             (forms.parity_basis.K_ss[free][:, free], forms.quotient.lu),
              (shifted, fem.factorize(shifted, forms.order))]
     rng = np.random.default_rng(14)
     for A, lu in cases:
@@ -608,6 +609,22 @@ def test_sweep_factorises_no_chi_after_a_failure(forms):
     assert asked == [0.4, 0.3]
 
 
+def test_sweep_builds_the_lazy_state_before_any_task():
+    # the parity basis with its resolvent blocks, or the dof order where the
+    # forms do not split, the rod tensor and the 1-norms are built on the
+    # calling thread before the first task starts, even where no chi asks
+    # for a resolvent
+    for profile, lazy in ((layered_profile(), "blocks"), (intertwined_profile(), "order")):
+        forms = fem.assemble(profile, ProductMesh(build_rectangle(1.0, 2, 2), 4))
+        owner = forms if forms.parity_basis is None else forms.parity_basis
+
+        def task(chi):
+            return [name in vars(obj) for obj, name in (
+                (owner, lazy), (forms, "rod_tensor"), (forms, "one_norms"))]
+
+        assert fem.sweep(forms, [0.4, 0.2], task, lambda chi: []) == [[True] * 3] * 2
+
+
 def intertwined_profile():
     """The paper's intertwined case: a stiff layer coupling e33 with 2e13,
     which breaks rod material symmetry."""
@@ -712,11 +729,12 @@ def test_central_split_without_mirrors_keeps_two_classes(profile, cross):
 
 
 def test_split_lu_fills_less_than_the_dof_order(default_forms):
-    # the two blocks factorise with fewer L+U entries than the coupled
+    # the class blocks factorise with fewer L+U entries than the coupled
     # matrix in forms.order
     forms = default_forms
-    split = forms.resolvent(0.1, 0.1 ** -4).lu.lu.lu
-    whole = fem.ResolventSolver(forms, 0.1, 0.1 ** -4).lu.lu
+    t = 0.1 ** -4
+    split = forms.resolvent(0.1, t).lu.lu.lu
+    whole = fem.factorize(t * forms.K(0.1) + forms.M, forms.order).lu
     assert split.L.nnz + split.U.nnz < 0.9 * (whole.L.nnz + whole.U.nnz)
 
 
@@ -731,13 +749,20 @@ def test_intertwined_forms_factorise_in_dof_order(forms):
 @pytest.mark.parametrize("name", ["K_ss", "K_sx", "K_xx", "M"])
 def test_parity_basis_rejects_coupling(name):
     # an operator that couples the parity classes by 1e-9 of its largest
-    # entry fails the check of the first resolvent, before any factorisation
+    # entry fails the check of the first resolvent, before any factorisation;
+    # K_ss fails that of the quotient solver already, whose cell problems
+    # need no other operator's blocks
     forms = fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
     A = getattr(forms, name)
     e = np.zeros(forms.mesh.n_dof)
     e[0] = 1.0   # u1 at node 0: half bend, half stretch
     bump = 1e-9 * abs(A).max() * sp.csr_matrix(np.outer(e, e))
     setattr(forms, name, (A + bump).tocsr())
+    if name == "K_ss":
+        with pytest.raises(fem.PairingMismatch, match=name):
+            forms.quotient
+    else:
+        forms.quotient
     with pytest.raises(fem.PairingMismatch, match=name):
         forms.resolvent(0.3, 10.0)
 
@@ -757,7 +782,9 @@ def test_mirror_basis_rejects_coupling_of_the_bend_classes(name, monkeypatch):
     setattr(forms, name, (A + bump).tocsr())
     with monkeypatch.context() as m:
         m.setattr(fem, "mirror_pairings", lambda profile, cross: None)
-        assert len(fem.ParityBasis(forms).sizes) == 2
+        two = fem.ParityBasis(forms)
+        two.blocks   # checks K_sx, K_xx and M too
+        assert len(two.sizes) == 2
     with pytest.raises(fem.PairingMismatch, match=name):
         forms.resolvent(0.3, 10.0)
 
@@ -773,3 +800,61 @@ def test_mirror_lu_fills_less_than_the_two_class_lu(default_forms, monkeypatch):
     two = fem.factorize(basis.matrix(chi, t), basis.order).lu
     assert len(forms.parity_basis.sizes) == 4 and len(basis.sizes) == 2
     assert four.L.nnz + four.U.nnz <= 0.6 * (two.L.nnz + two.U.nnz)
+
+
+@pytest.mark.parametrize("profile, cross, n_y, classes", [
+    (layered_profile(), build_rectangle(1.0, 2, 2), 4, 4),
+    (layered_profile(), build_rectangle(1.0, 4, 4), 8, 4),
+    (layered_profile(), parallelogram(2), 4, 2),
+    (intertwined_profile(), build_rectangle(1.0, 2, 2), 4, None)])
+def test_block_quotient_matches_dense_saddle_solve(profile, cross, n_y, classes):
+    # the quotient solver on the class blocks of K_ss, or in the dof
+    # numbering on the intertwined material, against the dense saddle solve
+    # column by column, for compatible loads and each class's part of one;
+    # the residual is the block's worst, and a rigid column is rejected
+    # against its own norm, however large the others
+    forms = fem.assemble(profile, ProductMesh(cross, n_y))
+    basis = forms.parity_basis
+    assert (None if basis is None else len(basis.sizes)) == classes
+    loads = compatible_loads(forms, 3, seed=17)
+    if basis is not None:
+        ends = np.cumsum(basis.sizes)
+        blocks = [basis.Q[:, lo:hi] for lo, hi in zip(ends - basis.sizes, ends)]
+        loads = np.column_stack([loads] + [Qk @ (Qk.T @ loads[:, 0]) for Qk in blocks])
+    got, residual = forms.quotient.solve(loads, t=2.5)
+    for u, f in zip(got.T, loads.T):
+        want = dense_saddle_solve(forms, f) / 2.5
+        assert np.linalg.norm(u - want) <= 1e-10 * np.linalg.norm(want)
+    assert residual == np.max(np.abs(forms.kernel_fields @ loads))
+    for z in forms.kernel_fields:
+        with pytest.raises(fem.IncompatibleLoad):
+            forms.quotient.solve(np.column_stack([1e10 * loads, forms.M @ z.astype(complex)]))
+
+
+@pytest.mark.parametrize("profile, cross, per_class", [
+    (layered_profile(), build_rectangle(1.0, 2, 2), 1),
+    (layered_profile(), parallelogram(2), 2),
+    (mirror_breaking_profile(), build_rectangle(1.0, 2, 2), 2)])
+def test_quotient_pins_the_rigid_motions_of_each_class(profile, cross, per_class):
+    # each rigid motion lies in one class: the pivoted QR of Z Q pins one
+    # coordinate in each of the four mirror classes, and two in each parity
+    # class where only the central inversion holds
+    forms = fem.assemble(profile, ProductMesh(cross, 4))
+    sizes = forms.parity_basis.sizes
+    pins = np.setdiff1d(np.arange(forms.mesh.n_dof), forms.quotient.free)
+    classes = np.searchsorted(np.cumsum(sizes), pins, side="right")
+    assert np.bincount(classes, minlength=len(sizes)).tolist() == [per_class] * len(sizes)
+
+
+def test_block_quotient_lu_fills_half_the_dof_order_lu(default_forms):
+    # on the default cell the quotient LU on the four class blocks keeps at
+    # most half the L+U entries of K_ss pinned in the dof numbering and
+    # factorised in forms.order
+    forms = default_forms
+    Z = forms.kernel_fields
+    free = np.setdiff1d(np.arange(Z.shape[1]), sla.qr(Z, mode="r", pivoting=True)[1][:4])
+    order = np.searchsorted(free, forms.order[np.isin(forms.order, free)])
+    dof = fem.factorize(forms.K_ss[free][:, free], order).lu
+    block = forms.quotient.lu.lu
+    assert len(forms.parity_basis.sizes) == 4
+    assert block.L.nnz + block.U.nnz <= 0.5 * (dof.L.nnz + dof.U.nnz)

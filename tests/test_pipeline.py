@@ -696,27 +696,44 @@ def _under_fast_switching(forms, sweep, monkeypatch):
     return out, made
 
 
+def _split_forms():
+    return fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 2, 2), 4))
+
+
 def test_sweep_under_fast_thread_switching_factorises_each_key_once(monkeypatch):
-    # forms without the parity split, with no dof order or quotient LU yet:
-    # the sweep builds them on the calling thread, then factorises each
-    # chi's resolvents there while pool threads run the chains of the chi
-    # before. With the interpreter switching threads every microsecond,
-    # each (chi, power) is still factorised once, every LU on the calling
-    # thread, and the rows are bitwise those of the oracle loop on forms of
-    # its own
-    forms = _mixed_forms()
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
-    loads = {"general_chi2": f, "general_chi4": f}
+    # forms with no dof order, parity basis or quotient LU yet, without and
+    # with the mirror split: the sweep builds them, and the class blocks of
+    # K_sx, K_xx and M, on the calling thread, then factorises each chi's
+    # resolvents there while pool threads run the chains of the chi before.
+    # With the interpreter switching threads every microsecond, each
+    # operator's blocks are built once and each (chi, power) factorised
+    # once, all on the calling thread, and the rows are bitwise those of the
+    # oracle loop on forms of its own
+    blocks = []
+    block_diagonal = fem.ParityBasis.block_diagonal
+
+    def counted(self, A, name):
+        blocks.append((name, threading.current_thread()))
+        return block_diagonal(self, A, name)
+
+    monkeypatch.setattr(fem.ParityBasis, "block_diagonal", counted)
     chi_grid = (0.4, 0.3, 0.2, 0.1)
-    study, made = _under_fast_switching(
-        forms, lambda forms: pl.fiber_rate_study(forms, loads, chi_grid), monkeypatch)
-    resolvents = [n for n, _ in made if n == forms.mesh.n_dof]
-    assert len(resolvents) == 2 * len(chi_grid) == len(forms._resolvents)
-    assert len(made) == len(resolvents) + 1   # and the quotient LU
-    assert {thread for _, thread in made} == {threading.current_thread()}
-    oracle = fiber_rate_study_loop(_mixed_forms(), loads, chi_grid)
-    assert study["rows"] == oracle["rows"] and study["slopes"] == oracle["slopes"]
+    for make_forms, built in ((_mixed_forms, []), (_split_forms, ["K_ss", "K_sx", "K_xx", "M"])):
+        forms = make_forms()
+        rng = np.random.default_rng(2)
+        f = rng.standard_normal(forms.mesh.n_dof) + 1j * rng.standard_normal(forms.mesh.n_dof)
+        loads = {"general_chi2": f, "general_chi4": f}
+        del blocks[:]
+        with monkeypatch.context() as m:
+            study, made = _under_fast_switching(
+                forms, lambda forms: pl.fiber_rate_study(forms, loads, chi_grid), m)
+        assert [name for name, _ in blocks] == built
+        resolvents = [n for n, _ in made if n == forms.mesh.n_dof]
+        assert len(resolvents) == 2 * len(chi_grid) == len(forms._resolvents)
+        assert len(made) == len(resolvents) + 1   # and the quotient LU
+        assert {thread for _, thread in made + blocks} == {threading.current_thread()}
+        oracle = fiber_rate_study_loop(make_forms(), loads, chi_grid)
+        assert study["rows"] == oracle["rows"] and study["slopes"] == oracle["slopes"]
 
 
 def test_spectrum_scaling_under_fast_thread_switching_factorises_each_key_once(monkeypatch):
