@@ -26,12 +26,22 @@ into slots (e33, 2e23, 2e13). Assembly builds every fiber operator once:
   int |d_y u + i chi u|^2 = u^H (S_y + chi C_y + chi^2 M1) u per component.
 
 Every term of the corrector chains, the cell problems, the rod tensor and the
-error norms is one of these matrices applied to a nodal vector. The norms take
-one fiber or a (K, n_dof) stack of fibers with one chi each, and apply each
-scalar block to the whole stack in one sparse product. No Gauss-point
-fields are kept: they would be a second representation of the same
-operators, to be kept consistent with the first. Values derived from the
+error norms is one of these matrices applied to a nodal vector. The norms
+take a stack (..., n_dof) of fibers with one chi each, and apply each scalar
+block to the whole stack in one sparse product (norm_sq_parts), which yields
+the L2 and H1 parts of every fiber and displacement component at once. No
+Gauss-point fields are kept: they would be a second representation of the
+same operators, to be kept consistent with the first. Values derived from the
 forms are cached properties of AssembledForms.
+
+The operators are stored once, as RealCSR (their transposes RealCSC): a real
+operator multiplies a complex block in real arithmetic, as one real product
+on the block's float64 view, where the real and imaginary parts of each entry
+are two columns. That is bitwise the complex product, with half its
+operations and no complex copy of the operator; it serves the chains, the
+norms, the solvers' products with M and the basis Q, and ARPACK's products
+with M in smallest_eigs. K_sx and C_y, whose entries are imaginary, multiply
+as complex matrices.
 
 Every sparse LU goes through factorize and is Hermitian positive definite:
 K_ss with four coordinates pinned (QuotientSolver) and the resolvents
@@ -122,14 +132,56 @@ def _integrate(w, left, rights, D=None):
     return outs
 
 
+class _RealProducts:
+    """The products of a sparse matrix with dense arrays, where a float64
+    matrix times a complex128 array is one real product on the array's
+    float64 view (made C-contiguous first): the real and imaginary parts of
+    each entry are two columns of it, so A @ X.view(float) is
+    (A @ X).view(float), bitwise the complex product, which would upcast A to
+    a complex copy and take twice the operations. Every other product is the
+    base class's. _matmul_vector and _matmul_multivector are the hooks of
+    scipy's products with dense arrays; a scipy that names them otherwise
+    multiplies in complex arithmetic, to the same values."""
+
+    def _real_view(self, other):
+        return self.dtype == np.float64 and other.dtype == np.complex128
+
+    def _matmul_vector(self, other):
+        if self._real_view(other):
+            return self._matmul_multivector(other[:, None])[:, 0]
+        return super()._matmul_vector(other)
+
+    def _matmul_multivector(self, other):
+        if self._real_view(other):
+            real = np.ascontiguousarray(other).view(np.float64)
+            return super()._matmul_multivector(real).view(np.complex128)
+        return super()._matmul_multivector(other)
+
+    # a transpose or a conversion to the other format keeps the real products
+    @property
+    def _csr_container(self):
+        return RealCSR
+
+    @property
+    def _csc_container(self):
+        return RealCSC
+
+
+class RealCSR(_RealProducts, sp.csr_matrix):
+    """A CSR matrix with real products (see _RealProducts)."""
+
+
+class RealCSC(_RealProducts, sp.csc_matrix):
+    """A CSC matrix with real products (see _RealProducts)."""
+
+
 def _sparse(blocks, index, n):
-    """Sum the element blocks blocks[..., a, b] into an n x n CSR matrix at
-    rows index[..., a] and columns index[..., b]."""
+    """Sum the element blocks blocks[..., a, b] into an n x n RealCSR matrix
+    at rows index[..., a] and columns index[..., b]."""
     shape = index.shape + index.shape[-1:]
     rows = np.broadcast_to(index[..., :, None], shape).ravel()
     cols = np.broadcast_to(index[..., None, :], shape).ravel()
-    return sp.csr_matrix((np.broadcast_to(blocks, shape).ravel(), (rows, cols)),
-                         shape=(n, n))
+    return RealCSR((np.broadcast_to(blocks, shape).ravel(), (rows, cols)), shape=(n, n))
 
 
 def embedding_blocks(cross):
@@ -211,7 +263,7 @@ class AssembledForms:
         self.S_hat = _sparse(S_hat, nodes, n_nodes)
         self.S_y = _sparse(S_y, nodes, n_nodes)
         self.C_y = _sparse(1j * (Y - np.swapaxes(Y, -1, -2)), nodes, n_nodes)
-        self.M = sp.kron(self.M1, sp.identity(3), format="csr")
+        self.M = RealCSR(sp.kron(self.M1, sp.identity(3), format="csr"))
 
         # tiled as rows of E.T: the columns stay column-major, the layout the
         # chains' products are rounded with
@@ -244,25 +296,44 @@ class AssembledForms:
 
     # -- norms ------------------------------------------------------------
 
-    def norm_sq_l2(self, u, component=None):
-        """Squared L2 norm of the displacement components labelled component:
-        '12' (in-plane), '3' (out-of-line), or 'all' / None. u is one fiber
-        (n_dof,) or a stack (K, n_dof), whose squared norms are summed."""
-        return float(np.sum(_form(self.M1, _components(u, component))))
-
-    def norm_sq_h1(self, u, component=None, chi=0.0, eps=1.0):
-        """Squared H1 norm of the components labelled component, of one fiber
-        or summed over a stack (see norm_sq_l2).
+    def norm_sq_parts(self, u, h1=False, chi=0.0, eps=1.0):
+        """The squared L2 norms, and with h1 the squared H1 norms, of each
+        displacement component of every fiber of u, one fiber (n_dof,) or a
+        stack (..., n_dof): the pair (l2, h1) of (..., 3) arrays, h1 None
+        without h1. One sparse product per scalar block (M1, and S_hat, S_y
+        and C_y with h1) serves the whole stack.
 
         The longitudinal derivative is measured in the eps-scaled fiber metric
         eps^-2 |d_y u + i chi u|^2, with chi a scalar or one value per fiber
-        of the stack; the defaults chi = 0, eps = 1 give the plain gradient on
-        the product domain.
+        along the axis before n_dof; the defaults chi = 0, eps = 1 give the
+        plain gradient on the product domain.
         """
-        U = _components(u, component)
-        l2 = _form(self.M1, U)
-        dy = _form(self.S_y, U) + chi * _form(self.C_y, U) + chi ** 2 * l2
-        return float(np.sum(l2 + _form(self.S_hat, U) + dy / eps ** 2))
+        u = np.asarray(u, dtype=complex)
+        # the nodal values of every fiber and component, as the columns of
+        # one (n_nodes, ... x 3) block
+        U = np.moveaxis(u.reshape(u.shape[:-1] + (-1, 3)), -2, 0)
+        X = U.reshape(len(U), -1)
+
+        def form(A):
+            return _form(A, X).reshape(U.shape[1:])
+        l2 = form(self.M1)
+        if not h1:
+            return l2, None
+        chi = np.asarray(chi)[..., None]
+        dy = form(self.S_y) + chi * form(self.C_y) + chi ** 2 * l2
+        return l2, l2 + form(self.S_hat) + dy / eps ** 2
+
+    def norm_sq_l2(self, u, component=None):
+        """Squared L2 norm of the displacement components labelled component
+        (see COMPONENTS): '12' (in-plane), '3' (out-of-line), or 'all' /
+        None, of one fiber or summed over a stack (see norm_sq_parts)."""
+        return float(np.sum(self.norm_sq_parts(u)[0][..., COMPONENTS[component]]))
+
+    def norm_sq_h1(self, u, component=None, chi=0.0, eps=1.0):
+        """Squared H1 norm of the components labelled component, of one fiber
+        or summed over a stack, at chi and eps (see norm_sq_parts)."""
+        parts = self.norm_sq_parts(u, True, chi, eps)[1]
+        return float(np.sum(parts[..., COMPONENTS[component]]))
 
     # -- solvers ----------------------------------------------------------
 
@@ -343,21 +414,13 @@ def _dissect(x, i, j):
 COMPONENTS = {None: slice(0, 3), "all": slice(0, 3), "12": slice(0, 2), "3": slice(2, 3)}
 
 
-def _components(u, component):
-    """Nodal values of u, one fiber (n_dof,) or a stack (..., n_dof), as an
-    (..., n_nodes, c) array of the columns of a component label (see
-    COMPONENTS)."""
-    u = np.asarray(u)
-    return u.reshape(u.shape[:-1] + (-1, 3))[..., COMPONENTS[component]]
-
-
-def _form(A, U):
-    """sum over components of U^H A U for a Hermitian scalar block A, per
-    fiber of nodal values U (..., n_nodes, c): one sparse product of A with
-    every fiber's columns side by side."""
-    W = np.moveaxis(U, -2, 0)
-    AW = (A @ W.reshape(len(W), -1)).reshape(W.shape)
-    return np.einsum("n...c,n...c->...", W.conj(), AW).real
+def _form(A, X):
+    """x^H A x for each column x of a complex block X, for a Hermitian
+    scalar block A: one sparse product, and the real part of each column's
+    inner product, which is that of the float64 views of x and A x."""
+    AX = A @ X
+    parts = np.einsum("nm,nm->m", X.view(np.float64), AX.view(np.float64))
+    return parts.reshape(-1, 2).sum(axis=1)
 
 
 class QuotientSolver:
@@ -583,8 +646,8 @@ class ParityBasis:
                 cols.append(col[keep])
                 vals.append((c * w)[keep])
             order.append(col[nested][keep[nested]])
-        self.Q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                       np.concatenate(cols))), shape=(n, n))
+        self.Q = RealCSR((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
         self.order = np.concatenate(order)
         self.sizes = [len(o) for o in order]
         self._cls = np.repeat(np.arange(len(classes)), self.sizes)
@@ -677,7 +740,7 @@ def smallest_eigs(forms, chi, k):
     # achieved residuals (and bit-stability) run-dependent
     v0 = np.ones(n)
     try:
-        vals, vecs = spla.eigsh(K, k=k, M=forms.M.astype(complex), sigma=-1.0 / t,
+        vals, vecs = spla.eigsh(K, k=k, M=forms.M, sigma=-1.0 / t,
                                 which="LM", v0=v0, OPinv=OPinv, tol=1e-12,
                                 ncv=min(2 * k + 2, n))
     except spla.ArpackNoConvergence as exc:

@@ -4,10 +4,13 @@ stacks of fibers. The reference is (t K(chi) + M)^-1 M with t =
 eps^-(gamma+2); the leading approximant applies the Hermitian symbol
 t G(chi)^H A_rod G(chi) + C between the momentum map E(chi)^H M and the
 embedding E(chi); the corrections are the chain terms u1 and u0^(1) of each
-fiber. Rate experiments transform each load once, keep only the fibers the
-seeded load family reaches (|j| <= LOAD_BAND; the others hold none of it)
-and fit log-log slopes of the worst error over the family, measured on
-those fibers, against the expected exponents.
+fiber. Rate experiments work on the fibers from the start: every mode of
+the seeded load family is a plane wave, whose Gelfand transform is known in
+closed form, so the loads are drawn on the fibers they reach (|j| <=
+LOAD_BAND; the others hold none of them) without a line field or an FFT.
+They fit log-log slopes of the worst error over the family, measured on
+those fibers in one norm pass per (eps, regime, order), against the expected
+exponents. make_loads renders the same family as line fields, and
 limit_resolvent keeps the line form of the leading approximant, per
 longitudinal frequency, for the band-limiter ablation.
 """
@@ -56,9 +59,11 @@ LINE_REGIMES = {
 REGIMES = tuple(LINE_REGIMES)
 _ORDER_NORM = {0: "l2", 1: "h1", 2: "l2"}
 
-# make_loads fills the line modes |j| <= LOAD_BAND (its short-scale modes
-# land on chi = 0), so its loads reach the fibers chi = 2 pi j / N of those j
-# and hold only FFT rounding on every other fiber
+# the load family fills the line modes |j| <= LOAD_BAND and the short-scale
+# modes j = +-N at weight 0.5 (_load_draws); mode j is a plane wave that lies
+# on the one fiber k = j mod N, chi = 2 pi j / N folded into [-pi, pi), so the
+# family reaches the fibers |k| <= LOAD_BAND (the short-scale modes land on
+# chi = 0) and none of the others
 LOAD_BAND = 2
 
 
@@ -266,6 +271,16 @@ def line_inner(forms, a, b):
     return complex(np.vdot(ba.fibers().T, forms.M @ bb.fibers().T) / bb.n_y)
 
 
+def _load_error_norms(forms, E, chis, eps, kind):
+    """The L2 or eps-scaled H1 line norms of the fields given by their
+    fibers E (..., fibers, n_dof), fiber k at chis[k], one per leading
+    index, for each component label of fem.COMPONENTS: one norm pass
+    (fem.AssembledForms.norm_sq_parts) for all of them."""
+    l2, h1 = forms.norm_sq_parts(E, kind != "l2", chis, eps)
+    parts = (l2 if kind == "l2" else h1).sum(axis=-2) / forms.mesh.n_y
+    return {c: np.sqrt(np.sum(parts[..., s], axis=-1)) for c, s in fem.COMPONENTS.items()}
+
+
 def line_error_norm(forms, b, kind="l2", component=None):
     """L2 or eps-scaled H1 norm of a line field given by its Gelfand bundle b
     (component '12', '3', or 'all'/None; see fem.COMPONENTS): the transform
@@ -273,21 +288,29 @@ def line_error_norm(forms, b, kind="l2", component=None):
     its own chi, and an error formed fiber by fiber needs no inverse one.
     For a bundle of some of the fibers only (rate_experiment keeps those
     its loads reach), it is the norm of the field's part on those fibers."""
-    U = b.fibers()
-    if kind == "l2":
-        tot = forms.norm_sq_l2(U, component)
-    else:
-        tot = forms.norm_sq_h1(U, component, chi=b.chis, eps=b.eps)
-    return float(np.sqrt(tot / b.n_y))
+    return float(_load_error_norms(forms, b.fibers(), b.chis, b.eps, kind)[component])
+
+
+def _load_draws(d, n_loads, seed):
+    """The random cross profiles c_j (d complex entries each) of every load
+    of the family, as an (n_loads, 2 LOAD_BAND + 3, d) array in the order
+    they are drawn: the line modes j = -LOAD_BAND .. LOAD_BAND, then the
+    short-scale modes j = N and -N. They depend only on (seed, load index),
+    so the same family is sampled consistently on every eps grid."""
+    draws = []
+    for i in range(n_loads):
+        rng = np.random.default_rng([seed, i])
+        draws.append([rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                      for _ in range(2 * LOAD_BAND + 3)])
+    return np.array(draws).reshape(n_loads, 2 * LOAD_BAND + 3, d)
 
 
 def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
-    """Seeded band-limited loads: random cross profiles on the low line
-    modes |j| <= LOAD_BAND plus short-scale modes at j = +-N (weight 0.5),
-    parity-projected for the regimes with a parity and unit-normalised.
-
-    The random draws depend only on (seed, load index), so the same family
-    is sampled consistently on every eps grid.
+    """Seeded band-limited loads as line fields: random cross profiles on
+    the low line modes |j| <= LOAD_BAND plus short-scale modes at j = +-N
+    (weight 0.5), drawn by _load_draws, parity-projected for the regimes
+    with a parity and unit-normalised. rate_experiment takes the same
+    family on its fibers (_load_fibers).
     """
     parity = _line_regime(regime).facts.parity
     d = 3 * cross.n_nodes
@@ -299,14 +322,11 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
     p = np.arange(S) // n_y
     y = -0.5 + (np.arange(S) % n_y) / n_y
     loads = []
-    for i in range(n_loads):
-        rng = np.random.default_rng([seed, i])
+    for draws in _load_draws(d, n_loads, seed):
         vals = np.zeros((S, d), dtype=complex)
-        for j in range(-LOAD_BAND, LOAD_BAND + 1):
-            c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for j, c in zip(range(-LOAD_BAND, LOAD_BAND + 1), draws):
             vals += np.outer(np.exp(2j * np.pi * j * (p + y) / N), c)
-        for sign in (1, -1):
-            c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for sign, c in zip((1, -1), draws[2 * LOAD_BAND + 1:]):
             vals += 0.5 * np.outer(np.exp(2j * np.pi * sign * y), c)
         if parity:
             vals = fem.parity_project(vals.reshape(S, -1, 3), parity, pairing).reshape(S, d)
@@ -314,6 +334,46 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
         nrm = np.sqrt(tr.line_norm_sq(lf, Mw))
         loads.append(lf.like(lf.values / nrm))
     return loads
+
+
+def _load_fibers(forms, N, eps, n_loads, seed):
+    """The fibers the load family reaches, |k| <= LOAD_BAND in FFT order:
+    their chis and the unprojected, unnormalised loads on them, (n_loads,
+    fibers, n_dof), in closed form. Line mode j of make_loads is the plane
+    wave e^{2 pi i j x3 / (N eps)}, whose Gelfand transform is sqrt(N eps)
+    e^{i (2 pi j / N - chi_k) y} c_j on fiber k = j mod N and zero on every
+    other. The phase is 1 unless j aliases: where N < 2 LOAD_BAND + 1, and
+    for the short-scale modes j = +-N, which land on chi = 0."""
+    n_y = forms.mesh.n_y
+    draws = _load_draws(3 * forms.mesh.cross.n_nodes, n_loads, seed)
+    k = np.rint(np.fft.fftfreq(N) * N).astype(int)   # the signed fiber indices
+    reached = np.flatnonzero(np.abs(k) <= LOAD_BAND)
+    place = np.empty(N, dtype=int)
+    place[reached] = np.arange(len(reached))
+    j = np.array([*range(-LOAD_BAND, LOAD_BAND + 1), N, -N])
+    weight = np.sqrt(N * eps) * np.array([1.0] * (2 * LOAD_BAND + 1) + [0.5, 0.5])
+    # 2 pi j / N - chi_k = 2 pi (j - k) / N, an exact 0 where j does not alias
+    y = -0.5 + np.arange(n_y) / n_y
+    phase = weight[:, None] * np.exp(2j * np.pi * np.outer(j - k[j % N], y) / N)
+    F = np.zeros((n_loads, len(reached), n_y, draws.shape[-1]), dtype=complex)
+    for m, fiber_k in enumerate(j % N):
+        F[:, place[fiber_k]] += phase[m, :, None] * draws[:, m, None, :]
+    return tr.chi_values(N)[reached], F.reshape(n_loads, len(reached), -1)
+
+
+def _regime_loads(cfg, forms, F, regime, eps):
+    """The loads of a line regime on their fibers, from the family's fibers
+    F (n_loads, fibers, n_dof) of _load_fibers: parity-projected where the
+    regime has a parity, unit-normalised in the line norm (the sum of the
+    fiber norms in the cross-section mass, as the fibers not in F hold
+    none of the loads), and scaled (_scaled_load) where it is out_of_line."""
+    line = LINE_REGIMES[regime]
+    V = F.reshape(F.shape[:2] + (forms.mesh.n_y, -1, 3))
+    if line.facts.parity:
+        V = fem.parity_project(V, line.facts.parity, forms.pairing)
+    norm_sq = np.einsum("lkqic,lkqic->l", V.conj(), forms.cross_mass @ V).real / forms.mesh.n_y
+    G = (V / np.sqrt(norm_sq)[:, None, None, None, None]).reshape(F.shape)
+    return _scaled_load(cfg, G, eps) if line.out_of_line else G
 
 
 def theory_slope(regime, component, order, gamma, delta=0.0, momentum_variant="eps"):
@@ -369,9 +429,11 @@ def _rate_row(regime, component, order, flags, eps_list, errs, theory, margin):
             "passed": bool(conclusive and slope >= theory - margin)}
 
 
-def _scaled_load(cfg, g):
+def _scaled_load(cfg, values, eps):
+    """The out-of-line scaling of cfg (s_inf, s_eps_delta or none) of load
+    values at eps, fibers or line field values alike."""
     tag = "s_inf" if cfg.s_inf else "s_eps_delta" if cfg.delta != 0.0 else "none"
-    return g.like(fiber.apply_load_scaling(g.values, tag, eps=g.eps, delta=cfg.delta))
+    return fiber.apply_load_scaling(values, tag, eps=eps, delta=cfg.delta)
 
 
 def _require_parity_split(forms, split):
@@ -389,14 +451,17 @@ def rate_experiment(cfg, forms):
 
     The out-of-line load scaling (s_eps_delta / s_inf) applies to out_of_line regimes only.
 
-    Each load is transformed once and cut to the fibers the family reaches,
-    |j| <= LOAD_BAND; the others hold only FFT rounding and none of the
-    load, so the errors are norms over the reached fibers. eps is the outer
-    loop; the loads of every regime at an eps are stacked as (regimes,
-    n_loads, fibers, n_dof), and the reference, which does not depend on the
-    regime, is one LineResolvent solve per reached |chi| for the whole stack.
-    Each regime's approximants take its slice: fiber_limit for order 0, plus
-    u1 for order 1 and u0^(1) for order 2 (fiber_correctors).
+    The study works on the fibers the family reaches, |j| <= LOAD_BAND:
+    each eps draws the loads there in closed form once (_load_fibers), and
+    each regime projects, normalises and scales them there
+    (_regime_loads); the other fibers hold none of the loads, so the errors
+    are norms over the reached fibers. eps is the outer loop; the loads of
+    every regime at an eps are stacked as (regimes, n_loads, fibers, n_dof),
+    and the reference, which does not depend on the regime, is one
+    LineResolvent solve per reached |chi| for the whole stack. Each regime's
+    approximants take its slice: fiber_limit for order 0, plus u1 for order
+    1 and u0^(1) for order 2 (fiber_correctors). The errors of all loads of
+    an (eps, regime, order) take one norm pass (_load_error_norms).
     """
     _require_parity_split(forms, [r for r in cfg.regimes if LINE_REGIMES[r].facts.parity])
     eps_list = [cfg.length / N for N in cfg.n_grid]
@@ -404,13 +469,8 @@ def rate_experiment(cfg, forms):
             for regime in cfg.regimes]
     for N, eps in zip(cfg.n_grid, eps_list):
         R = LineResolvent(forms, eps, cfg.gamma)
-        reached = np.abs(np.rint(np.fft.fftfreq(N) * N)) <= LOAD_BAND
-        chis = tr.chi_values(N)[reached]
-        F = np.array([[tr.gelfand(_scaled_load(cfg, f) if LINE_REGIMES[regime].out_of_line
-                                  else f).fibers()[reached]
-                       for f in make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
-                                           n_loads=cfg.n_loads, seed=cfg.seed)]
-                      for regime in cfg.regimes])
+        chis, F = _load_fibers(forms, N, eps, cfg.n_loads, cfg.seed)
+        F = np.array([_regime_loads(cfg, forms, F, regime, eps) for regime in cfg.regimes])
         ref = R.solve(chis, F)
         for regime, regime_errs, Fr, ref_r in zip(cfg.regimes, errs, F, ref):
             approx = [fiber_limit(forms, chis, R.t, regime, Fr, cfg.momentum_variant)]
@@ -418,11 +478,9 @@ def rate_experiment(cfg, forms):
                 u1, u01 = fiber_correctors(forms, chis, R.t, regime, Fr)
                 approx += [approx[0] + u1, approx[0] + u1 + u01]
             for o in cfg.orders:
-                e = (ref_r - approx[o]).reshape(cfg.n_loads, len(chis), forms.mesh.n_y, -1)
+                norms = _load_error_norms(forms, ref_r - approx[o], chis, eps, _ORDER_NORM[o])
                 for c in LINE_REGIMES[regime].components:
-                    regime_errs[(o, c)].append(max(
-                        line_error_norm(forms, tr.FiberBundle(ei, chis, eps), _ORDER_NORM[o], c)
-                        for ei in e))
+                    regime_errs[(o, c)].append(float(np.max(norms[c])))
     return RateReport(rows=[
         _rate_row(regime, c, o, cfg.flags(), eps_list, seq,
                   theory_slope(regime, c, o, cfg.gamma, cfg.delta, cfg.momentum_variant),

@@ -160,7 +160,7 @@ def rate_errors_loop(cfg, forms):
             worst = {}
             for f in pl.make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
                                    n_loads=cfg.n_loads, seed=cfg.seed):
-                g = pl._scaled_load(cfg, f) if regime == "bend" else f
+                g = f.like(pl._scaled_load(cfg, f.values, eps)) if regime == "bend" else f
                 ref = R.apply(g).values
                 a0 = limit_resolvent_loop(forms, g, cfg.gamma, regime,
                                           momentum_variant=cfg.momentum_variant).values

@@ -858,3 +858,102 @@ def test_block_quotient_lu_fills_half_the_dof_order_lu(default_forms):
     block = forms.quotient.lu.lu
     assert len(forms.parity_basis.sizes) == 4
     assert block.L.nnz + block.U.nnz <= 0.5 * (dof.L.nnz + dof.U.nnz)
+
+
+def _real_operators(forms):
+    """Every real operator of the forms, as stored, with the parity basis Q
+    and its transpose, which the solvers apply."""
+    ops = {name: getattr(forms, name) for name in ("K_ss", "K_xx", "P", "M", "M1", "S_hat", "S_y")}
+    Q = forms.parity_basis.Q
+    ops.update({"Q": Q, "Q.T": Q.T, "M csc": forms.M.tocsc()})
+    return ops
+
+
+def _blocks(n, rng):
+    """A complex block of each layout the products meet: 1-D, one column,
+    C-ordered, F-ordered and strided in either axis."""
+    X = rng.standard_normal((n, 12)) + 1j * rng.standard_normal((n, 12))
+    Y = rng.standard_normal((2 * n, 6)) + 1j * rng.standard_normal((2 * n, 6))
+    return {"1-D": X[:, 0].copy(), "column": X[:, :1].copy(), "C": X, "F": np.asfortranarray(X),
+            "strided columns": X[:, ::3], "strided rows": Y[::2], "strided 1-D": Y[::2, 1]}
+
+
+def test_real_operators_multiply_complex_blocks_in_real_arithmetic(default_forms, monkeypatch):
+    # each real operator of the forms, CSR or CSC, times a complex block of
+    # any layout is == the product with its complex copy, and the sparse
+    # kernel it runs sees only float64 operands: the block's real view
+    forms = default_forms
+    rng = np.random.default_rng(29)
+    seen = []
+    for base in (sp.csr_matrix, sp.csc_matrix):
+        product = base._matmul_multivector
+
+        def recorded(self, other, product=product):
+            seen.append((self.dtype, other.dtype))
+            return product(self, other)
+        monkeypatch.setattr(base, "_matmul_multivector", recorded)
+    for name, A in _real_operators(forms).items():
+        assert A.dtype == np.float64
+        assert isinstance(A, fem.RealCSC if A.format == "csc" else fem.RealCSR), name
+        complex_copy = A.astype(complex)
+        for layout, X in _blocks(A.shape[1], rng).items():
+            want = complex_copy @ X
+            del seen[:]
+            got = A @ X
+            assert seen == [(np.float64, np.float64)], (name, layout)
+            assert got.dtype == want.dtype and got.shape == want.shape, (name, layout)
+            assert np.array_equal(got, want), (name, layout)
+            assert np.array_equal(A @ X.real, complex_copy.real @ X.real)
+
+
+def test_imaginary_operators_keep_complex_products(default_forms):
+    # K_sx and C_y hold imaginary entries, so they multiply as complex matrices
+    forms = default_forms
+    rng = np.random.default_rng(30)
+    for A in (forms.K_sx, forms.C_y):
+        assert A.dtype == np.complex128
+        X = _blocks(A.shape[1], rng)["F"]
+        assert np.array_equal(A @ X, sp.csr_matrix(A) @ X)
+
+
+def test_smallest_eigs_gives_arpack_the_real_mass(default_forms, monkeypatch):
+    # ARPACK's products with M take the real path; its eigenpairs are == those
+    # it returns on the complex copy of M
+    forms = default_forms
+    eigsh, calls = fem.spla.eigsh, []
+
+    def recorded(A, **kwargs):
+        calls.append(kwargs["M"])
+        out = eigsh(A, **kwargs)
+        want = eigsh(A, **{**kwargs, "M": kwargs["M"].astype(complex)})
+        assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
+        return out
+
+    monkeypatch.setattr(fem.spla, "eigsh", recorded)
+    for chi in (0.4, 0.05):
+        fem.smallest_eigs(forms, chi, 5)
+    assert len(calls) == 2 and all(M is forms.M for M in calls)
+
+
+def test_norm_pass_gives_every_fiber_and_component(forms):
+    # norm_sq_parts of a (loads, fibers, n_dof) stack, one chi per fiber, is
+    # per fiber and displacement component the quadratic forms of the
+    # component's column: u^H M1 u for L2 and u^H (M1 + S_hat + (S_y + chi
+    # C_y + chi^2 M1) / eps^2) u for H1
+    rng = np.random.default_rng(31)
+    n = forms.mesh.n_dof
+    V = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    chis, eps = np.array([0.7, -1.2, 0.0]), 0.3
+    l2, h1 = forms.norm_sq_parts(V, True, chis, eps)
+    assert l2.shape == h1.shape == (2, 3, 3)
+    assert forms.norm_sq_parts(V)[1] is None
+    M1, S_hat, S_y, C_y = (A.toarray() for A in (forms.M1, forms.S_hat, forms.S_y, forms.C_y))
+    for i in range(2):
+        for k, chi in enumerate(chis):
+            for c in range(3):
+                u = V[i, k].reshape(-1, 3)[:, c]
+                want_l2 = np.vdot(u, M1 @ u).real
+                want_h1 = np.vdot(u, (M1 + S_hat + (S_y + chi * C_y + chi ** 2 * M1) / eps ** 2)
+                                  @ u).real
+                assert abs(l2[i, k, c] - want_l2) <= 1e-13 * want_l2
+                assert abs(h1[i, k, c] - want_h1) <= 1e-13 * want_h1

@@ -222,18 +222,80 @@ def test_make_loads_parity_is_project_symmetry(forms):
 
 @pytest.mark.parametrize("regime", pl.REGIMES)
 def test_loads_reach_only_the_band(forms, regime):
-    # every load of the family, on every N of the default grid, puts all but
-    # FFT rounding (at most 4.0e-16 of its norm) on the fibers
-    # |j| <= LOAD_BAND that rate_experiment keeps
+    # every load of the family, on every N of the default grid and on the
+    # least N with fibers out of the band, puts all but FFT rounding (at most
+    # 4.0e-16 of its norm) on the fibers |j| <= LOAD_BAND that rate_experiment
+    # keeps
     cfg = pl.ExperimentConfig()
     Mw = cross_mass(forms.mesh.cross)
-    for N in cfg.n_grid:
+    for N in (6, 7, *cfg.n_grid):
         for f in pl.make_loads(forms.mesh.cross, NY, N, cfg.length / N, regime,
                                n_loads=cfg.n_loads, seed=cfg.seed):
             b = tr.gelfand(f)
             out = np.abs(np.rint(b.chis * N / (2 * np.pi))) > pl.LOAD_BAND
             rest = tr.FiberBundle(b.values[out], b.chis[out], b.eps)
             assert np.sqrt(bundle_norm_sq(rest, Mw) / bundle_norm_sq(b, Mw)) <= 1e-13
+
+
+def _reached_fibers_of_make_loads(forms, cfg, N, regime):
+    """The fibers rate_experiment keeps of the Gelfand transforms of the
+    make_loads family, scaled as the study scales them: its chis and the
+    (n_loads, fibers, n_dof) stack."""
+    eps = cfg.length / N
+    out = []
+    for f in pl.make_loads(forms.mesh.cross, NY, N, eps, regime, n_loads=cfg.n_loads,
+                           seed=cfg.seed):
+        if pl.LINE_REGIMES[regime].out_of_line:
+            f = f.like(pl._scaled_load(cfg, f.values, eps))
+        b = tr.gelfand(f)
+        reached = np.abs(np.rint(b.chis * N / (2 * np.pi))) <= pl.LOAD_BAND
+        out.append(b.fibers()[reached])
+    return b.chis[reached], np.array(out)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 32])
+@pytest.mark.parametrize("change", [{}, {"delta": 0.5}, {"s_inf": True, "regimes": ("bend",)}])
+def test_load_fibers_are_the_transform_of_make_loads(forms, N, change):
+    # the closed-form fibers of every regime's loads, projected, normalised
+    # and scaled on the fibers, against the transformed line fields: where N
+    # is below 2 LOAD_BAND + 1 the band aliases, and the short-scale modes
+    # j = +-N land on chi = 0 at every N
+    cfg = pl.ExperimentConfig(n_loads=3, seed=2, **change)
+    chis, F = pl._load_fibers(forms, N, cfg.length / N, cfg.n_loads, cfg.seed)
+    assert F.shape == (cfg.n_loads, min(N, 2 * pl.LOAD_BAND + 1), forms.mesh.n_dof)
+    for regime in cfg.regimes:
+        want_chis, want = _reached_fibers_of_make_loads(forms, cfg, N, regime)
+        got = pl._regime_loads(cfg, forms, F, regime, cfg.length / N)
+        assert np.array_equal(chis, want_chis)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_rate_experiment_makes_no_line_field(forms, monkeypatch):
+    # the study draws its loads on their fibers: no make_loads, Gelfand
+    # transform, FFT or line norm
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rate study left the fibers")
+
+    for owner, name in ((pl, "make_loads"), (tr, "gelfand"), (tr, "gelfand_inverse"),
+                        (tr, "line_norm_sq"), (np.fft, "fft"), (np.fft, "ifft")):
+        monkeypatch.setattr(owner, name, forbidden)
+    pl.rate_experiment(pl.ExperimentConfig(n_grid=(4, 8, 12, 16), orders=(0, 1, 2),
+                                           n_loads=2), forms)
+
+
+@pytest.mark.parametrize("kind", ["l2", "h1"])
+def test_norm_pass_matches_line_norms_per_load(forms, kind):
+    # the one norm pass over a stack of loads, per load and component
+    # label, against the line norm summed fiber by fiber
+    N, eps = 8, 6.0 / 8
+    loads = pl.make_loads(forms.mesh.cross, NY, N, eps, "rod", n_loads=3, seed=7)
+    E = np.array([tr.gelfand(f).fibers() for f in loads])
+    norms = pl._load_error_norms(forms, E, tr.chi_values(N), eps, kind)
+    for c in (None, "all", "12", "3"):
+        assert norms[c].shape == (len(loads),)
+        for f, got in zip(loads, norms[c]):
+            want = line_error_norm_loop(forms, f, kind, c)
+            assert abs(got - want) <= 1e-13 * want
 
 
 def test_rate_experiment_builds_chains_on_the_band(forms, monkeypatch):
