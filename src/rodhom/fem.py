@@ -725,7 +725,12 @@ def smallest_eigs(forms, chi, k):
     |chi| |K_sx|_1 + chi^2 |K_xx|_1 + |lambda| |M|_1) |u|), whose first sum
     bounds |K(chi)|_1, must not exceed EIG_BACKWARD_TOLERANCE, or
     NoConvergence is raised. K u is one product of each part with all the
-    eigenvectors, and the 1-norms are the forms' (one_norms), taken once."""
+    eigenvectors, and the 1-norms are the forms' (one_norms), taken once.
+
+    ARPACK starts from the sum of the four rigid motions, which has a part
+    in every mirror class (a constant vector has none in torsion), times
+    1 + 1e-2 sin(2 pi y), which keeps each class and takes the start out of
+    the kernel, an invariant subspace at chi = 0."""
     t = chi ** -4 if chi != 0 else 1.0 / (1e-8 * float(np.abs(forms.K_ss.diagonal()).mean()))
     # eigsh keeps its operators in a reference cycle: they reach no LU but
     # through a weak proxy, and not the forms, so dropping the forms frees
@@ -737,8 +742,11 @@ def smallest_eigs(forms, chi, k):
     K = spla.LinearOperator((n, n), dtype=complex, matvec=lambda x: (
         K_ss @ x + chi * (K_sx @ x) + chi ** 2 * (K_xx @ x)))
     # fixed start vector: ARPACK's default is random, which makes the
-    # achieved residuals (and bit-stability) run-dependent
-    v0 = np.ones(n)
+    # achieved residuals (and bit-stability) run-dependent. The translations
+    # lie in the two bend classes, then extension and torsion, so ARPACK
+    # reaches every class from the start, not only through rounding
+    y = np.repeat(forms.mesh.node_coords()[:, 2], 3)
+    v0 = forms.kernel_fields.sum(axis=0) * (1.0 + 1e-2 * np.sin(2.0 * np.pi * y))
     try:
         vals, vecs = spla.eigsh(K, k=k, M=forms.M, sigma=-1.0 / t,
                                 which="LM", v0=v0, OPinv=OPinv, tol=1e-12,

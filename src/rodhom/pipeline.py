@@ -8,9 +8,14 @@ fiber. Rate experiments work on the fibers from the start: every mode of
 the seeded load family is a plane wave, whose Gelfand transform is known in
 closed form, so the loads are drawn on the fibers they reach (|j| <=
 LOAD_BAND; the others hold none of them) without a line field or an FFT.
-They fit log-log slopes of the worst error over the family, measured on
-those fibers in one norm pass per (eps, regime, order), against the expected
-exponents. make_loads renders the same family as line fields, and
+Where the forms split, the reference and the general corrector recursion
+commute with the parity projections, so each eps solves and runs the
+general chain once, on the unprojected family, and every regime's loads,
+reference and (stretch, rod) correctors are normalised parity parts of
+those; bend keeps its own chain. They fit log-log slopes of the worst error
+over the family, measured on those fibers in one norm pass per (eps,
+regime, order), against the expected exponents. make_loads renders the same
+family as line fields, and
 limit_resolvent keeps the line form of the leading approximant, per
 longitudinal frequency, for the band-limiter ablation.
 """
@@ -57,6 +62,9 @@ LINE_REGIMES = {
         ("3", 0): ((0.5, 0),), ("3", 1): ((0.5, 0),), ("3", 2): ((0.75, 0),)}, {}),
 }
 REGIMES = tuple(LINE_REGIMES)
+# the line regime without a parity, whose loads are the unprojected family:
+# rate_experiment derives the others from its loads, reference and chain
+_FAMILY = next(r for r, line in LINE_REGIMES.items() if not line.facts.parity)
 _ORDER_NORM = {0: "l2", 1: "h1", 2: "l2"}
 
 # the load family fills the line modes |j| <= LOAD_BAND and the short-scale
@@ -230,8 +238,11 @@ class LineResolvent:
     in the same multi-column solve as fiber +chi (for one field, bitwise the
     per-fiber factorisations; a stack rounds as the wider solve does). One
     cached factorisation per |chi| serves N/2 + 1 of the N fibers. The
-    operator does not depend on the regime, so one solve per |chi| serves
-    the loads of every regime at its eps, stacked along the leading axes.
+    operator does not depend on the regime, and where the forms split it
+    commutes with the parity projections, so one solve per |chi| serves the
+    family: the rate study solves the unprojected loads of its eps (and
+    their out-of-line scaling), stacked along the leading axes, and takes
+    every regime's reference as a parity part of that solve.
     The factorisations are its own, not the forms' (forms.resolvent), so a
     rate study holds those of one eps at a time; they are the same
     fem.ResolventSolver, on the class blocks of forms.parity_basis where the
@@ -338,12 +349,14 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
 
 def _load_fibers(forms, N, eps, n_loads, seed):
     """The fibers the load family reaches, |k| <= LOAD_BAND in FFT order:
-    their chis and the unprojected, unnormalised loads on them, (n_loads,
-    fibers, n_dof), in closed form. Line mode j of make_loads is the plane
-    wave e^{2 pi i j x3 / (N eps)}, whose Gelfand transform is sqrt(N eps)
-    e^{i (2 pi j / N - chi_k) y} c_j on fiber k = j mod N and zero on every
-    other. The phase is 1 unless j aliases: where N < 2 LOAD_BAND + 1, and
-    for the short-scale modes j = +-N, which land on chi = 0."""
+    their chis and the family's loads G0 on them, (n_loads, fibers, n_dof),
+    unprojected and unit-normalised in the line norm, in closed form (the
+    fibers not reached hold none of the loads). Line mode j of make_loads
+    is the plane wave e^{2 pi i j x3 / (N eps)}, whose Gelfand transform is
+    sqrt(N eps) e^{i (2 pi j / N - chi_k) y} c_j on fiber k = j mod N and
+    zero on every other. The phase is 1 unless j aliases: where N < 2
+    LOAD_BAND + 1, and for the short-scale modes j = +-N, which land on
+    chi = 0."""
     n_y = forms.mesh.n_y
     draws = _load_draws(3 * forms.mesh.cross.n_nodes, n_loads, seed)
     k = np.rint(np.fft.fftfreq(N) * N).astype(int)   # the signed fiber indices
@@ -358,22 +371,51 @@ def _load_fibers(forms, N, eps, n_loads, seed):
     F = np.zeros((n_loads, len(reached), n_y, draws.shape[-1]), dtype=complex)
     for m, fiber_k in enumerate(j % N):
         F[:, place[fiber_k]] += phase[m, :, None] * draws[:, m, None, :]
-    return tr.chi_values(N)[reached], F.reshape(n_loads, len(reached), -1)
+    F = F.reshape(n_loads, len(reached), -1)
+    return tr.chi_values(N)[reached], F / np.sqrt(_line_norm_sq(forms, F))[:, None, None]
 
 
-def _regime_loads(cfg, forms, F, regime, eps):
-    """The loads of a line regime on their fibers, from the family's fibers
-    F (n_loads, fibers, n_dof) of _load_fibers: parity-projected where the
-    regime has a parity, unit-normalised in the line norm (the sum of the
-    fiber norms in the cross-section mass, as the fibers not in F hold
-    none of the loads), and scaled (_scaled_load) where it is out_of_line."""
-    line = LINE_REGIMES[regime]
-    V = F.reshape(F.shape[:2] + (forms.mesh.n_y, -1, 3))
-    if line.facts.parity:
-        V = fem.parity_project(V, line.facts.parity, forms.pairing)
-    norm_sq = np.einsum("lkqic,lkqic->l", V.conj(), forms.cross_mass @ V).real / forms.mesh.n_y
-    G = (V / np.sqrt(norm_sq)[:, None, None, None, None]).reshape(F.shape)
-    return _scaled_load(cfg, G, eps) if line.out_of_line else G
+def _line_norm_sq(forms, X):
+    """The squared line norms of the loads given by the fibers X (n_loads,
+    fibers, n_dof) they reach: the sums of the fiber norms in the
+    cross-section mass."""
+    V = X.reshape(X.shape[:2] + (forms.mesh.n_y, -1, 3))
+    return np.einsum("lkqic,lkqic->l", V.conj(), forms.cross_mass @ V).real / forms.mesh.n_y
+
+
+def _takes_scaling(cfg, regime):
+    """Whether the loads of a line regime take an out-of-line scaling
+    (_scaled_load) other than the identity: out_of_line regimes, under s_inf
+    or delta > 0."""
+    return LINE_REGIMES[regime].out_of_line and (cfg.s_inf or cfg.delta != 0.0)
+
+
+def _family_loads(cfg, G0, eps):
+    """The family's loads G0 of _load_fibers keyed by _takes_scaling: G0
+    where some regime of cfg takes no scaling, S(G0) where some takes one."""
+    return {scaled: _scaled_load(cfg, G0, eps) if scaled else G0
+            for scaled in dict.fromkeys(_takes_scaling(cfg, r) for r in cfg.regimes)}
+
+
+def _regime_part(forms, G0, regime):
+    """The step X -> k_r P_r X from the family to a line regime, for the
+    family's loads G0 of _load_fibers. Applied to the family's loads under
+    the regime's scaling S_r (_family_loads), it gives the regime's loads
+    k_r P_r S_r G0: P_r is its parity part, and k_r = 1 / |P_r G0| per load,
+    the ratio of the regime's line normaliser to the family's; without a
+    parity the step is the identity. Where the forms split, the reference
+    (t K(chi) + M)^-1 M and the general corrector recursion commute with
+    P_r, so the step also takes their action on the family to their action
+    on the regime's loads; X may stack such arrays along leading axes."""
+    parity = LINE_REGIMES[regime].facts.parity
+    if not parity:
+        return lambda X: X
+
+    def project(X):
+        V = X.reshape(X.shape[:-1] + (forms.mesh.n_y, -1, 3))
+        return fem.parity_project(V, parity, forms.pairing).reshape(X.shape)
+    k = 1.0 / np.sqrt(_line_norm_sq(forms, project(G0)))
+    return lambda X: k[:, None, None] * project(X)
 
 
 def theory_slope(regime, component, order, gamma, delta=0.0, momentum_variant="eps"):
@@ -452,33 +494,43 @@ def rate_experiment(cfg, forms):
     The out-of-line load scaling (s_eps_delta / s_inf) applies to out_of_line regimes only.
 
     The study works on the fibers the family reaches, |j| <= LOAD_BAND:
-    each eps draws the loads there in closed form once (_load_fibers), and
-    each regime projects, normalises and scales them there
-    (_regime_loads); the other fibers hold none of the loads, so the errors
-    are norms over the reached fibers. eps is the outer loop; the loads of
-    every regime at an eps are stacked as (regimes, n_loads, fibers, n_dof),
-    and the reference, which does not depend on the regime, is one
-    LineResolvent solve per reached |chi| for the whole stack. Each regime's
-    approximants take its slice: fiber_limit for order 0, plus u1 for order
-    1 and u0^(1) for order 2 (fiber_correctors). The errors of all loads of
-    an (eps, regime, order) take one norm pass (_load_error_norms).
+    each eps draws the unprojected, normalised family G0 there in closed
+    form once (_load_fibers); the other fibers hold none of the loads, so
+    the errors are norms over the reached fibers. eps is the outer loop.
+    Each regime's loads and reference, and the correctors of the regimes
+    whose chain runs the general recursion on unscaled loads (stretch,
+    rod), are k_r P_r of the family's (_regime_part): one LineResolvent
+    solve per reached |chi| for G0, and for S(G0) where a regime takes a
+    scaling, and one fiber_correctors on G0 in the unprojected regime's
+    chain. Bend, whose recursion differs, runs its own chain. The
+    approximants are fiber_limit on the regime's loads for order 0, plus
+    u1 for order 1 and u0^(1) for order 2; the errors of all loads of an
+    (eps, regime, order) take one norm pass (_load_error_norms).
     """
     _require_parity_split(forms, [r for r in cfg.regimes if LINE_REGIMES[r].facts.parity])
     eps_list = [cfg.length / N for N in cfg.n_grid]
     errs = [{(o, c): [] for o in cfg.orders for c in LINE_REGIMES[regime].components}
             for regime in cfg.regimes]
+    derived = {r for r in cfg.regimes if not _takes_scaling(cfg, r)
+               and LINE_REGIMES[r].facts.recursion is fiber._chain_general}
     for N, eps in zip(cfg.n_grid, eps_list):
         R = LineResolvent(forms, eps, cfg.gamma)
-        chis, F = _load_fibers(forms, N, eps, cfg.n_loads, cfg.seed)
-        F = np.array([_regime_loads(cfg, forms, F, regime, eps) for regime in cfg.regimes])
-        ref = R.solve(chis, F)
-        for regime, regime_errs, Fr, ref_r in zip(cfg.regimes, errs, F, ref):
+        chis, G0 = _load_fibers(forms, N, eps, cfg.n_loads, cfg.seed)
+        family = _family_loads(cfg, G0, eps)
+        refs = dict(zip(family, R.solve(chis, np.array(list(family.values())))))
+        if max(cfg.orders) >= 1 and derived:
+            general = np.array(fiber_correctors(forms, chis, R.t, _FAMILY, G0))
+        for regime, regime_errs in zip(cfg.regimes, errs):
+            part, scaled = _regime_part(forms, G0, regime), _takes_scaling(cfg, regime)
+            Fr = part(family[scaled])
             approx = [fiber_limit(forms, chis, R.t, regime, Fr, cfg.momentum_variant)]
             if max(cfg.orders) >= 1:
-                u1, u01 = fiber_correctors(forms, chis, R.t, regime, Fr)
+                u1, u01 = (part(general) if regime in derived
+                           else fiber_correctors(forms, chis, R.t, regime, Fr))
                 approx += [approx[0] + u1, approx[0] + u1 + u01]
+            ref = part(refs[scaled])
             for o in cfg.orders:
-                norms = _load_error_norms(forms, ref_r - approx[o], chis, eps, _ORDER_NORM[o])
+                norms = _load_error_norms(forms, ref - approx[o], chis, eps, _ORDER_NORM[o])
                 for c in LINE_REGIMES[regime].components:
                     regime_errs[(o, c)].append(float(np.max(norms[c])))
     return RateReport(rows=[

@@ -419,7 +419,8 @@ def test_smallest_eigs_rejects_a_pair_past_the_backward_tolerance(default_forms,
 def test_spectrum_scaling_solve_budget(default_forms, monkeypatch):
     # ARPACK's solves on the 4x4x8 cell over the sweep: 202-246 when it
     # iterates to machine precision, 119-131 at tol 1e-12 on the 2k + 2
-    # basis (the counts move with BLAS's thread count, through rounding)
+    # basis from a constant start vector (the counts move with BLAS's thread
+    # count, through rounding), 119 from the sum of the rigid motions
     solves = 0
     solve = fem.OrderedLU.solve
 
@@ -933,6 +934,34 @@ def test_smallest_eigs_gives_arpack_the_real_mass(default_forms, monkeypatch):
     for chi in (0.4, 0.05):
         fem.smallest_eigs(forms, chi, 5)
     assert len(calls) == 2 and all(M is forms.M for M in calls)
+
+
+def test_smallest_eigs_starts_arpack_in_every_class(default_forms, monkeypatch):
+    # ARPACK's start vector, the modulated sum of the four rigid motions, has
+    # a part in each class block of the mirror basis (Q^T v0 is nonzero on
+    # every block), where a constant vector has none in torsion, and a part
+    # outside the kernel, an invariant subspace at chi = 0
+    forms = default_forms
+    basis = forms.parity_basis
+    eigsh, starts = fem.spla.eigsh, []
+
+    def recorded(A, **kwargs):
+        starts.append(kwargs["v0"])
+        return eigsh(A, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "eigsh", recorded)
+    fem.smallest_eigs(forms, 0.4, 5)
+
+    def class_norms(v):
+        parts = np.split(basis.Q.T @ v, np.cumsum(basis.sizes)[:-1])
+        return np.array([np.linalg.norm(p) for p in parts]) / np.linalg.norm(v)
+
+    assert len(basis.sizes) == 4 and len(starts) == 1
+    assert np.min(class_norms(starts[0])) > 0.1
+    assert class_norms(np.ones(forms.mesh.n_dof))[3] < 1e-14
+    Z = forms.kernel_fields.T
+    rest = starts[0] - Z @ np.linalg.lstsq(Z, starts[0], rcond=None)[0]
+    assert np.linalg.norm(rest) > 1e-3 * np.linalg.norm(starts[0])
 
 
 def test_norm_pass_gives_every_fiber_and_component(forms):

@@ -261,11 +261,12 @@ def test_load_fibers_are_the_transform_of_make_loads(forms, N, change):
     # is below 2 LOAD_BAND + 1 the band aliases, and the short-scale modes
     # j = +-N land on chi = 0 at every N
     cfg = pl.ExperimentConfig(n_loads=3, seed=2, **change)
-    chis, F = pl._load_fibers(forms, N, cfg.length / N, cfg.n_loads, cfg.seed)
-    assert F.shape == (cfg.n_loads, min(N, 2 * pl.LOAD_BAND + 1), forms.mesh.n_dof)
+    chis, G0 = pl._load_fibers(forms, N, cfg.length / N, cfg.n_loads, cfg.seed)
+    assert G0.shape == (cfg.n_loads, min(N, 2 * pl.LOAD_BAND + 1), forms.mesh.n_dof)
+    family = pl._family_loads(cfg, G0, cfg.length / N)
     for regime in cfg.regimes:
         want_chis, want = _reached_fibers_of_make_loads(forms, cfg, N, regime)
-        got = pl._regime_loads(cfg, forms, F, regime, cfg.length / N)
+        got = pl._regime_part(forms, G0, regime)(family[pl._takes_scaling(cfg, regime)])
         assert np.array_equal(chis, want_chis)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -299,24 +300,89 @@ def test_norm_pass_matches_line_norms_per_load(forms, kind):
 
 
 def test_rate_experiment_builds_chains_on_the_band(forms, monkeypatch):
-    # one chain per (eps, regime, |j|), |j| = 1 .. LOAD_BAND, whose columns
-    # are the +chi and conjugated -chi fibers of every load
-    cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), orders=(0, 1, 2), n_loads=2)
-    calls = {}
+    # per (eps, |j|), |j| = 1 .. LOAD_BAND: one general chain on the
+    # unprojected family, whose parity parts are the stretch and rod
+    # correctors, and one bend chain, also where bend's loads are scaled;
+    # the columns of each are the +chi and conjugated -chi fibers of every
+    # load
     build_chain = pl.fiber.build_chain
+    for change in ({}, {"delta": 0.5}):
+        cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), orders=(0, 1, 2), n_loads=2, **change)
+        calls = {}
 
-    def counted(forms, chi, t, regime, f, **kwargs):
-        calls.setdefault((t, regime), []).append((chi, f.shape))
-        return build_chain(forms, chi, t, regime, f, **kwargs)
+        def counted(forms, chi, t, regime, f, **kwargs):
+            calls.setdefault((t, regime), []).append((chi, f.shape))
+            return build_chain(forms, chi, t, regime, f, **kwargs)
 
-    monkeypatch.setattr(pl.fiber, "build_chain", counted)
-    pl.rate_experiment(cfg, forms)
-    assert len(calls) == len(cfg.n_grid) * len(cfg.regimes)
-    for (t, _), chains in calls.items():
-        N = round(cfg.length * t ** 0.5)     # t = eps^-2 at gamma = 0
-        modes = [round(chi * N / (2 * np.pi)) for chi, _ in chains]
-        assert modes == list(range(1, pl.LOAD_BAND + 1))
-        assert all(shape == (2 * cfg.n_loads, forms.mesh.n_dof) for _, shape in chains)
+        monkeypatch.setattr(pl.fiber, "build_chain", counted)
+        pl.rate_experiment(cfg, forms)
+        assert sorted(calls) == sorted((eps ** -2.0, regime) for eps in
+                                       (cfg.length / N for N in cfg.n_grid)
+                                       for regime in ("bend", "general_chi2"))
+        for (t, _), chains in calls.items():
+            N = round(cfg.length * t ** 0.5)     # t = eps^-2 at gamma = 0
+            modes = [round(chi * N / (2 * np.pi)) for chi, _ in chains]
+            assert modes == list(range(1, pl.LOAD_BAND + 1))
+            assert all(shape == (2 * cfg.n_loads, forms.mesh.n_dof) for _, shape in chains)
+
+
+def _close(got, want, tol=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def _rate_errors_per_regime(forms, cfg):
+    """rate_experiment's worst error per eps with every regime on its own
+    loads (the make_loads family, transformed, _reached_fibers_of_make_loads):
+    its own reference solve and its own chain. Returns {(regime, component,
+    order): [error per eps]}."""
+    out = {}
+    for N in cfg.n_grid:
+        eps = cfg.length / N
+        R = pl.LineResolvent(forms, eps, cfg.gamma)
+        for regime in cfg.regimes:
+            chis, own = _reached_fibers_of_make_loads(forms, cfg, N, regime)
+            a0 = pl.fiber_limit(forms, chis, R.t, regime, own, cfg.momentum_variant)
+            u1, u01 = pl.fiber_correctors(forms, chis, R.t, regime, own)
+            approx = {0: a0, 1: a0 + u1, 2: a0 + u1 + u01}
+            ref = R.solve(chis, own)
+            for o in cfg.orders:
+                norms = pl._load_error_norms(forms, ref - approx[o], chis, eps, pl._ORDER_NORM[o])
+                for c in pl.LINE_REGIMES[regime].components:
+                    out.setdefault((regime, c, o), []).append(float(np.max(norms[c])))
+    return out
+
+
+@pytest.mark.parametrize("change", [{}, {"delta": 0.5}, {"s_inf": True, "regimes": ("bend",)}],
+                         ids=["plain", "delta", "s_inf"])
+def test_rate_experiment_derives_each_regime_from_the_family(forms, change):
+    # each regime's loads and reference, and the stretch and rod correctors
+    # u1 and u0^(1), are k_r P_r of the family's solve and general chain:
+    # against the solves and chains on the regime's own loads, to 1e-13
+    cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), orders=(0, 1, 2), n_loads=2, seed=1,
+                              **change)
+    N = 12
+    eps = cfg.length / N
+    R = pl.LineResolvent(forms, eps, cfg.gamma)
+    chis, G0 = pl._load_fibers(forms, N, eps, cfg.n_loads, cfg.seed)
+    family = pl._family_loads(cfg, G0, eps)
+    refs = dict(zip(family, R.solve(chis, np.array(list(family.values())))))
+    general = pl.fiber_correctors(forms, chis, R.t, pl._FAMILY, G0)
+    for regime in cfg.regimes:
+        part, scaled = pl._regime_part(forms, G0, regime), pl._takes_scaling(cfg, regime)
+        _, own = _reached_fibers_of_make_loads(forms, cfg, N, regime)
+        _close(part(family[scaled]), own)
+        _close(part(refs[scaled]), R.solve(chis, own))
+        if regime != "bend":
+            for got, want in zip(map(part, general),
+                                 pl.fiber_correctors(forms, chis, R.t, regime, own)):
+                _close(got, want)
+    # and the study's errors, bend's from its own chain, against every
+    # regime computed on its own
+    want = _rate_errors_per_regime(forms, cfg)
+    for r in pl.rate_experiment(cfg, forms).rows:
+        ref = np.array(want[(r["regime"], r["component"], r["order"])])
+        assert np.max(np.abs(np.array(r["errs"]) - ref) / ref) <= 1e-12
 
 
 @pytest.fixture(params=["fewer", "one", "more"])
@@ -668,15 +734,20 @@ def reference_solves(monkeypatch):
 
 
 def test_rate_experiment_solves_reference_once_per_fiber(forms, reference_solves):
-    # the reference does not depend on the regime: one solve per |chi| the
-    # loads reach at each eps, whose columns are the loads of every regime,
-    # at chi = 0 once and elsewhere at +chi and conjugated -chi
-    cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), n_loads=2)
-    pl.rate_experiment(cfg, forms)
-    cols = len(cfg.regimes) * cfg.n_loads
-    per_eps = [cols] + [2 * cols] * pl.LOAD_BAND
-    assert len(reference_solves) == len(cfg.n_grid) * (pl.LOAD_BAND + 1)
-    assert reference_solves == [(forms.mesh.n_dof, n) for n in per_eps] * len(cfg.n_grid)
+    # every regime's reference is a parity part of the family's: one solve
+    # per |chi| the loads reach at each eps, whose columns are the family's
+    # loads, and also their out-of-line scaling where bend takes one
+    # (delta > 0 or s_inf) beside a regime that takes none, at chi = 0 once
+    # and elsewhere at +chi and conjugated -chi
+    for change, families in (
+            ({}, 1), ({"delta": 0.5}, 2), ({"delta": 0.5, "regimes": ("stretch", "rod")}, 1),
+            ({"delta": 0.5, "regimes": ("bend",)}, 1), ({"s_inf": True, "regimes": ("bend",)}, 1)):
+        reference_solves.clear()
+        cfg = pl.ExperimentConfig(n_grid=(8, 12, 16, 24), n_loads=2, **change)
+        pl.rate_experiment(cfg, forms)
+        cols = families * cfg.n_loads
+        per_eps = [cols] + [2 * cols] * pl.LOAD_BAND
+        assert reference_solves == [(forms.mesh.n_dof, n) for n in per_eps] * len(cfg.n_grid)
 
 
 @pytest.fixture(scope="module")
