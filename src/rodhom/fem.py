@@ -329,12 +329,6 @@ class AssembledForms:
         None, of one fiber or summed over a stack (see norm_sq_parts)."""
         return float(np.sum(self.norm_sq_parts(u)[0][..., COMPONENTS[component]]))
 
-    def norm_sq_h1(self, u, component=None, chi=0.0, eps=1.0):
-        """Squared H1 norm of the components labelled component, of one fiber
-        or summed over a stack, at chi and eps (see norm_sq_parts)."""
-        parts = self.norm_sq_parts(u, True, chi, eps)[1]
-        return float(np.sum(parts[..., COMPONENTS[component]]))
-
     # -- solvers ----------------------------------------------------------
 
     @cached_property
@@ -459,13 +453,14 @@ class QuotientSolver:
     def solve(self, load, t=1.0):
         """u with t K_ss u = load on the rigid-motion quotient, column by
         column, and the worst kernel residual max |<rigid motion, column>|
-        over the columns. A column whose residual exceeds KERNEL_TOLERANCE of
-        its own norm raises IncompatibleLoad, however large the others."""
+        over the columns. A column whose residual is not within
+        KERNEL_TOLERANCE of its own norm raises IncompatibleLoad, however
+        large the others; so does a column that is not finite."""
         load = np.asarray(load, dtype=complex)
         res = self.kernel @ load
         worst = np.max(np.abs(res.reshape(len(res), -1)), axis=0)
         scale = np.linalg.norm(load.reshape(len(load), -1), axis=0)
-        bad = worst > KERNEL_TOLERANCE * scale
+        bad = ~((worst <= KERNEL_TOLERANCE * scale) & np.isfinite(scale))
         if np.any(bad):
             raise IncompatibleLoad("load has kernel residual %.3e relative" % np.max(
                 worst[bad] / scale[bad]))

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fem, homogenize as hz
-from .checks import POSITIVE, is_integer, is_list_of, require
+from .checks import POSITIVE, is_integer, is_list_of, is_number, require
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,10 @@ def build_chain(forms, chi, t, regime, f, scaling=None, depth="full"):
     the deeper solves. Returns the Chain with the computed terms and
     coefficient vectors, shaped as f (one row per load of a stack), and the
     kernel residual of every corrector right-hand side. A regime not in
-    CHAIN_REGIMES raises ValueError before anything is solved.
+    CHAIN_REGIMES, or a chi that is zero (the chains divide by it) or not
+    finite, raises ValueError before anything is solved.
     """
+    require("chi", chi, "a finite nonzero number", lambda v: is_number(v) and 0 < abs(v) < np.inf)
     ch = Chain(FiberOps(forms, chi, regime), t, depth)
     spec = ch.ops.spec
     g = apply_load_scaling(f, spec.scaling if scaling is None else scaling, chi)

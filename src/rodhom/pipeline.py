@@ -14,10 +14,9 @@ general chain once, on the unprojected family, and every regime's loads,
 reference and (stretch, rod) correctors are normalised parity parts of
 those; bend keeps its own chain. They fit log-log slopes of the worst error
 over the family, measured on those fibers in one norm pass per (eps,
-regime, order), against the expected exponents. make_loads renders the same
-family as line fields, and
-limit_resolvent keeps the line form of the leading approximant, per
-longitudinal frequency, for the band-limiter ablation.
+regime, order), against the expected exponents; so does the band-limiter
+ablation, in closed form. make_loads and limit_resolvent, the line forms of
+the family and of the band-limited approximant, serve validate's checks.
 """
 
 import csv
@@ -147,16 +146,15 @@ def _limit_matrix(forms, chi, t, regime):
     return t * hz.chi_tensor(forms, chi)[..., slots, slots] + C
 
 
-def limit_resolvent(forms, f, gamma, regime, use_xi=True):
-    """Leading-order line approximant: per longitudinal frequency theta, the
-    momentum map, the symbol solve and the adjoint embedding at chi = eps
-    theta, all frequencies at once. E0 and E1 are the first slab of the
-    forms' tiles."""
+def limit_resolvent(forms, f, gamma, regime):
+    """Leading-order line approximant of the band-limited load
+    (transform.xi_smoothing): per longitudinal frequency theta, the momentum
+    map, the symbol solve and the adjoint embedding at chi = eps theta, all
+    frequencies at once. E0 and E1 are the first slab of the forms' tiles."""
     n, slots = 3 * forms.mesh.cross.n_nodes, _line_regime(regime).facts.slots
     E0, E1 = forms.E0[:n, slots], forms.E1[:n, slots]
     t = f.eps ** (-(gamma + 2.0))
-    g = tr.xi_smoothing(f) if use_xi else f
-    ghat = np.fft.fft(g.values, axis=0)
+    ghat = np.fft.fft(tr.xi_smoothing(f).values, axis=0)
     chi = f.eps * (2.0 * np.pi * np.fft.fftfreq(f.S, d=f.L / f.S))
     Mg = (forms.cross_mass @ ghat.reshape(f.S, -1, 3)).reshape(f.S, -1)
     mom = Mg @ E0.conj() + chi[:, None] * (Mg @ E1.conj())
@@ -292,16 +290,6 @@ def _load_error_norms(forms, E, chis, eps, kind):
     return {c: np.sqrt(np.sum(parts[..., s], axis=-1)) for c, s in fem.COMPONENTS.items()}
 
 
-def line_error_norm(forms, b, kind="l2", component=None):
-    """L2 or eps-scaled H1 norm of a line field given by its Gelfand bundle b
-    (component '12', '3', or 'all'/None; see fem.COMPONENTS): the transform
-    is unitary, so it is the fiber norm of the whole bundle, each fiber at
-    its own chi, and an error formed fiber by fiber needs no inverse one.
-    For a bundle of some of the fibers only (rate_experiment keeps those
-    its loads reach), it is the norm of the field's part on those fibers."""
-    return float(_load_error_norms(forms, b.fibers(), b.chis, b.eps, kind)[component])
-
-
 def _load_draws(d, n_loads, seed):
     """The random cross profiles c_j (d complex entries each) of every load
     of the family, as an (n_loads, 2 LOAD_BAND + 3, d) array in the order
@@ -347,32 +335,39 @@ def make_loads(cross, n_y, N, eps, regime, n_loads=5, seed=0):
     return loads
 
 
-def _load_fibers(forms, N, eps, n_loads, seed):
-    """The fibers the load family reaches, |k| <= LOAD_BAND in FFT order:
-    their chis and the family's loads G0 on them, (n_loads, fibers, n_dof),
-    unprojected and unit-normalised in the line norm, in closed form (the
-    fibers not reached hold none of the loads). Line mode j of make_loads
-    is the plane wave e^{2 pi i j x3 / (N eps)}, whose Gelfand transform is
-    sqrt(N eps) e^{i (2 pi j / N - chi_k) y} c_j on fiber k = j mod N and
-    zero on every other. The phase is 1 unless j aliases: where N < 2
-    LOAD_BAND + 1, and for the short-scale modes j = +-N, which land on
-    chi = 0."""
+def _line_modes(N):
+    """The line modes j of the profiles of _load_draws, in their order."""
+    return np.array([*range(-LOAD_BAND, LOAD_BAND + 1), N, -N])
+
+
+def _place_modes(forms, N, eps, C):
+    """The chis of the fibers |k| <= LOAD_BAND (FFT order) and the fibers
+    (n_loads, fibers, n_dof) there of sum_j w_j e^{2 pi i j x3 / (N eps)} c_j
+    for profiles C (n_loads, modes of _line_modes, d), w_j = 0.5 at j = +-N,
+    else 1; no other fiber is reached. Mode j is sqrt(N eps) e^{i (2 pi j / N
+    - chi_k) y} c_j on fiber k = j mod N; the phase is 1 unless j aliases
+    (N < 2 LOAD_BAND + 1, and j = +-N on chi = 0)."""
     n_y = forms.mesh.n_y
-    draws = _load_draws(3 * forms.mesh.cross.n_nodes, n_loads, seed)
     k = np.rint(np.fft.fftfreq(N) * N).astype(int)   # the signed fiber indices
     reached = np.flatnonzero(np.abs(k) <= LOAD_BAND)
     place = np.empty(N, dtype=int)
     place[reached] = np.arange(len(reached))
-    j = np.array([*range(-LOAD_BAND, LOAD_BAND + 1), N, -N])
+    j = _line_modes(N)
     weight = np.sqrt(N * eps) * np.array([1.0] * (2 * LOAD_BAND + 1) + [0.5, 0.5])
     # 2 pi j / N - chi_k = 2 pi (j - k) / N, an exact 0 where j does not alias
     y = -0.5 + np.arange(n_y) / n_y
     phase = weight[:, None] * np.exp(2j * np.pi * np.outer(j - k[j % N], y) / N)
-    F = np.zeros((n_loads, len(reached), n_y, draws.shape[-1]), dtype=complex)
+    F = np.zeros((len(C), len(reached), n_y, C.shape[-1]), dtype=complex)
     for m, fiber_k in enumerate(j % N):
-        F[:, place[fiber_k]] += phase[m, :, None] * draws[:, m, None, :]
-    F = F.reshape(n_loads, len(reached), -1)
-    return tr.chi_values(N)[reached], F / np.sqrt(_line_norm_sq(forms, F))[:, None, None]
+        F[:, place[fiber_k]] += phase[m, :, None] * C[:, m, None, :]
+    return tr.chi_values(N)[reached], F.reshape(len(C), len(reached), -1)
+
+
+def _load_fibers(forms, N, eps, n_loads, seed):
+    """_place_modes of the draws: the chis and the family's loads G0 of
+    make_loads, unprojected and unit-normalised in the line norm."""
+    chis, F = _place_modes(forms, N, eps, _load_draws(3 * forms.mesh.cross.n_nodes, n_loads, seed))
+    return chis, F / np.sqrt(_line_norm_sq(forms, F))[:, None, None]
 
 
 def _line_norm_sq(forms, X):
@@ -603,16 +598,23 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
 
 
 def xi_ablation(cfg, forms):
-    """Size of the smoothing step: distance between the leading approximants
-    with and without the band-limiter, expected to vanish at rate gamma+2."""
+    """Size of the smoothing step: the worst line L2 distance over the family
+    between the leading approximants (rod) of its band-limited and plain
+    loads, expected to vanish at rate gamma+2. In closed form: the limiter
+    drops the modes j outside [-N/2, N/2) (+-N, and band modes where N < 5),
+    and the line form maps each, a plane wave, to the plane wave of profile
+    fiber_limit at chi_j = 2 pi j / N on its y-constant tile, which
+    _place_modes places (exact while the line grid resolves j, n_y > 4)."""
+    draws = _load_draws(3 * forms.mesh.cross.n_nodes, cfg.n_loads, cfg.seed)
     eps_list, diffs = [cfg.length / N for N in cfg.n_grid], []
     for N, eps in zip(cfg.n_grid, eps_list):
-        loads = make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, "rod",
-                           n_loads=cfg.n_loads, seed=cfg.seed)
-        diffs.append(max(line_error_norm(forms, tr.gelfand(f.like(
-            limit_resolvent(forms, f, cfg.gamma, "rod", use_xi=True).values
-            - limit_resolvent(forms, f, cfg.gamma, "rod", use_xi=False).values)))
-            for f in loads))
+        j = _line_modes(N)
+        A = fiber_limit(forms, 2.0 * np.pi * j / N, eps ** (-(cfg.gamma + 2.0)), "rod",
+                        np.tile(draws, forms.mesh.n_y))[..., :draws.shape[-1]]
+        images = np.where(((j < -N / 2) | (j >= N / 2))[:, None], A, 0.0)
+        chis, G = _place_modes(forms, N, eps, draws)
+        err = _load_error_norms(forms, _place_modes(forms, N, eps, images)[1], chis, eps, "l2")
+        diffs.append(float(np.max(err["all"] / np.sqrt(_line_norm_sq(forms, G)))))
     return RateReport(rows=[_rate_row("rod", "all", 0, "ablation=xi," + cfg.flags(), eps_list,
                                       diffs, cfg.gamma + 2.0, 2 * cfg.slope_margin)])
 

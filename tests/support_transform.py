@@ -8,7 +8,7 @@ Validation-only; not part of the library."""
 
 import numpy as np
 
-from rodhom import fiber, pipeline as pl
+from rodhom import fem, fiber, pipeline as pl
 from rodhom.geometry import cross_mass
 from rodhom.transform import FiberBundle, LineField, _twiddle, chi_values, gelfand, gelfand_inverse
 
@@ -58,7 +58,8 @@ def line_inner_loop(forms, a, b):
 
 
 def line_error_norm_loop(forms, e, kind="l2", component=None):
-    """pipeline.line_error_norm as a sum of single-fiber norms, one fiber at
+    """The L2 or eps-scaled H1 line norm of the components labelled
+    component of a line field, as a sum of single-fiber norms, one fiber at
     a time, each H1 norm at its fiber's chi."""
     b = gelfand(e)
     tot = 0.0
@@ -67,7 +68,8 @@ def line_error_norm_loop(forms, e, kind="l2", component=None):
         if kind == "l2":
             tot += forms.norm_sq_l2(u, component)
         else:
-            tot += forms.norm_sq_h1(u, component, chi=float(b.chis[k]), eps=e.eps)
+            h1 = forms.norm_sq_parts(u, True, float(b.chis[k]), e.eps)[1]
+            tot += np.sum(h1[fem.COMPONENTS[component]])
     return float(np.sqrt(tot / b.n_y))
 
 

@@ -19,6 +19,12 @@ def layered_profile(contrast=5.0):
                             (0.0, 0.5, make_isotropic(contrast, contrast))])
 
 
+def h1_norm_sq(forms, u):
+    """The squared H1 norm of a fiber on the product domain: its H1 parts
+    summed over the displacement components."""
+    return float(np.sum(forms.norm_sq_parts(u, True)[1]))
+
+
 @pytest.fixture(scope="module")
 def setup():
     mesh = ProductMesh(build_rectangle(1.0, 4, 4), 8)
@@ -114,7 +120,7 @@ def test_reference_apriori_bounded(setup):
     ratios = []
     for chi in CHI_SWEEP:
         u = fem.ResolventSolver(forms, chi, chi ** -2).solve(fs)
-        ratios.append(np.sqrt(forms.norm_sq_h1(u)))
+        ratios.append(np.sqrt(h1_norm_sq(forms, u)))
     assert max(ratios) < 10.0
     assert max(ratios) < 3.0 * min(ratios)
 
@@ -183,6 +189,22 @@ def test_spectrum_scaling_checks_k_first(setup, monkeypatch, k):
     monkeypatch.setattr(fem, "factorize", no_factorisation)
     with pytest.raises(ValueError, match="^k must be an integer >= 5"):
         fiber.spectrum_scaling(forms, [0.2], k=k)
+
+
+@pytest.mark.parametrize("chi", [0.0, -0.0, np.nan, np.inf])
+def test_build_chain_rejects_zero_or_nonfinite_chi(setup, chi, monkeypatch):
+    # the chains divide by chi (S_|chi| and the chi-scaled coefficients), so
+    # every regime rejects chi = 0, and a chi that is not finite, before the
+    # quotient solver is reached
+    forms, fs, *_ = setup
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the chi check")
+
+    monkeypatch.setattr(fem.QuotientSolver, "solve", no_solve)
+    for regime in fiber.CHAIN_REGIMES:
+        with pytest.raises(ValueError, match="^chi must be a finite nonzero number, not "):
+            fiber.build_chain(forms, chi, 1.0, regime, fs)
 
 
 def test_chain_zero_load(setup):
@@ -257,10 +279,10 @@ def test_chain_norm_ladders(setup):
     r_stretch, r_u1, r_u3 = [], [], []
     for chi in CHI_SWEEP:
         ch = fiber.build_chain(forms, chi, chi ** -2, "stretch", fs)
-        r_stretch.append(np.sqrt(forms.norm_sq_h1(ch.terms["u1"])) / chi)
+        r_stretch.append(np.sqrt(h1_norm_sq(forms, ch.terms["u1"])) / chi)
         chb = fiber.build_chain(forms, chi, chi ** -4, "bend", fb)
-        r_u1.append(np.sqrt(forms.norm_sq_h1(chb.terms["u1"])) / chi ** 2)
-        r_u3.append(np.sqrt(forms.norm_sq_h1(chb.terms["u3"])) / chi)
+        r_u1.append(np.sqrt(h1_norm_sq(forms, chb.terms["u1"])) / chi ** 2)
+        r_u3.append(np.sqrt(h1_norm_sq(forms, chb.terms["u3"])) / chi)
     for r in (r_stretch, r_u1):
         assert max(r) < 3.0 * min(r)
     assert max(r_u3) < 1.0  # bounded; decays even faster here

@@ -90,10 +90,9 @@ def test_limit_matches_fiber_pullback(forms, load):
 
 def test_limit_resolvent_matches_frequency_loop(forms, load):
     for regime in ("rod", "stretch", "bend"):
-        for use_xi in (True, False):
-            got = pl.limit_resolvent(forms, load, 0.3, regime, use_xi).values
-            want = limit_resolvent_loop(forms, load, 0.3, regime, use_xi).values
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        got = pl.limit_resolvent(forms, load, 0.3, regime).values
+        want = limit_resolvent_loop(forms, load, 0.3, regime).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_reference_selfadjoint(forms):
@@ -110,9 +109,10 @@ def test_line_norms_match_fiber_loop(forms, load):
     # single fibers
     b = tr.gelfand(load)
     for kind in ("l2", "h1"):
+        norms = pl._load_error_norms(forms, b.fibers(), b.chis, b.eps, kind)
         for c in (None, "12", "3"):
             want = line_error_norm_loop(forms, load, kind, c)
-            assert abs(pl.line_error_norm(forms, b, kind, c) - want) <= 1e-13 * want
+            assert abs(norms[c] - want) <= 1e-13 * want
     other = pl.make_loads(forms.mesh.cross, NY, 16, load.eps, "rod", n_loads=1, seed=4)[0]
     g = load.like(load.values + 0.5j * other.values)
     want = line_inner_loop(forms, load, g)
@@ -272,16 +272,19 @@ def test_load_fibers_are_the_transform_of_make_loads(forms, N, change):
 
 
 def test_rate_experiment_makes_no_line_field(forms, monkeypatch):
-    # the study draws its loads on their fibers: no make_loads, Gelfand
-    # transform, FFT or line norm
+    # the study and the ablations draw their loads on their fibers: no
+    # make_loads, Gelfand transform, FFT, line norm or line form of the
+    # leading approximant
     def forbidden(*args, **kwargs):
         raise AssertionError("the rate study left the fibers")
 
-    for owner, name in ((pl, "make_loads"), (tr, "gelfand"), (tr, "gelfand_inverse"),
-                        (tr, "line_norm_sq"), (np.fft, "fft"), (np.fft, "ifft")):
+    for owner, name in ((pl, "make_loads"), (pl, "limit_resolvent"), (tr, "gelfand"),
+                        (tr, "gelfand_inverse"), (tr, "line_norm_sq"), (np.fft, "fft"),
+                        (np.fft, "ifft")):
         monkeypatch.setattr(owner, name, forbidden)
-    pl.rate_experiment(pl.ExperimentConfig(n_grid=(4, 8, 12, 16), orders=(0, 1, 2),
-                                           n_loads=2), forms)
+    cfg = pl.ExperimentConfig(n_grid=(4, 8, 12, 16), orders=(0, 1, 2), n_loads=2)
+    pl.rate_experiment(cfg, forms)
+    pl.ablation_experiment(cfg, forms)
 
 
 @pytest.mark.parametrize("kind", ["l2", "h1"])
@@ -647,6 +650,24 @@ def test_xi_ablation_small(forms):
     assert row["slope_fit"] >= 1.8
 
 
+@pytest.mark.parametrize("n_grid", [(1, 2, 3, 4), (3, 4, 6, 8), (8, 12, 16, 24, 32)])
+def test_xi_ablation_matches_the_line_form(forms, n_grid):
+    # the closed form on the fibers against the difference of the frequency
+    # loop's approximants of the make_loads family with and without the
+    # band-limiter, in the line norm: below N = 2 LOAD_BAND + 1 it also
+    # drops band modes, the short-scale modes it drops at every N
+    cfg = pl.ExperimentConfig(n_grid=n_grid, orders=(0,), n_loads=2, gamma=0.5, seed=3)
+    got = pl.xi_ablation(cfg, forms).rows[0]["errs"]
+    for N, err in zip(n_grid, got):
+        eps = cfg.length / N
+        want = max(line_error_norm_loop(forms, f.like(
+            limit_resolvent_loop(forms, f, cfg.gamma, "rod", use_xi=True).values
+            - limit_resolvent_loop(forms, f, cfg.gamma, "rod", use_xi=False).values))
+            for f in pl.make_loads(forms.mesh.cross, NY, N, eps, "rod", n_loads=cfg.n_loads,
+                                   seed=cfg.seed))
+        assert abs(err - want) <= 1e-12 * want
+
+
 def test_corrector_fields_scale_with_eps(forms):
     # first-order corrections shrink with the fiber quasimomenta
     errs = []
@@ -656,7 +677,7 @@ def test_corrector_fields_scale_with_eps(forms):
                           n_loads=1, seed=2)[0]
         b = tr.gelfand(f)
         u1, _ = pl.fiber_correctors(forms, b.chis, eps ** -2.0, "stretch", b.fibers())
-        errs.append(pl.line_error_norm(forms, b.like(u1)))
+        errs.append(float(pl._load_error_norms(forms, u1, b.chis, eps, "l2")["all"]))
     assert errs[1] < errs[0]
 
 
