@@ -99,8 +99,8 @@ def load_config(path, command=None):
     raises ValueError naming its dotted key, before anything is assembled:
     the ExperimentConfig, the meshes and the material profile are built
     here once to check their values. For a command of the line rate study,
-    regimes that split by parity are rejected where the material and
-    cross-section do not split (fem.parity_pairing); for validate, whose
+    regimes that split by parity are rejected where the cell's symmetry
+    group (fem.symmetry_group) lacks the central inversion; for validate, whose
     ablations and limit/pullback check run those regimes whatever
     `regimes` holds, such a material is rejected outright."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
@@ -113,7 +113,7 @@ def load_config(path, command=None):
     _experiment_config(cfg, (0,))
     cross = _mesh(cfg).cross
     profile = profile_from_json(cfg["material"])
-    if command in _RATE_COMMANDS and fem.parity_pairing(profile, cross) is None:
+    if command in _RATE_COMMANDS and (-1, -1) not in fem.symmetry_group(profile, cross):
         split = [r for r in cfg["regimes"] if pl.LINE_REGIMES[r].facts.parity]
         if split:
             raise ValueError("config key regimes must be free of the regimes that split by "

@@ -50,16 +50,16 @@ pivot checked to be positive. The forms keep one resolvent LU per (chi, t)
 they are asked for (AssembledForms.resolvent) for their lifetime: the
 fiber-rate study and the shift-invert eigensolves, whose matrix
 K(chi) + M / t is the resolvent's up to the factor t, share it; the line
-study keeps its own. Where the forms split into the bend and stretch parity
-classes (parity_pairing: rod-symmetric layers on a centrally symmetric
-cross-section), every one of these LUs is of the block-diagonal matrix in
-the orthogonal ParityBasis, each block in a nested-dissection order of the
-folded mesh, in one factorize call. Its classes are those of the cell's
-symmetry group: where every layer and the cross-section are symmetric under
-both mirrors x1 -> -x1 and x2 -> -x2 (mirror_pairings), four, the bends in
-the x1 and the x2 plane, extension and torsion; else two, bend and stretch.
-Forms that do not split factorise in a nested-dissection order of the mesh
-(AssembledForms.order).
+study keeps its own. The cell's symmetry is one object, symmetry_group:
+the sign flips of x-hat under which the node set and every layer
+(material.flip_invariant) are invariant. Where it holds the central
+inversion the forms split, and every one of these LUs is of the
+block-diagonal matrix in the orthogonal ParityBasis of the group's
+classes, each block in a nested-dissection order of the folded mesh, in one
+factorize call: with both mirrors x1 -> -x1 and x2 -> -x2 four classes, the
+bends in the x1 and the x2 plane, extension and torsion; with the inversion
+alone two, bend and stretch. Forms that do not split factorise in a
+nested-dissection order of the mesh (AssembledForms.order).
 
 A chi sweep (spectrum_scaling, the fiber-rate study) factorises each chi's
 resolvents on the calling thread and runs the rest of that chi as one task
@@ -336,16 +336,21 @@ class AssembledForms:
         return QuotientSolver(self)
 
     @cached_property
+    def symmetry(self):
+        """The cell's group of sign flips {g: node pairing} (symmetry_group)."""
+        return symmetry_group(self.profile, self.mesh.cross)
+
+    @property
     def pairing(self):
-        """The node pairing of the parity split, or None where the forms do
-        not split (see parity_pairing)."""
-        return parity_pairing(self.profile, self.mesh.cross)
+        """The node pairing of the central inversion (pairing[i] is the node
+        at -x_i), or None where the forms do not split by parity."""
+        return self.symmetry.get((-1, -1))
 
     @cached_property
     def parity_basis(self):
-        """The ParityBasis the forms' LUs factorise in, or None where the
-        forms do not split by parity."""
-        return None if self.pairing is None else ParityBasis(self)
+        """The ParityBasis of the cell's symmetry group that the forms' LUs
+        factorise in, or None where the forms do not split by parity."""
+        return None if self.pairing is None else ParityBasis(self, self.symmetry)
 
     def resolvent(self, chi, t):
         """The ResolventSolver of t K(chi) + M, factorised on first use and
@@ -530,58 +535,51 @@ class ResolventSolver:
         return self.lu.solve(self.M @ np.asarray(load_field, dtype=complex))
 
 
-def parity_pairing(profile, cross):
-    """The pairing of the parity split, pairing[i] being the cross-section
-    node at -x_i, where the forms of profile on cross split into the bend
-    and stretch parity classes: every layer has rod material symmetry and
-    the cross-section is centrally symmetric. None where they do not. The
-    parity regimes, their loads and the resolvents' basis all read this
-    rule."""
-    symmetric, pairing = geometry.is_centrally_symmetric(cross)
-    rod = all(material.check_rod_material_symmetry(t) for _, _, t in profile.layers)
-    return pairing if symmetric and rod else None
+def symmetry_group(profile, cross):
+    """The cell's group of sign flips g = (g1, g2) of x-hat, {g: pairing},
+    pairing[i] being the cross-section node at (g1 x1, g2 x2) of node i: the
+    identity, then in turn the central inversion and the mirrors x1 -> -x1
+    and x2 -> -x2, each where the node set (geometry.node_pairing) and every
+    layer (material.flip_invariant) of profile on cross are invariant under
+    it. Every split reads it. A group without the inversion, such as the
+    intertwined material's x2 mirror alone, is cut to the identity: the
+    parity regimes and ParityBasis split on the inversion."""
+    group = {(1, 1): np.arange(cross.n_nodes)}
+    for g in ((-1, -1), (-1, 1), (1, -1)):
+        if all(material.flip_invariant(t, g) for _, _, t in profile.layers):
+            pairing = geometry.node_pairing(cross, g)
+            if pairing is not None:
+                group[g] = pairing
+    return group if (-1, -1) in group else {(1, 1): group[(1, 1)]}
 
 
-def mirror_pairings(profile, cross):
-    """The node pairings of the mirrors x1 -> -x1 and x2 -> -x2, where the
-    forms of profile on cross are symmetric under both: every layer is
-    invariant under each (material.check_mirror_symmetry) and so is the
-    cross-section's node set. None where they are not. Both mirrors imply the
-    parity split (parity_pairing): their product is the central inversion,
-    and a layer symmetric under both has rod material symmetry."""
-    pairings = [geometry.node_pairing(cross, signs) for signs in ((-1, 1), (1, -1))]
-    mirrored = all(material.check_mirror_symmetry(t, axis)
-                   for _, _, t in profile.layers for axis in (0, 1))
-    return pairings if mirrored and all(p is not None for p in pairings) else None
-
-
-# the symmetry classes of ParityBasis, each a character of the group of sign
-# flips g = (g1, g2) of x-hat, given by its signs s = (s1, s2) as
+# the candidate classes of ParityBasis, each a character of the group of
+# sign flips g = (g1, g2) of x-hat, given by its signs s = (s1, s2) as
 # chi_s(g) = s1^[g1 < 0] s2^[g2 < 0]; the central inversion (-1, -1) takes
-# chi_s = s1 s2, -1 on bend and 1 on stretch. Under both mirrors: the bends
-# in the x1 and the x2 plane, extension, torsion; under the inversion only:
-# bend, stretch
+# chi_s = s1 s2, -1 on bend and 1 on stretch. Under both mirrors they are
+# the bends in the x1 and the x2 plane, extension, torsion; under the
+# inversion alone (-1, 1) and (1, 1) stand for bend and stretch
 _MIRROR_CLASSES = [(-1, 1), (1, -1), (1, 1), (-1, -1)]
-_PARITY_CLASSES = [(-1, 1), (1, 1)]
 
 
 class ParityBasis:
     """The orthogonal basis Q of the symmetry classes of the forms, and the
     forms' operators in it.
 
-    The group is the sign flips of x-hat that the forms are invariant under:
-    both mirrors and their product, the central inversion, where
-    mirror_pairings holds, else the inversion alone (parity_pairing). g acts
+    group holds sign flips g of x-hat under which the forms are invariant,
+    {g: node pairing} as symmetry_group gives it, the identity first. g acts
     on a field as u -> r_g u(g x-hat), with the component signs r_g =
-    (g1, g2, 1). Each class s (see _MIRROR_CLASSES) has one column per
-    orbit of product-mesh nodes under the group and per component c: with a
-    the orbit's representative (its least node), sum_g chi_s(g) r_g[c]
-    e_(g(a), c), normalised. It vanishes unless chi_s(h) r_h[c] = 1 for
-    every h that fixes a, and is then dropped. Q's columns run class by
-    class, by representative and component within each: under both mirrors
-    the two bend classes, then extension and torsion, so that the bend and
-    stretch parity classes stay contiguous; else bend, then stretch. sizes
-    holds the number of columns of each class.
+    (g1, g2, 1). The classes are the group's characters: the first s of
+    _MIRROR_CLASSES of each distinct restriction of chi_s to the group. Each
+    class has one column per orbit of product-mesh nodes under the group and
+    per component c: with a the orbit's representative (its least node),
+    sum_g chi_s(g) r_g[c] e_(g(a), c), normalised. It vanishes unless
+    chi_s(h) r_h[c] = 1 for every h that fixes a, and is then dropped. Q's
+    columns run class by class, by representative and component within
+    each: under both mirrors the two bend classes, then extension and
+    torsion, so that the bend and stretch parity classes stay contiguous;
+    under the inversion alone bend, then stretch. sizes holds the number of
+    columns of each class.
 
     Q^T A Q is block diagonal for A = K_ss, K_sx, K_xx and M: the coupling
     between every two classes is dropped, after a check that it is at most
@@ -599,15 +597,13 @@ class ParityBasis:
     no fill between the blocks.
     """
 
-    def __init__(self, forms):
+    def __init__(self, forms, group):
         mesh = forms.mesh
         n_c, n = mesh.cross.n_nodes, mesh.n_dof
-        group, classes = {(1, 1): np.arange(n_c), (-1, -1): forms.pairing}, _PARITY_CLASSES
-        mirrors = mirror_pairings(forms.profile, mesh.cross)
-        if mirrors is not None:
-            group.update({(-1, 1): mirrors[0], (1, -1): mirrors[1]})
-            classes = _MIRROR_CLASSES
         flips = np.array(list(group))
+        # the characters, as their values on the flips, in class order
+        characters = list(dict.fromkeys(tuple(np.prod(np.where(flips < 0, s, 1), axis=1))
+                                        for s in _MIRROR_CLASSES))
         images = np.array(list(group.values()))
         reps = np.flatnonzero(np.arange(n_c) == images.min(axis=0))
         # orbits[g, o]: the product-mesh node g(a) of representative a of orbit o
@@ -630,8 +626,8 @@ class ParityBasis:
         w = np.sqrt(1.0 / (fixes.sum(axis=0) * len(group)))[:, None]
         r = np.column_stack([flips, np.ones(len(flips))])   # (|G|, 3) component signs
         rows, cols, vals, order = [], [], [], []
-        for s in classes:
-            coef = np.prod(np.where(flips < 0, s, 1), axis=1)[:, None] * r
+        for character in characters:
+            coef = np.array(character)[:, None] * r
             keep = fixes.T @ coef > 0
             col = np.full(keep.shape, -1)   # numbered after the classes before
             col[keep] = sum(map(len, order)) + np.arange(keep.sum())
@@ -645,7 +641,7 @@ class ParityBasis:
                          shape=(n, n))
         self.order = np.concatenate(order)
         self.sizes = [len(o) for o in order]
-        self._cls = np.repeat(np.arange(len(classes)), self.sizes)
+        self._cls = np.repeat(np.arange(len(characters)), self.sizes)
         self.K_ss = self.block_diagonal(forms.K_ss, "K_ss")
         # the operators, not the forms, so that the forms hold no cycle
         self._operators = {name: getattr(forms, name) for name in ("K_sx", "K_xx", "M")}
@@ -800,19 +796,20 @@ def sweep(forms, chi_grid, task, keys):
     return [results[chi] for chi in chi_grid]
 
 
-# the displacement components that each parity class keeps even under
-# x-hat -> -x-hat; the others are odd
-_EVEN = {"bend": np.array([True, True, False]), "stretch": np.array([False, False, True])}
+# the character of each parity class on the central inversion
+_INVERSION_CHARACTER = {"bend": -1.0, "stretch": 1.0}
 
 
 def parity_project(v, which, pairing):
     """Bend (u-hat even, u3 odd) or stretch (the complement) parity part,
     under x-hat -> -x-hat, of an array laid out as (..., n_cross, 3);
-    pairing[i] is the cross-section node at -x_i."""
-    if which not in _EVEN:
+    pairing[i] is the cross-section node at -x_i. It is ParityBasis's group
+    average 0.5 (v + chi r v(-x-hat)) over the identity and the inversion,
+    with the class's character chi and the component signs r = (-1, -1, 1)."""
+    if which not in _INVERSION_CHARACTER:
         raise ValueError("which must be 'bend' or 'stretch'")
-    vr = v[..., pairing, :]  # field values at the mirrored node
-    return np.where(_EVEN[which], 0.5 * (v + vr), 0.5 * (v - vr))
+    r = _INVERSION_CHARACTER[which] * np.array([-1.0, -1.0, 1.0])
+    return 0.5 * (v + r * v[..., pairing, :])
 
 
 def project_symmetry(u, which, mesh, pairing):

@@ -51,33 +51,23 @@ def check_coercivity(t):
     return float(np.linalg.eigvalsh(mandel)[0])
 
 
-def check_rod_material_symmetry(t):
-    """True iff the in-plane/axial shear couplings forbidden for rod problems
-    vanish (to 1e-12).
+# the index pair (i, j) of each Voigt slot
+_VOIGT_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)])
 
-    The forbidden entries are A_{ijk3} and A_{i333} with i, j, k in {1, 2},
-    which in Voigt indices are the rows {11, 22, 33, 12} against the columns
-    {23, 13}.
+
+def flip_invariant(t, signs):
+    """True iff t is invariant under the sign flip x -> (g1 x1, g2 x2, x3),
+    signs = (g1, g2): every Voigt entry coupling two slots of opposite sign
+    vanishes (to 1e-12), the sign of slot (i, j) being s_i s_j with
+    s = (g1, g2, 1).
+
+    Under the central inversion (-1, -1) this is rod material symmetry: the
+    couplings A_{ijk3} and A_{i333} with i, j, k in {1, 2} vanish. (-1, 1)
+    and (1, -1) are the mirrors x1 -> -x1 and x2 -> -x2.
     """
-    return _decoupled(t, [0, 1, 2, 5], [3, 4])
-
-
-# the Voigt slots odd under the mirror x1 -> -x1 (2e13, 2e12), and under
-# x2 -> -x2 (2e23, 2e12)
-_MIRROR_ODD = ([4, 5], [3, 5])
-
-
-def check_mirror_symmetry(t, axis):
-    """True iff t is invariant under the mirror x_axis -> -x_axis (axis 0
-    for x1, 1 for x2): its entries coupling the slots even under the mirror
-    with the odd ones vanish (to 1e-12)."""
-    odd = _MIRROR_ODD[axis]
-    return _decoupled(t, [s for s in range(6) if s not in odd], odd)
-
-
-def _decoupled(t, rows, cols):
-    """True iff the Voigt block of t at rows x cols vanishes (to 1e-12)."""
-    return bool(np.max(np.abs(t.voigt[np.ix_(rows, cols)])) <= 1e-12)
+    s = np.array([*signs, 1])
+    slot = np.prod(s[_VOIGT_PAIRS], axis=1)
+    return bool(np.max(np.abs(t.voigt[slot[:, None] != slot]), initial=0.0) <= 1e-12)
 
 
 class MaterialProfile:

@@ -475,11 +475,12 @@ def _scaled_load(cfg, values, eps):
 
 def _require_parity_split(forms, split):
     """The regimes in split, those to run that have a parity, rest on the
-    parity split of the forms (see fem.parity_pairing)."""
+    parity split of the forms: the cell's symmetry group (forms.symmetry,
+    see fem.symmetry_group) must hold the central inversion."""
     if split and forms.pairing is None:
-        raise ValueError("the regimes that split by parity (%s) need rod material symmetry "
-                         "in every layer (see check_rod_material_symmetry) and a centrally "
-                         "symmetric cross-section" % ", ".join(split))
+        raise ValueError("the regimes that split by parity (%s) need a cell invariant under "
+                         "the central inversion: rod material symmetry in every layer and a "
+                         "centrally symmetric cross-section" % ", ".join(split))
 
 
 def rate_experiment(cfg, forms):
@@ -600,15 +601,17 @@ def fiber_rate_study(forms, loads, chi_grid=CHI_SWEEP):
 def xi_ablation(cfg, forms):
     """Size of the smoothing step: the worst line L2 distance over the family
     between the leading approximants (rod) of its band-limited and plain
-    loads, expected to vanish at rate gamma+2. In closed form: the limiter
-    drops the modes j outside [-N/2, N/2) (+-N, and band modes where N < 5),
-    and the line form maps each, a plane wave, to the plane wave of profile
-    fiber_limit at chi_j = 2 pi j / N on its y-constant tile, which
-    _place_modes places (exact while the line grid resolves j, n_y > 4)."""
+    loads, expected to vanish at rate gamma+2. In closed form: on the line's
+    S = N n_y slabs, mode j is sampled at the frequency (j + S/2) mod S - S/2;
+    the limiter drops the modes whose sampled j lies outside [-N/2, N/2)
+    (+-N, and band modes where N < 5), and the line form maps each, a plane
+    wave, to the plane wave of profile fiber_limit at chi_j = 2 pi j / N on
+    its y-constant tile, which _place_modes places."""
     draws = _load_draws(3 * forms.mesh.cross.n_nodes, cfg.n_loads, cfg.seed)
     eps_list, diffs = [cfg.length / N for N in cfg.n_grid], []
     for N, eps in zip(cfg.n_grid, eps_list):
-        j = _line_modes(N)
+        S = N * forms.mesh.n_y
+        j = (_line_modes(N) + S // 2) % S - S // 2
         A = fiber_limit(forms, 2.0 * np.pi * j / N, eps ** (-(cfg.gamma + 2.0)), "rod",
                         np.tile(draws, forms.mesh.n_y))[..., :draws.shape[-1]]
         images = np.where(((j < -N / 2) | (j >= N / 2))[:, None], A, 0.0)

@@ -11,7 +11,8 @@ import scipy
 
 import rodhom
 from rodhom import cli, fem
-from rodhom.material import make_isotropic
+
+from support_config import INTERTWINED, intertwined_material
 
 
 @pytest.fixture()
@@ -90,7 +91,7 @@ def test_config_rejection_is_one_error_line(tmp_path):
     # a config the command cannot run exits with argparse's status 2 and one
     # "rodhom: error: config key ..." line, not a traceback, before the
     # output directory is made
-    cfg = _write(tmp_path, {"material": _intertwined_material(), "regimes": ["rod"]})
+    cfg = _write(tmp_path, {"material": intertwined_material(), "regimes": ["rod"]})
     out = tmp_path / "o"
     run = _run_cli(["validate", "--config", cfg, "--out", str(out)])
     assert run.returncode == 2
@@ -132,22 +133,11 @@ def test_fiber_rates(tmp_path, small_cfg):
     assert rep["resolvent_blocks"] == [152, 152, 168, 128]
 
 
-def _intertwined_material():
-    """The paper's intertwined case: a layer coupling e33 with 2e13 has no
-    rod material symmetry."""
-    C = make_isotropic(5.0, 5.0).voigt.copy()
-    C[2, 4] = C[4, 2] = 3.0
-    return {"layers": [
-        {"from": -0.5, "to": 0.0, "model": {"isotropic": {"lambda": 1.0, "mu": 1.0}}},
-        {"from": 0.0, "to": 0.5, "model": {"voigt": C.tolist()}}]}
-
-
 def test_fiber_rates_intertwined(tmp_path):
     # without rod material symmetry the run takes the regimes without a
-    # parity split
-    cfg = _write(tmp_path, {"material": _intertwined_material()})
+    # parity split; the config is the committed one CI runs
     out = tmp_path / "f"
-    assert cli.main(["fiber-rates", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["fiber-rates", "--config", INTERTWINED, "--out", str(out)]) == 0
     slopes = _report(out)["slopes"]
     assert [s["regime"] for s in slopes] == ["general_chi2"] * 2 + ["general_chi4"] * 4
     assert all(s["passed"] for s in slopes)
@@ -276,13 +266,13 @@ def test_parity_regimes_need_rod_symmetry_before_assembly(tmp_path, monkeypatch,
         raise AssertionError("assembled before the config check")
 
     monkeypatch.setattr(fem, "assemble", no_assembly)
-    cfg = _write(tmp_path, {"material": _intertwined_material()})
+    cfg = INTERTWINED
     want = r"config key regimes must be .* \(stretch, bend\)"
     with pytest.raises(ValueError, match=want):
         cli.load_config(cfg, command)
     _rejected(capsys, [command, "--config", cfg, "--out", str(tmp_path / "o")], want)
-    assert cli.load_config(cfg, "fiber-rates")["material"] == _intertwined_material()
-    cfg = _write(tmp_path, {"material": _intertwined_material(), "regimes": ["rod"]})
+    assert cli.load_config(cfg, "fiber-rates")["material"] == intertwined_material()
+    cfg = _write(tmp_path, {"material": intertwined_material(), "regimes": ["rod"]})
     if command == "validate":
         # its ablations and limit/pullback check run bend and stretch anyway
         with pytest.raises(ValueError, match=r"config key material must be .* validate"):

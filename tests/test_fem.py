@@ -15,9 +15,11 @@ from rodhom.geometry import (CrossSectionMesh, ProductMesh, build_rectangle, cro
                              is_centrally_symmetric, node_pairing)
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
+from support_config import intertwined_profile
 from support_embedding import nodal_field
 from support_quadrature import (cross_mass_loop, gauss_points, graded_square, j_voigt,
                                 strain_matrices, total_area)
+from support_symmetry import expected_group
 
 
 def dense_saddle_solve(forms, load):
@@ -652,14 +654,6 @@ def test_sweep_builds_the_lazy_state_before_any_task():
         assert fem.sweep(forms, [0.4, 0.2], task, lambda chi: []) == [[True] * 3] * 2
 
 
-def intertwined_profile():
-    """The paper's intertwined case: a stiff layer coupling e33 with 2e13,
-    which breaks rod material symmetry."""
-    C = make_isotropic(5.0, 5.0).voigt.copy()
-    C[2, 4] = C[4, 2] = 3.0
-    return MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)), (0.0, 0.5, ElasticityTensor(C))])
-
-
 # the sign flips g of x-hat, and the classes of the mirror split as the
 # signs s of their characters chi_s(g) = s1^[g1 < 0] s2^[g2 < 0], in the
 # order of ParityBasis: the bends in the x1 and the x2 plane, extension,
@@ -743,7 +737,7 @@ def mirror_breaking_profile():
 def test_central_split_without_mirrors_keeps_two_classes(profile, cross):
     forms = fem.assemble(profile, ProductMesh(cross, 4))
     assert forms.pairing is not None
-    assert fem.mirror_pairings(profile, cross) is None
+    assert list(forms.symmetry) == [(1, 1), (-1, -1)]
     basis = forms.parity_basis
     n = forms.mesh.n_dof
     assert len(basis.sizes) == 2
@@ -753,6 +747,38 @@ def test_central_split_without_mirrors_keeps_two_classes(profile, cross):
     parity = [fem.project_symmetry(f, which, forms.mesh, forms.pairing)
               for which in ("bend", "stretch")]
     assert_matches_dense_solve(forms, np.column_stack([f] + parity))
+
+
+def inversion_subgroup(forms):
+    """The subgroup of the identity and the central inversion of the
+    forms' symmetry group: the bend and stretch classes alone."""
+    return {g: forms.symmetry[g] for g in ((1, 1), (-1, -1))}
+
+
+@pytest.mark.parametrize("profile, cross, group", [
+    (layered_profile(), build_rectangle(1.0, 4, 4), [(1, 1), (-1, -1), (-1, 1), (1, -1)]),
+    (layered_profile(), build_rectangle(1.0, 8, 8), [(1, 1), (-1, -1), (-1, 1), (1, -1)]),
+    (layered_profile(), build_rectangle(2.0, 4, 2), [(1, 1), (-1, -1), (-1, 1), (1, -1)]),
+    (mirror_breaking_profile(), build_rectangle(1.0, 2, 2), [(1, 1), (-1, -1)]),
+    (layered_profile(), parallelogram(2), [(1, 1), (-1, -1)]),
+    (intertwined_profile(), build_rectangle(1.0, 2, 2), [(1, 1)])],
+    ids=["square4", "square8", "aspect2", "mirror_breaking", "parallelogram", "intertwined"])
+def test_symmetry_group_matches_the_flipped_cell(profile, cross, group):
+    # the flips under which the rank-4 tensor of every layer and the node
+    # coordinates are invariant, the group cut to the identity without the
+    # central inversion: the intertwined material keeps its x2 mirror alone,
+    # so it splits nothing. Each pairing is the node set's, and the forms
+    # read the group
+    got = fem.symmetry_group(profile, cross)
+    assert list(got) == group == expected_group(profile, cross)
+    assert np.array_equal(got[(1, 1)], np.arange(cross.n_nodes))
+    for g, pairing in got.items():
+        assert np.array_equal(pairing, node_pairing(cross, g))
+        assert np.max(np.abs(cross.nodes[pairing] - cross.nodes * g)) <= 1e-10
+    forms = fem.assemble(profile, ProductMesh(cross, 2))
+    assert list(forms.symmetry) == group
+    assert forms.pairing is forms.symmetry.get((-1, -1))
+    assert (forms.parity_basis is None) == (len(group) == 1)
 
 
 def test_split_lu_fills_less_than_the_dof_order(default_forms):
@@ -795,7 +821,7 @@ def test_parity_basis_rejects_coupling(name):
 
 
 @pytest.mark.parametrize("name", ["K_ss", "K_sx", "K_xx", "M"])
-def test_mirror_basis_rejects_coupling_of_the_bend_classes(name, monkeypatch):
+def test_mirror_basis_rejects_coupling_of_the_bend_classes(name):
     # u1 with u2 at node 0 and at its central image, by 1e-9 of the largest
     # entry: the bump is invariant under the central inversion, so the
     # two-class basis passes it, but it couples the bends in the x1 and the
@@ -807,23 +833,20 @@ def test_mirror_basis_rejects_coupling_of_the_bend_classes(name, monkeypatch):
     for i in (0, image):
         bump[i, i + 1] = bump[i + 1, i] = 1e-9 * abs(A).max()
     setattr(forms, name, (A + bump).tocsr())
-    with monkeypatch.context() as m:
-        m.setattr(fem, "mirror_pairings", lambda profile, cross: None)
-        two = fem.ParityBasis(forms)
-        two.blocks   # checks K_sx, K_xx and M too
-        assert len(two.sizes) == 2
+    two = fem.ParityBasis(forms, inversion_subgroup(forms))
+    two.blocks   # checks K_sx, K_xx and M too
+    assert len(two.sizes) == 2
     with pytest.raises(fem.PairingMismatch, match=name):
         forms.resolvent(0.3, 10.0)
 
 
-def test_mirror_lu_fills_less_than_the_two_class_lu(default_forms, monkeypatch):
+def test_mirror_lu_fills_less_than_the_two_class_lu(default_forms):
     # on the default cell the four mirror blocks keep at most 0.6 times the
     # L+U entries of the bend and stretch blocks
     forms = default_forms
     chi, t = 0.1, 0.1 ** -4
     four = forms.resolvent(chi, t).lu.lu.lu
-    monkeypatch.setattr(fem, "mirror_pairings", lambda profile, cross: None)
-    basis = fem.ParityBasis(forms)
+    basis = fem.ParityBasis(forms, inversion_subgroup(forms))
     two = fem.factorize(basis.matrix(chi, t), basis.order).lu
     assert len(forms.parity_basis.sizes) == 4 and len(basis.sizes) == 2
     assert four.L.nnz + four.U.nnz <= 0.6 * (two.L.nnz + two.U.nnz)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rodhom.material import (ElasticityTensor, MaterialProfile, check_coercivity,
-                             check_mirror_symmetry, check_rod_material_symmetry,
-                             make_isotropic, profile_from_json)
+                             flip_invariant, make_isotropic, profile_from_json)
+
+from support_symmetry import GROUP_ORDER, tensor_invariant
 
 
 def engineering(E):
@@ -60,20 +61,24 @@ def test_coercivity_matches_min_formula(lam, mu):
     assert abs(nu - min(2 * mu, 3 * lam + 2 * mu)) < 1e-10 * max(1.0, mu, lam)
 
 
+# rod material symmetry is invariance under the central inversion
+INVERSION = (-1, -1)
+
+
 def test_rod_symmetry_isotropic():
-    assert check_rod_material_symmetry(make_isotropic(1.0, 1.0))
+    assert flip_invariant(make_isotropic(1.0, 1.0), INVERSION)
 
 
 def test_rod_symmetry_violated():
     C = make_isotropic(1.0, 1.0).voigt.copy()
     C[0, 4] = C[4, 0] = 0.1  # A_1113 coupling
-    assert not check_rod_material_symmetry(ElasticityTensor(C))
+    assert not flip_invariant(ElasticityTensor(C), INVERSION)
 
 
 def test_rod_symmetry_allows_1323():
     C = np.zeros((6, 6))
     C[3, 4] = C[4, 3] = 1.0  # A_1323 is not on the forbidden list
-    assert check_rod_material_symmetry(ElasticityTensor(C))
+    assert flip_invariant(ElasticityTensor(C), INVERSION)
 
 
 @pytest.mark.parametrize("entry, mirrors", [
@@ -87,7 +92,26 @@ def test_mirror_symmetry(entry, mirrors):
     C = make_isotropic(1.0, 1.0).voigt.copy()
     if entry is not None:
         C[entry] = C[entry[::-1]] = 0.1
-    assert tuple(check_mirror_symmetry(ElasticityTensor(C), axis) for axis in (0, 1)) == mirrors
+    # the mirrors x1 -> -x1 and x2 -> -x2
+    assert tuple(flip_invariant(ElasticityTensor(C), signs)
+                 for signs in ((-1, 1), (1, -1))) == mirrors
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_flip_invariant_matches_the_flipped_rank4_tensor(seed):
+    # an isotropic tensor with a random symmetric set of entries perturbed
+    # by 0.1, 1e-11 or 1e-13: flip_invariant agrees, for every flip, with
+    # the flip written out on the rank-4 tensor, whose entries it keeps to
+    # within 1e-12 exactly where the tensor is invariant
+    rng = np.random.default_rng(seed)
+    C = make_isotropic(1.0, 1.0).voigt.copy()
+    for i, j in zip(*np.triu_indices(6)):
+        if rng.random() < 0.15:
+            C[i, j] = C[j, i] = C[i, j] + rng.choice([0.1, 1e-11, 1e-13]) * rng.choice([-1, 1])
+    t = ElasticityTensor(C)
+    for signs in GROUP_ORDER:
+        assert flip_invariant(t, signs) == tensor_invariant(t, signs)
+    assert flip_invariant(t, (1, 1))
 
 
 def test_profile_periodic_evaluation():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import sys
 import threading
@@ -12,6 +13,7 @@ from rodhom.geometry import (ProductMesh, build_rectangle, compute_moments,
 from rodhom.homogenize import rod_tensor
 from rodhom.material import ElasticityTensor, MaterialProfile, make_isotropic
 
+from support_config import intertwined_profile
 from support_embedding import cross_embedding_columns, limit_resolvent_loop
 from support_sweep import fiber_rate_study_loop, spectrum_scaling_loop
 from support_transform import (bundle_norm_sq, line_error_norm_loop, line_inner_loop,
@@ -26,8 +28,16 @@ def layered_profile(contrast=5.0):
 
 
 @pytest.fixture(scope="module")
-def forms():
-    return fem.assemble(layered_profile(), ProductMesh(build_rectangle(1.0, 4, 4), NY))
+def cell_forms():
+    """The forms of the layered profile on the 4x4 square with n_y y-nodes,
+    as a function of n_y, each assembled once in this module."""
+    return functools.lru_cache(maxsize=None)(lambda n_y: fem.assemble(
+        layered_profile(), ProductMesh(build_rectangle(1.0, 4, 4), n_y)))
+
+
+@pytest.fixture(scope="module")
+def forms(cell_forms):
+    return cell_forms(NY)
 
 
 def set_up_forms():
@@ -243,8 +253,8 @@ def _reached_fibers_of_make_loads(forms, cfg, N, regime):
     (n_loads, fibers, n_dof) stack."""
     eps = cfg.length / N
     out = []
-    for f in pl.make_loads(forms.mesh.cross, NY, N, eps, regime, n_loads=cfg.n_loads,
-                           seed=cfg.seed):
+    for f in pl.make_loads(forms.mesh.cross, forms.mesh.n_y, N, eps, regime,
+                           n_loads=cfg.n_loads, seed=cfg.seed):
         if pl.LINE_REGIMES[regime].out_of_line:
             f = f.like(pl._scaled_load(cfg, f.values, eps))
         b = tr.gelfand(f)
@@ -253,13 +263,19 @@ def _reached_fibers_of_make_loads(forms, cfg, N, regime):
     return b.chis[reached], np.array(out)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 32])
+LOAD_NS = [1, 2, 3, 4, 5, 8, 32]
+
+
+@pytest.mark.parametrize("N, n_y", [(N, NY) for N in LOAD_NS] + [(N, 2) for N in LOAD_NS],
+                         ids=[str(N) for N in LOAD_NS] + ["%d-n_y2" % N for N in LOAD_NS])
 @pytest.mark.parametrize("change", [{}, {"delta": 0.5}, {"s_inf": True, "regimes": ("bend",)}])
-def test_load_fibers_are_the_transform_of_make_loads(forms, N, change):
+def test_load_fibers_are_the_transform_of_make_loads(cell_forms, N, n_y, change):
     # the closed-form fibers of every regime's loads, projected, normalised
     # and scaled on the fibers, against the transformed line fields: where N
     # is below 2 LOAD_BAND + 1 the band aliases, and the short-scale modes
-    # j = +-N land on chi = 0 at every N
+    # j = +-N land on chi = 0 at every N. With n_y = 2 the line has 2 N
+    # slabs, so j = N and j = -N are one sampled frequency, its Nyquist
+    forms = cell_forms(n_y)
     cfg = pl.ExperimentConfig(n_loads=3, seed=2, **change)
     chis, G0 = pl._load_fibers(forms, N, cfg.length / N, cfg.n_loads, cfg.seed)
     assert G0.shape == (cfg.n_loads, min(N, 2 * pl.LOAD_BAND + 1), forms.mesh.n_dof)
@@ -492,15 +508,6 @@ def test_chain_functions_reject_unknown_regime(name, monkeypatch):
             call()
 
 
-def intertwined_profile():
-    """The paper's intertwined case: a stiff layer whose Voigt coupling of
-    e33 with 2e13 breaks rod symmetry (smallest eigenvalue 3.88)."""
-    C = make_isotropic(5.0, 5.0).voigt.copy()
-    C[2, 4] = C[4, 2] = 3.0
-    return MaterialProfile([(-0.5, 0.0, make_isotropic(1.0, 1.0)),
-                            (0.0, 0.5, ElasticityTensor(C))])
-
-
 def test_intertwined_case(forms):
     # on the intertwined material bend and stretch displacements mix and
     # only the rod regime applies
@@ -650,12 +657,20 @@ def test_xi_ablation_small(forms):
     assert row["slope_fit"] >= 1.8
 
 
-@pytest.mark.parametrize("n_grid", [(1, 2, 3, 4), (3, 4, 6, 8), (8, 12, 16, 24, 32)])
-def test_xi_ablation_matches_the_line_form(forms, n_grid):
+@pytest.mark.parametrize("n_y, n_grid", [
+    (NY, (1, 2, 3, 4)), (NY, (3, 4, 6, 8)), (NY, (8, 12, 16, 24, 32)),
+    (2, (5, 8, 12, 16)), (3, (1, 2, 3, 4)), (4, (1, 2, 3, 4))],
+    ids=["n_grid0", "n_grid1", "n_grid2", "n_y2", "n_y3", "n_y4"])
+def test_xi_ablation_matches_the_line_form(cell_forms, n_y, n_grid):
     # the closed form on the fibers against the difference of the frequency
     # loop's approximants of the make_loads family with and without the
     # band-limiter, in the line norm: below N = 2 LOAD_BAND + 1 it also
-    # drops band modes, the short-scale modes it drops at every N
+    # drops band modes, the short-scale modes it drops at every N. On a line
+    # of N n_y slabs a mode outside [-N n_y / 2, N n_y / 2) is seen at its
+    # alias, which the limiter keeps or drops and the line form maps: with
+    # n_y = 2, j = N is the Nyquist frequency -N, and with n_y = 3 or 4 the
+    # band modes of N = 1 alias too
+    forms = cell_forms(n_y)
     cfg = pl.ExperimentConfig(n_grid=n_grid, orders=(0,), n_loads=2, gamma=0.5, seed=3)
     got = pl.xi_ablation(cfg, forms).rows[0]["errs"]
     for N, err in zip(n_grid, got):
@@ -663,7 +678,7 @@ def test_xi_ablation_matches_the_line_form(forms, n_grid):
         want = max(line_error_norm_loop(forms, f.like(
             limit_resolvent_loop(forms, f, cfg.gamma, "rod", use_xi=True).values
             - limit_resolvent_loop(forms, f, cfg.gamma, "rod", use_xi=False).values))
-            for f in pl.make_loads(forms.mesh.cross, NY, N, eps, "rod", n_loads=cfg.n_loads,
+            for f in pl.make_loads(forms.mesh.cross, n_y, N, eps, "rod", n_loads=cfg.n_loads,
                                    seed=cfg.seed))
         assert abs(err - want) <= 1e-12 * want
 
